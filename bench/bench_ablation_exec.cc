@@ -1,14 +1,16 @@
-// Execution-mode ablation: vectorized (columnar blocks + SIMD masks +
-// merge joins) vs tuple-at-a-time, on the Fig 9 workload families over
-// both histories (Wikipedia, GovTrack). Three classes per dataset:
-//   point — repeated point-in-time pattern scans (width-1 windows)
+// Execution ablation on the Fig 9 workload families over both histories
+// (Wikipedia, GovTrack). Three classes per dataset:
+//   point — repeated point-in-time pattern scans (width-1 windows),
+//           row-at-a-time ScanToRows vs the columnar VectorizedScan
 //   range — repeated windowed range scans with interval filters over
-//           the compressed store (the headline rows/sec gate)
+//           the compressed store, same two scans (the headline rows/sec
+//           gate)
 //   join  — Example 4 subject-star temporal joins through the full
-//           engine, plus the vectorized merge join against the MVBT
-//           synchronized join on the same queries
-// Both modes must produce identical row counts — a mismatch is a
-// harness bug, not a result. Results land in BENCH_exec.json.
+//           engine: the default scan/join chain (merge join) against
+//           the MVBT synchronized join on the same queries
+// Both sides of each comparison must produce identical row counts — a
+// mismatch is a harness bug, not a result. Results land in
+// BENCH_exec.json.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -106,7 +108,7 @@ uint64_t VectorizedScanPass(const TemporalGraph& store, const ScanWorkload& w,
 /// fingerprint via row counts).
 uint64_t ResultRows(const engine::QueryEngine& eng,
                     const std::vector<std::string>& queries,
-                    engine::ExecStats* last_stats) {
+                    engine::ExecStats* last_query_stats) {
   uint64_t rows = 0;
   for (const std::string& q : queries) {
     auto r = eng.Execute(q);
@@ -116,7 +118,7 @@ uint64_t ResultRows(const engine::QueryEngine& eng,
       std::exit(1);
     }
     rows += r->rows.size();
-    if (last_stats != nullptr) *last_stats = r->stats;
+    if (last_query_stats != nullptr) *last_query_stats = r->stats;
   }
   return rows;
 }
@@ -148,7 +150,7 @@ DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
 
   DatasetResult result;
   PrintSeriesHeader(
-      "Exec ablation (" + ds + "): tuple vs vectorized (rows/sec)",
+      "Exec ablation (" + ds + "): ScanToRows vs VectorizedScan (rows/sec)",
       {"class", "rows", "tuple_rows_per_sec", "vec_rows_per_sec",
        "speedup"});
 
@@ -184,21 +186,17 @@ DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
     report->Add(prefix + "_speedup", speedup);
   }
 
-  // --- join class: full engine, both exec modes, plus sync join ---
+  // --- join class: full engine, merge-join chain vs sync join ---
   Rng rng(9);
   const auto queries = workload::MakeJoinQueries(f.data, *f.dict, 10, &rng);
-  engine::EngineOptions tuple_opts;
-  tuple_opts.exec_mode = engine::ExecMode::kTupleAtATime;
   engine::EngineOptions sync_opts;
   sync_opts.join_algorithm = engine::JoinAlgorithm::kSynchronized;
   engine::QueryEngine vec_eng(&store, f.dict.get());
-  engine::QueryEngine tuple_eng(&store, f.dict.get(), tuple_opts);
   engine::QueryEngine sync_eng(&store, f.dict.get(), sync_opts);
 
   engine::ExecStats vec_stats;
   const uint64_t join_rows = ResultRows(vec_eng, queries, &vec_stats);
-  if (ResultRows(tuple_eng, queries, nullptr) != join_rows ||
-      ResultRows(sync_eng, queries, nullptr) != join_rows) {
+  if (ResultRows(sync_eng, queries, nullptr) != join_rows) {
     std::fprintf(stderr, "%s join result mismatch across engines\n", name);
     std::exit(1);
   }
@@ -208,19 +206,14 @@ DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
     std::exit(1);
   }
   const double vec_ms = AvgQueryMillis(vec_eng, queries);
-  const double tuple_ms = AvgQueryMillis(tuple_eng, queries);
   const double sync_ms = AvgQueryMillis(sync_eng, queries);
   result.merge_vs_sync = sync_ms / vec_ms;
-  PrintSeriesRow({"join", Fmt(static_cast<double>(join_rows)),
-                  Fmt(join_rows / (tuple_ms / 1000.0)),
-                  Fmt(join_rows / (vec_ms / 1000.0)),
-                  Fmt(tuple_ms / vec_ms)});
-  std::printf("  %s join: merge %.3f ms, sync join %.3f ms -> %.2fx\n",
-              name, vec_ms, sync_ms, sync_ms / vec_ms);
+  std::printf("  %s join (%llu rows): merge %.3f ms, sync join %.3f ms "
+              "-> %.2fx\n",
+              name, static_cast<unsigned long long>(join_rows), vec_ms,
+              sync_ms, sync_ms / vec_ms);
   report->Add(ds + "_join_result_rows", join_rows);
-  report->Add(ds + "_join_tuple_ms", tuple_ms);
   report->Add(ds + "_join_vectorized_ms", vec_ms);
-  report->Add(ds + "_join_speedup", tuple_ms / vec_ms);
   report->Add(ds + "_join_sync_ms", sync_ms);
   report->Add(ds + "_merge_vs_sync_speedup", sync_ms / vec_ms);
   report->Add(ds + "_merge_join_steps", vec_stats.merge_join_steps);
@@ -245,7 +238,8 @@ int main() {
   const double merge = std::max(wiki.merge_vs_sync, gov.merge_vs_sync);
   report.Add("range_scan_speedup", range);
   report.Add("merge_vs_sync_best_speedup", merge);
-  std::printf("range-scan speedup (vectorized vs tuple, best dataset): %.2fx\n",
+  std::printf("range-scan speedup (VectorizedScan vs ScanToRows, best "
+              "dataset): %.2fx\n",
               range);
   std::printf("merge join vs synchronized join (best dataset): %.2fx\n",
               merge);

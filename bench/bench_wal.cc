@@ -44,7 +44,7 @@ std::unique_ptr<LiveStore> MustOpen(const std::string& dir,
 /// Interns one term per triple-slot id so writers can use AssertId.
 void InternIds(LiveStore* store, uint64_t count) {
   for (uint64_t i = 1; i <= count; ++i) {
-    auto id = store->InternTerm("t" + std::to_string(i));
+    auto id = store->InternTerm(std::string("t").append(std::to_string(i)));
     if (!id.ok() || *id != i) {
       std::fprintf(stderr, "intern failed at %llu\n",
                    static_cast<unsigned long long>(i));

@@ -62,9 +62,11 @@ struct Cell {
 struct ExecStats {
   uint64_t patterns_scanned = 0;
   uint64_t rows_scanned = 0;
+  /// Rows out of the main chain's joins plus the OPTIONAL left joins;
+  /// joins inside OPTIONAL / EXISTS groups are not counted.
   uint64_t join_output_rows = 0;
   uint64_t result_rows = 0;
-  /// Vectorized-mode physical join/sort choices actually taken: joins
+  /// Physical join/sort choices the main chain actually took: joins
   /// executed as sort-merge over index-sorted runs, joins that fell back
   /// to the columnar hash join, and explicit run sorts performed to
   /// establish a merge order.

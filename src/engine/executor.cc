@@ -1,7 +1,7 @@
 #include "engine/executor.h"
 
-#include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 
@@ -13,29 +13,6 @@
 
 namespace rdftx::engine {
 namespace {
-
-/// Variable slots a pattern binds in key positions.
-std::vector<int> KeySlots(const CompiledPattern& cp) {
-  std::vector<int> slots;
-  for (int s : {cp.var_s, cp.var_p, cp.var_o}) {
-    if (s >= 0) slots.push_back(s);
-  }
-  return slots;
-}
-
-bool SharesVariable(const CompiledPattern& a, const CompiledPattern& b) {
-  auto slots_of = [](const CompiledPattern& cp) {
-    std::vector<int> s = KeySlots(cp);
-    if (cp.var_t >= 0) s.push_back(cp.var_t);
-    return s;
-  };
-  std::vector<int> sa = slots_of(a);
-  std::vector<int> sb = slots_of(b);
-  for (int x : sa) {
-    if (std::find(sb.begin(), sb.end(), x) != sb.end()) return true;
-  }
-  return false;
-}
 
 int ConstantCount(const CompiledPattern& cp) {
   int n = 0;
@@ -116,8 +93,8 @@ std::vector<int> QueryEngine::GreedyOrder(const CompiledQuery& cq) {
       if (used[i]) continue;
       bool connected = false;
       for (int j : order) {
-        if (SharesVariable(cq.patterns[i],
-                           cq.patterns[static_cast<size_t>(j)])) {
+        if (cq.patterns[i].SharesVariable(
+                cq.patterns[static_cast<size_t>(j)])) {
           connected = true;
           break;
         }
@@ -212,10 +189,6 @@ Result<ResultSet> QueryEngine::Execute(const sparqlt::Query& query) const {
     RDFTX_RETURN_IF_ERROR(ApplyOrderAndSlice(query.order_by, query.limit,
                                              query.offset, &merged));
     merged.stats.result_rows = merged.rows.size();
-    {
-      util::MutexLock lock(&last_stats_mutex_);
-      last_stats_ = merged.stats;
-    }
     return merged;
   }
   auto cq = Compile(query, *dict_);
@@ -240,63 +213,21 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
   if (order.size() != cq.patterns.size()) {
     return Status::InvalidArgument("join order size mismatch");
   }
-  const size_t num_vars = cq.vars.size();
-
   EvalContext ctx;
   ctx.vars = &cq.vars;
   ctx.dict = dict_;
   ctx.now = options_.now != 0 ? options_.now : store_->last_time();
   if (ctx.now == 0) ctx.now = kChrononMax;
 
-  // Pipeline: scan the first pattern, then hash-join each subsequent
-  // pattern's scan into the running intermediate result. A two-pattern
+  // Pipeline: the scan/join chain over the plan order. A two-pattern
   // temporal join on an MVBT store may take the synchronized-join fast
   // path instead (§5.2.2).
   std::vector<Row> rows;
   const bool sync_joined =
       options_.join_algorithm == JoinAlgorithm::kSynchronized &&
       TrySynchronizedJoin(cq, &rows, &stats);
-  if (!sync_joined && options_.exec_mode == ExecMode::kVectorized) {
-    rows = RunVectorized(cq, order, &stats);
-  } else if (!sync_joined) {
-    const size_t n = order.size();
-    // With a pool, all pattern scans are independent of the join chain
-    // and run up front in parallel; the joins below then consume the
-    // prefetched row sets in plan order, so the output (and the stats
-    // merge order) is identical to the serial pipeline. Serially,
-    // scanning stays lazy so an empty intermediate result still skips
-    // the remaining scans.
-    std::vector<std::vector<Row>> scanned(n);
-    std::vector<ExecStats> scan_stats(n);
-    const bool prescanned = pool_ != nullptr && n > 1;
-    if (prescanned) {
-      util::ParallelFor(pool_.get(), n, [&](size_t step) {
-        ScanToRows(*store_,
-                   cq.patterns[static_cast<size_t>(order[step])], num_vars,
-                   cq.vars, &scanned[step], &scan_stats[step]);
-      });
-      for (const ExecStats& s : scan_stats) MergeStats(s, &stats);
-    }
-    std::set<int> bound_keys;
-    for (size_t step = 0; step < n; ++step) {
-      const CompiledPattern& cp =
-          cq.patterns[static_cast<size_t>(order[step])];
-      if (!prescanned) {
-        ScanToRows(*store_, cp, num_vars, cq.vars, &scanned[step], &stats);
-      }
-      if (step == 0) {
-        rows = std::move(scanned[step]);
-      } else {
-        std::vector<int> shared;
-        for (int slot : KeySlots(cp)) {
-          if (bound_keys.contains(slot)) shared.push_back(slot);
-        }
-        rows = HashJoinRows(rows, scanned[step], shared);
-        stats.join_output_rows += rows.size();
-      }
-      for (int slot : KeySlots(cp)) bound_keys.insert(slot);
-      if (rows.empty() && !prescanned) break;
-    }
+  if (!sync_joined) {
+    rows = RunToRows(RunChain(cq.patterns, order, cq.vars, &stats), cq.vars);
   }
 
   // OPTIONAL groups: evaluate each group, then left-join it onto the
@@ -307,7 +238,7 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
   if (!cq.optionals.empty() && !rows.empty()) {
     std::set<int> main_bound;
     for (const CompiledPattern& cp : cq.patterns) {
-      for (int slot : KeySlots(cp)) main_bound.insert(slot);
+      for (int slot : cp.KeySlots()) main_bound.insert(slot);
     }
     const size_t ng = cq.optionals.size();
     std::vector<std::vector<Row>> groups(ng);
@@ -320,7 +251,7 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
       MergeStats(group_stats[i], &stats);
       std::set<int> block_bound;
       for (const CompiledPattern& cp : cq.optionals[i].patterns) {
-        for (int slot : KeySlots(cp)) block_bound.insert(slot);
+        for (int slot : cp.KeySlots()) block_bound.insert(slot);
       }
       std::vector<int> shared;
       for (int slot : block_bound) {
@@ -353,7 +284,7 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
   if (!cq.exists.empty() && !kept.empty()) {
     std::set<int> outer_bound;
     auto note_bound = [&outer_bound](const CompiledPattern& cp) {
-      for (int slot : KeySlots(cp)) outer_bound.insert(slot);
+      for (int slot : cp.KeySlots()) outer_bound.insert(slot);
       if (cp.var_t >= 0) outer_bound.insert(cp.var_t);
     };
     for (const CompiledPattern& cp : cq.patterns) note_bound(cp);
@@ -423,62 +354,56 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
                                            query.offset, &result));
   stats.result_rows = result.rows.size();
   result.stats = stats;
-  {
-    util::MutexLock lock(&last_stats_mutex_);
-    last_stats_ = stats;
-  }
   return result;
 }
 
-std::vector<Row> QueryEngine::RunVectorized(const CompiledQuery& cq,
-                                            const std::vector<int>& order,
-                                            ExecStats* stats) const {
+BlockRun QueryEngine::RunChain(const std::vector<CompiledPattern>& patterns,
+                               const std::vector<int>& order,
+                               const std::vector<VarInfo>& vars,
+                               ExecStats* stats) const {
   const size_t n = order.size();
-  const size_t num_vars = cq.vars.size();
+  const size_t num_vars = vars.size();
   if (n == 0) return {};
+  auto pattern = [&](size_t step) -> const CompiledPattern& {
+    return patterns[static_cast<size_t>(order[step])];
+  };
 
-  // Join planning mirror of what the loop below executes: for each step,
-  // the single key slot shared with the previously bound variables (the
-  // merge-join key), or -1 when the join takes the hash path (no shared
-  // slot means cross product; several shared slots need the composite
+  // Per step, the key slots shared with the previously bound variables.
+  // A single shared slot is the merge-join key; anything else takes the
+  // hash path (none means cross product; several need the composite
   // hash key).
-  std::vector<int> join_slot(n, -1);
+  std::vector<std::vector<int>> shared(n);
   {
     std::set<int> bound;
-    for (int s : KeySlots(cq.patterns[static_cast<size_t>(order[0])])) {
-      bound.insert(s);
-    }
-    for (size_t step = 1; step < n; ++step) {
-      const CompiledPattern& cp =
-          cq.patterns[static_cast<size_t>(order[step])];
-      std::vector<int> shared;
-      for (int s : KeySlots(cp)) {
-        if (bound.contains(s)) shared.push_back(s);
+    for (size_t step = 0; step < n; ++step) {
+      for (int s : pattern(step).KeySlots()) {
+        if (bound.contains(s)) shared[step].push_back(s);
       }
-      if (shared.size() == 1) join_slot[step] = shared[0];
-      for (int s : KeySlots(cp)) bound.insert(s);
+      for (int s : pattern(step).KeySlots()) bound.insert(s);
     }
   }
+  auto join_slot = [&shared](size_t step) {
+    return shared[step].size() == 1 ? shared[step][0] : -1;
+  };
   // Scan-output orders to request: each merge join wants its right input
   // sorted by the join slot, and the first scan wants the first join's
   // slot so the merge chain can start without an explicit sort. The
   // grouping sort inside VectorizedScan makes the requested order free.
   std::vector<int> sort_req(n, -1);
-  for (size_t step = 1; step < n; ++step) sort_req[step] = join_slot[step];
-  if (n > 1) sort_req[0] = join_slot[1];
+  for (size_t step = 1; step < n; ++step) sort_req[step] = join_slot(step);
+  if (n > 1) sort_req[0] = join_slot(1);
 
-  // Same prescan policy as the tuple pipeline: with a pool, all pattern
-  // scans run up front in parallel and the joins consume them in plan
-  // order; serially, scanning stays lazy so an empty intermediate result
-  // skips the remaining scans.
+  // With a pool, all pattern scans run up front in parallel and the
+  // joins consume them in plan order, so the output (and the stats merge
+  // order) is identical to the serial chain. Serially, scanning stays
+  // lazy so an empty intermediate result skips the remaining scans.
   std::vector<BlockRun> scanned(n);
   std::vector<ExecStats> scan_stats(n);
   const bool prescanned = pool_ != nullptr && n > 1;
   if (prescanned) {
     util::ParallelFor(pool_.get(), n, [&](size_t step) {
-      VectorizedScan(*store_, cq.patterns[static_cast<size_t>(order[step])],
-                     num_vars, cq.vars, sort_req[step], &block_pool_,
-                     &scanned[step], &scan_stats[step]);
+      VectorizedScan(*store_, pattern(step), num_vars, vars, sort_req[step],
+                     &block_pool_, &scanned[step], &scan_stats[step]);
     });
     for (const ExecStats& s : scan_stats) MergeStats(s, stats);
   }
@@ -488,74 +413,56 @@ std::vector<Row> QueryEngine::RunVectorized(const CompiledQuery& cq,
   constexpr size_t kAccSortMax = size_t{1} << 15;
 
   BlockRun acc;
-  std::set<int> bound_keys;
   for (size_t step = 0; step < n; ++step) {
-    const CompiledPattern& cp = cq.patterns[static_cast<size_t>(order[step])];
     if (!prescanned) {
-      VectorizedScan(*store_, cp, num_vars, cq.vars, sort_req[step],
+      VectorizedScan(*store_, pattern(step), num_vars, vars, sort_req[step],
                      &block_pool_, &scanned[step], stats);
     }
     if (step == 0) {
       acc = std::move(scanned[step]);
     } else {
-      std::vector<int> shared;
-      for (int slot : KeySlots(cp)) {
-        if (bound_keys.contains(slot)) shared.push_back(slot);
-      }
+      const int s = join_slot(step);
       bool merged = false;
-      if (shared.size() == 1) {
-        const int s = shared[0];
+      if (s >= 0) {
         BlockRun& right = scanned[step];
         if (right.sorted_by != s) {  // defensive; scans honor sort_req
-          right = SortRun(right, s, cq.vars, &block_pool_);
+          right = SortRun(right, s, vars, &block_pool_);
           ++stats->sort_steps;
         }
         if (acc.sorted_by != s && acc.size() <= kAccSortMax) {
-          acc = SortRun(acc, s, cq.vars, &block_pool_);
+          acc = SortRun(acc, s, vars, &block_pool_);
           ++stats->sort_steps;
         }
         if (acc.sorted_by == s) {
-          acc = MergeJoinRuns(acc, right, s, cq.vars, &block_pool_);
+          acc = MergeJoinRuns(acc, right, s, vars, &block_pool_);
           ++stats->merge_join_steps;
           merged = true;
         }
       }
       if (!merged) {
-        acc = HashJoinRuns(acc, scanned[step], shared, cq.vars,
+        acc = HashJoinRuns(acc, scanned[step], shared[step], vars,
                            &block_pool_);
         ++stats->hash_join_steps;
       }
       stats->join_output_rows += acc.size();
     }
-    for (int slot : KeySlots(cp)) bound_keys.insert(slot);
     if (acc.empty() && !prescanned) break;
   }
-  return RunToRows(acc, cq.vars);
+  return acc;
 }
 
 std::vector<Row> QueryEngine::EvalOptionalGroup(const CompiledOptional& opt,
                                                 const CompiledQuery& cq,
                                                 const EvalContext& ctx,
                                                 ExecStats* stats) const {
-  const size_t num_vars = cq.vars.size();
-  std::vector<Row> group;
-  std::set<int> block_bound;
-  for (size_t i = 0; i < opt.patterns.size(); ++i) {
-    const CompiledPattern& cp = opt.patterns[i];
-    std::vector<Row> scanned;
-    ScanToRows(*store_, cp, num_vars, cq.vars, &scanned, stats);
-    if (i == 0) {
-      group = std::move(scanned);
-    } else {
-      std::vector<int> shared;
-      for (int slot : KeySlots(cp)) {
-        if (block_bound.contains(slot)) shared.push_back(slot);
-      }
-      group = HashJoinRows(group, scanned, shared);
-    }
-    for (int slot : KeySlots(cp)) block_bound.insert(slot);
-    if (group.empty()) break;
-  }
+  std::vector<int> order(opt.patterns.size());
+  std::iota(order.begin(), order.end(), 0);
+  ExecStats group_stats;
+  std::vector<Row> group =
+      RunToRows(RunChain(opt.patterns, order, cq.vars, &group_stats), cq.vars);
+  stats->patterns_scanned += group_stats.patterns_scanned;
+  stats->rows_scanned += group_stats.rows_scanned;
+  stats->scan.MergeFrom(group_stats.scan);
   // Group-local filters run on the group's own matches.
   std::erase_if(group, [&](const Row& row) {
     for (const sparqlt::Expr* f : opt.filters) {

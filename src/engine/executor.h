@@ -15,8 +15,6 @@
 #include "engine/translate.h"
 #include "rdf/store_interface.h"
 #include "sparqlt/parser.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace rdftx::engine {
@@ -32,22 +30,11 @@ enum class JoinAlgorithm {
   kSynchronized,
 };
 
-/// How the pattern-scan/join pipeline moves bindings between operators.
-enum class ExecMode {
-  /// Batch-at-a-time: operators exchange columnar BindingBlocks, leaf
-  /// filtering runs over whole columns with util/simd.h masks, and joins
-  /// over index-sorted runs use sort-merge when the order is free.
-  kVectorized,
-  /// The original row-at-a-time pipeline (ScanToRows + HashJoinRows).
-  kTupleAtATime,
-};
-
 /// Engine configuration.
 struct EngineOptions {
   /// "now" for measuring live runs; 0 means "use store->last_time()".
   Chronon now = 0;
   JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
-  ExecMode exec_mode = ExecMode::kVectorized;
   /// Worker threads for intra-query parallelism: independent pattern
   /// scans, UNION branches, OPTIONAL groups, and synchronized-join
   /// partitions. <= 1 keeps the serial pipeline (no pool is created).
@@ -91,15 +78,6 @@ class QueryEngine {
     join_order_provider_ = std::move(provider);
   }
 
-  /// Deprecated shim: a mutex-guarded snapshot of the counters of the
-  /// most recently *finished* Execute. Only meaningful when the engine
-  /// serves one query at a time — under concurrency the snapshot is
-  /// whichever query completed last. Prefer ResultSet::stats.
-  ExecStats last_stats() const {
-    util::MutexLock lock(&last_stats_mutex_);
-    return last_stats_;
-  }
-
   /// Fallback order: starts from the most selective-looking pattern
   /// (most constants) and greedily appends connected patterns.
   static std::vector<int> GreedyOrder(const CompiledQuery& cq);
@@ -115,16 +93,18 @@ class QueryEngine {
   bool TrySynchronizedJoin(const CompiledQuery& cq, std::vector<Row>* rows,
                            ExecStats* stats) const;
 
-  /// Vectorized scan + join chain (ExecMode::kVectorized): patterns scan
-  /// into sorted BlockRuns, single-shared-variable joins run as
-  /// sort-merge, the rest as columnar hash joins. Returns the joined
-  /// solutions as rows for the shared OPTIONAL/FILTER/projection tail.
-  std::vector<Row> RunVectorized(const CompiledQuery& cq,
-                                 const std::vector<int>& order,
-                                 ExecStats* stats) const;
+  /// The scan/join chain: scans `patterns` in `order` into columnar
+  /// BlockRuns and joins them left-deep — sort-merge when a step shares
+  /// exactly one key variable with the bound ones, columnar hash join
+  /// otherwise. This is the only place merge vs hash is chosen.
+  BlockRun RunChain(const std::vector<CompiledPattern>& patterns,
+                    const std::vector<int>& order,
+                    const std::vector<VarInfo>& vars, ExecStats* stats) const;
 
-  /// Evaluates one OPTIONAL group (scans + inner joins + group-local
-  /// filters) independently of the main solutions.
+  /// Evaluates one OPTIONAL (or EXISTS) group — its patterns through
+  /// RunChain in declaration order, then the group-local filters —
+  /// independently of the main solutions. Only the group's scan
+  /// counters reach `stats`; its internal joins are not plan steps.
   std::vector<Row> EvalOptionalGroup(const CompiledOptional& opt,
                                      const CompiledQuery& cq,
                                      const EvalContext& ctx,
@@ -136,12 +116,9 @@ class QueryEngine {
   JoinOrderProvider join_order_provider_;
   /// Intra-query worker pool; null when options_.num_threads <= 1.
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Recycles vectorized-mode binding blocks across queries (internally
-  /// synchronized, so concurrent Execute calls share it safely).
+  /// Recycles binding blocks across queries (internally synchronized,
+  /// so concurrent Execute calls share it safely).
   mutable BlockPool block_pool_;
-  mutable util::Mutex last_stats_mutex_ LEAF_MUTEX{
-      "QueryEngine::last_stats_mutex_"};
-  mutable ExecStats last_stats_ GUARDED_BY(last_stats_mutex_);
 };
 
 }  // namespace rdftx::engine

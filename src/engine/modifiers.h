@@ -1,7 +1,6 @@
 // Row-level implementations of the SPARQLt solution modifiers and the
-// EXISTS semi/anti-join (DESIGN.md §14). These run in the shared tail of
-// QueryEngine::Run, after the mode-specific scan/join pipeline, so both
-// exec modes exercise identical semantics.
+// EXISTS semi/anti-join (DESIGN.md §14). These run in the row tail of
+// QueryEngine::Run, after the scan/join chain, on every store alike.
 #ifndef RDFTX_ENGINE_MODIFIERS_H_
 #define RDFTX_ENGINE_MODIFIERS_H_
 
@@ -25,7 +24,7 @@ int CompareCells(const Cell& a, const Cell& b);
 /// keys resolve against `rs->columns` (aggregate aliases included);
 /// ties break on the canonical row fingerprint, and a LIMIT/OFFSET
 /// without ORDER BY slices the canonical fingerprint order, so the
-/// output is deterministic across exec modes and stores. When a LIMIT
+/// output is deterministic across stores. When a LIMIT
 /// bounds the output, the sort runs as a heap select over offset+limit
 /// rows instead of a full sort.
 Status ApplyOrderAndSlice(const std::vector<sparqlt::OrderKey>& order_by,

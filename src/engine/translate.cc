@@ -79,6 +79,24 @@ TimeFn ClassifyTimeSide(const Expr& e, const std::string& time_var) {
 
 }  // namespace
 
+std::vector<int> CompiledPattern::KeySlots() const {
+  std::vector<int> slots;
+  for (int s : {var_s, var_p, var_o}) {
+    if (s >= 0) slots.push_back(s);
+  }
+  return slots;
+}
+
+bool CompiledPattern::SharesVariable(const CompiledPattern& other) const {
+  for (int x : {var_s, var_p, var_o, var_t}) {
+    if (x < 0) continue;
+    for (int y : {other.var_s, other.var_p, other.var_o, other.var_t}) {
+      if (x == y) return true;
+    }
+  }
+  return false;
+}
+
 Interval FilterWindow(const Expr& expr, const std::string& time_var) {
   switch (expr.kind) {
     case Expr::Kind::kAnd:

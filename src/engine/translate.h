@@ -25,6 +25,13 @@ struct CompiledPattern {
   /// True when a constant did not resolve in the dictionary: the pattern
   /// (and hence the query) has no matches.
   bool never_matches = false;
+
+  /// Variable slots bound in key (subject/predicate/object) positions,
+  /// in s, p, o order.
+  std::vector<int> KeySlots() const;
+  /// True when this pattern and `other` share any variable, key or
+  /// temporal.
+  bool SharesVariable(const CompiledPattern& other) const;
 };
 
 /// A compiled OPTIONAL group: its patterns left-join onto the main

@@ -1,9 +1,8 @@
 // Vectorized (batch-at-a-time) physical operators: index scans that
 // filter whole leaf columns with util/simd.h masks and emit sorted
 // BlockRuns, a sort-merge join over index-sorted runs, and a columnar
-// hash join for the shapes merge cannot serve. The executor picks
-// between these and the tuple-at-a-time operators via
-// EngineOptions::exec_mode.
+// hash join for the shapes merge cannot serve. QueryEngine::RunChain
+// composes them into the engine's one scan/join pipeline.
 #ifndef RDFTX_ENGINE_VECTORIZED_H_
 #define RDFTX_ENGINE_VECTORIZED_H_
 

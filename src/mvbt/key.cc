@@ -3,8 +3,10 @@
 namespace rdftx::mvbt {
 
 std::string Key3::ToString() const {
-  return "(" + std::to_string(a) + "," + std::to_string(b) + "," +
-         std::to_string(c) + ")";
+  std::string out = "(";
+  out.append(std::to_string(a)).append(",").append(std::to_string(b));
+  out.append(",").append(std::to_string(c)).append(")");
+  return out;
 }
 
 }  // namespace rdftx::mvbt

@@ -6,34 +6,9 @@
 #include <set>
 
 namespace rdftx::optimizer {
-namespace {
 
 using engine::CompiledPattern;
 using engine::CompiledQuery;
-
-std::vector<int> KeySlots(const CompiledPattern& cp) {
-  std::vector<int> slots;
-  for (int s : {cp.var_s, cp.var_p, cp.var_o}) {
-    if (s >= 0) slots.push_back(s);
-  }
-  return slots;
-}
-
-bool Shares(const CompiledPattern& a, const CompiledPattern& b) {
-  auto all = [](const CompiledPattern& cp) {
-    std::vector<int> s = KeySlots(cp);
-    if (cp.var_t >= 0) s.push_back(cp.var_t);
-    return s;
-  };
-  for (int x : all(a)) {
-    for (int y : all(b)) {
-      if (x == y) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 bool TopKPushdownEligible(const sparqlt::Query& query,
                           const engine::CompiledQuery& cq) {
@@ -55,55 +30,6 @@ bool TopKPushdownEligible(const sparqlt::Query& query,
     if (s >= 0 && !projected.contains(s)) return false;
   }
   return true;
-}
-
-std::vector<JoinStepAlgo> PlanJoinAlgos(const CompiledQuery& cq,
-                                        const std::vector<int>& order) {
-  const size_t n = order.size();
-  std::vector<JoinStepAlgo> algos(n, JoinStepAlgo::kScan);
-  if (n <= 1) return algos;
-
-  // The executor's merge keys: per step, the single key slot shared with
-  // the previously bound variables, or -1 for the hash path.
-  std::vector<int> join_slot(n, -1);
-  std::set<int> bound;
-  for (int s : KeySlots(cq.patterns[static_cast<size_t>(order[0])])) {
-    bound.insert(s);
-  }
-  for (size_t step = 1; step < n; ++step) {
-    const CompiledPattern& cp = cq.patterns[static_cast<size_t>(order[step])];
-    std::vector<int> shared;
-    for (int s : KeySlots(cp)) {
-      if (bound.contains(s)) shared.push_back(s);
-    }
-    if (shared.size() == 1) join_slot[step] = shared[0];
-    for (int s : KeySlots(cp)) bound.insert(s);
-  }
-
-  // Track the accumulated side's ordering through the chain. The first
-  // scan honors the first join's slot when it binds it; otherwise the
-  // scan hash-groups and its output carries no order.
-  auto scan_order = [](const CompiledPattern& cp, int req) {
-    if (req >= 0 &&
-        (cp.var_s == req || cp.var_p == req || cp.var_o == req)) {
-      return req;
-    }
-    return -1;
-  };
-  int acc_sorted =
-      scan_order(cq.patterns[static_cast<size_t>(order[0])], join_slot[1]);
-  for (size_t step = 1; step < n; ++step) {
-    if (join_slot[step] >= 0) {
-      const int s = join_slot[step];
-      algos[step] = acc_sorted == s ? JoinStepAlgo::kMerge
-                                    : JoinStepAlgo::kSortMerge;
-      acc_sorted = s;  // merge output stays sorted by the join slot
-    } else {
-      algos[step] = JoinStepAlgo::kHash;
-      acc_sorted = -1;  // hash output carries no order
-    }
-  }
-  return algos;
 }
 
 QueryOptimizer::QueryOptimizer(const CharSetCatalog* catalog,
@@ -195,12 +121,12 @@ double QueryOptimizer::JoinSelectivity(const CompiledQuery& cq,
   const CompiledPattern& np = cq.patterns[static_cast<size_t>(next)];
   double sel = 1.0;
   // Key-variable equalities: 1 / max(distinct on either side).
-  for (int slot : KeySlots(np)) {
+  for (int slot : np.KeySlots()) {
     double left_distinct = 0.0;
     for (size_t i = 0; i < cq.patterns.size(); ++i) {
       if (!(mask & (1u << i))) continue;
       const CompiledPattern& lp = cq.patterns[i];
-      std::vector<int> ls = KeySlots(lp);
+      std::vector<int> ls = lp.KeySlots();
       if (std::find(ls.begin(), ls.end(), slot) == ls.end()) continue;
       double d = DistinctOfVar(lp, slot);
       left_distinct = left_distinct == 0.0 ? d : std::min(left_distinct, d);
@@ -286,7 +212,7 @@ double QueryOptimizer::EstimateSubsetCard(const CompiledQuery& cq,
       bool connected = false;
       for (size_t j = 0; j < cq.patterns.size(); ++j) {
         if ((built & (1u << j)) &&
-            Shares(cq.patterns[i], cq.patterns[j])) {
+            cq.patterns[i].SharesVariable(cq.patterns[j])) {
           connected = true;
           break;
         }
@@ -363,7 +289,8 @@ std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
       uint32_t bit = 1u << i;
       if (mask & bit) continue;
       for (size_t j = 0; j < n; ++j) {
-        if ((mask & (1u << j)) && Shares(cq.patterns[i], cq.patterns[j])) {
+        if ((mask & (1u << j)) &&
+            cq.patterns[i].SharesVariable(cq.patterns[j])) {
           has_connected = true;
           break;
         }
@@ -377,7 +304,7 @@ std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
         bool connected = false;
         for (size_t j = 0; j < n; ++j) {
           if ((mask & (1u << j)) &&
-              Shares(cq.patterns[i], cq.patterns[j])) {
+              cq.patterns[i].SharesVariable(cq.patterns[j])) {
             connected = true;
             break;
           }

@@ -1,8 +1,8 @@
 // The RDF-TX query optimizer (paper §6): cost-based join ordering via
 // bottom-up dynamic programming [Moerkotte & Neumann], with cardinality
 // estimates that combine characteristic sets and the temporal histogram.
-// Plans are left-deep (the executor pipelines pattern scans into a chain
-// of hash joins) and avoid cross products when the query graph allows.
+// Plans are join orders only: left-deep, avoiding cross products when the
+// query graph allows. The executor picks merge or hash join per step.
 #ifndef RDFTX_OPTIMIZER_OPTIMIZER_H_
 #define RDFTX_OPTIMIZER_OPTIMIZER_H_
 
@@ -23,25 +23,6 @@ struct OptimizerOptions {
   /// table is 2^n).
   size_t max_dp_patterns = 14;
 };
-
-/// Physical algorithm of one step of a left-deep vectorized plan.
-enum class JoinStepAlgo {
-  kScan,       // step 0: the driving pattern scan, no join
-  kMerge,      // sort-merge join; both input orders come for free
-  kSortMerge,  // merge join after an explicit sort of the accumulated side
-  kHash,       // columnar hash join (no single shared key variable)
-};
-
-/// Predicts, per step of `order`, the physical join the vectorized
-/// executor takes — mirroring QueryEngine::RunVectorized: a single
-/// shared key variable joins by sort-merge (kMerge when the accumulated
-/// side is already sorted by it, because the previous step's scan or
-/// join established that order for free; kSortMerge when it must be
-/// re-sorted first), anything else by hash. Step 0 is always kScan.
-/// The executor may still demote a kSortMerge to hash at runtime when
-/// the accumulated side turns out too large to re-sort profitably.
-std::vector<JoinStepAlgo> PlanJoinAlgos(const engine::CompiledQuery& cq,
-                                        const std::vector<int>& order);
 
 /// Top-k pushdown rule (DESIGN.md §14.2): an ORDER BY + LIMIT query may
 /// bypass duplicate elimination and bound its sort to a heap select of

@@ -1,7 +1,19 @@
 #include "sparqlt/ast.h"
 
+#include <initializer_list>
+#include <string_view>
+
 namespace rdftx::sparqlt {
 namespace {
+
+/// Concatenates `parts` by appending. The text builders below use it
+/// instead of `"literal" + std::string&&`, which GCC 12 rejects under
+/// -Werror=restrict in optimized builds.
+std::string Cat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (std::string_view part : parts) out.append(part);
+  return out;
+}
 
 const char* OpName(CompareOp op) {
   switch (op) {
@@ -77,25 +89,24 @@ std::string Term::ToString() const {
 }
 
 std::string GraphPattern::ToString() const {
-  std::string out =
-      s.ToString() + " " + p.ToString() + " " + o.ToString();
-  if (t.kind != Term::Kind::kWildcard) out += " " + t.ToString();
+  std::string out = Cat({s.ToString(), " ", p.ToString(), " ", o.ToString()});
+  if (t.kind != Term::Kind::kWildcard) out.append(" ").append(t.ToString());
   return out;
 }
 
 std::string Expr::ToString() const {
   switch (kind) {
     case Kind::kAnd:
-      return "(" + children[0]->ToString() + " && " +
-             children[1]->ToString() + ")";
+      return Cat({"(", children[0]->ToString(), " && ",
+                  children[1]->ToString(), ")"});
     case Kind::kOr:
-      return "(" + children[0]->ToString() + " || " +
-             children[1]->ToString() + ")";
+      return Cat({"(", children[0]->ToString(), " || ",
+                  children[1]->ToString(), ")"});
     case Kind::kNot:
-      return "!(" + children[0]->ToString() + ")";
+      return Cat({"!(", children[0]->ToString(), ")"});
     case Kind::kCompare:
-      return "(" + children[0]->ToString() + " " + OpName(op) + " " +
-             children[1]->ToString() + ")";
+      return Cat({"(", children[0]->ToString(), " ", OpName(op), " ",
+                  children[1]->ToString(), ")"});
     case Kind::kVariable:
       return "?" + text;
     case Kind::kDateLit:
@@ -105,8 +116,7 @@ std::string Expr::ToString() const {
     case Kind::kStringLit:
       return "\"" + text + "\"";
     default:
-      return std::string(FuncName(kind)) + "(" + children[0]->ToString() +
-             ")";
+      return Cat({FuncName(kind), "(", children[0]->ToString(), ")"});
   }
 }
 
@@ -130,8 +140,10 @@ std::string ExistsToString(const ExistsBlock& ex) {
   std::string out = " FILTER ";
   if (ex.negated) out += "NOT ";
   out += "EXISTS {";
-  for (const auto& p : ex.patterns) out += " " + p.ToString() + " .";
-  for (const auto& f : ex.filters) out += " FILTER" + f->ToString() + " .";
+  for (const auto& p : ex.patterns) out += Cat({" ", p.ToString(), " ."});
+  for (const auto& f : ex.filters) {
+    out += Cat({" FILTER", f->ToString(), " ."});
+  }
   out += " } .";
   return out;
 }
@@ -165,7 +177,7 @@ std::string Query::ToString() const {
     out += " *";
   } else {
     for (const auto& v : select) out += " ?" + v;
-    for (const auto& a : aggregates) out += " " + a.ToString();
+    for (const auto& a : aggregates) out += Cat({" ", a.ToString()});
   }
   out += " {";
   if (!union_branches.empty()) {
@@ -173,10 +185,10 @@ std::string Query::ToString() const {
       if (i > 0) out += " UNION";
       out += " {";
       for (const auto& p : union_branches[i].patterns) {
-        out += " " + p.ToString() + " .";
+        out += Cat({" ", p.ToString(), " ."});
       }
       for (const auto& f : union_branches[i].filters) {
-        out += " FILTER" + f->ToString() + " .";
+        out += Cat({" FILTER", f->ToString(), " ."});
       }
       for (const auto& ex : union_branches[i].exists) {
         out += ExistsToString(ex);
@@ -187,13 +199,15 @@ std::string Query::ToString() const {
     out += ModifiersToString(*this);
     return out;
   }
-  for (const auto& p : patterns) out += " " + p.ToString() + " .";
-  for (const auto& f : filters) out += " FILTER" + f->ToString() + " .";
+  for (const auto& p : patterns) out += Cat({" ", p.ToString(), " ."});
+  for (const auto& f : filters) out += Cat({" FILTER", f->ToString(), " ."});
   for (const auto& ex : exists) out += ExistsToString(ex);
   for (const auto& opt : optionals) {
     out += " OPTIONAL {";
-    for (const auto& p : opt.patterns) out += " " + p.ToString() + " .";
-    for (const auto& f : opt.filters) out += " FILTER" + f->ToString() + " .";
+    for (const auto& p : opt.patterns) out += Cat({" ", p.ToString(), " ."});
+    for (const auto& f : opt.filters) {
+      out += Cat({" FILTER", f->ToString(), " ."});
+    }
     out += " } .";
   }
   out += " }";

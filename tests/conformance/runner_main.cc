@@ -10,11 +10,11 @@
 //   # ordered        compare rows in order (for ORDER BY cases);
 //                    without it rows are compared as a set
 //
-// Every case runs under four configurations: {NaiveStore, TemporalGraph}
-// x {tuple-at-a-time, vectorized}. NaiveStore + tuple mode is the
-// oracle: with RDFTX_CONFORMANCE_REGEN=1 that configuration rewrites the
-// .expected files, and the other three still compare against the fresh
-// output, so a regeneration run remains a real cross-check.
+// Every case runs on two stores: the NaiveStore oracle and the
+// TemporalGraph. With RDFTX_CONFORMANCE_REGEN=1 the NaiveStore run
+// rewrites the .expected files and the TemporalGraph run still compares
+// against the fresh output, so a regeneration run remains a real
+// cross-check.
 //
 // Dataset files (`data/*.ttn`) are line based:
 //
@@ -145,17 +145,14 @@ std::shared_ptr<Dataset> GetDataset(const fs::path& path) {
 struct Config {
   const char* name;
   bool naive;
-  engine::ExecMode mode;
 };
 
 constexpr Config kConfigs[] = {
-    {"NaiveTuple", true, engine::ExecMode::kTupleAtATime},
-    {"NaiveVectorized", true, engine::ExecMode::kVectorized},
-    {"GraphTuple", false, engine::ExecMode::kTupleAtATime},
-    {"GraphVectorized", false, engine::ExecMode::kVectorized},
+    {"Naive", true},
+    {"Graph", false},
 };
 
-/// NaiveTuple is the oracle configuration regeneration writes from.
+/// Naive is the oracle configuration regeneration writes from.
 constexpr size_t kOracleConfig = 0;
 
 struct Case {
@@ -221,7 +218,6 @@ class ConformanceTest : public ::testing::Test {
 
     engine::EngineOptions options;
     options.now = ds->now;
-    options.exec_mode = cfg.mode;
     const TemporalStore* store =
         cfg.naive ? static_cast<const TemporalStore*>(&ds->naive) : &ds->graph;
     engine::QueryEngine eng(store, &ds->dict, options);
@@ -361,7 +357,7 @@ int main(int argc, char** argv) {
                  dir.string().c_str());
     return 1;
   }
-  std::fprintf(stderr, "registered %d conformance cases x 4 configurations\n",
-               cases);
+  std::fprintf(stderr, "registered %d conformance cases x %zu configurations\n",
+               cases, std::size(rdftx::conformance::kConfigs));
   return RUN_ALL_TESTS();
 }

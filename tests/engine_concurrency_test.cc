@@ -3,7 +3,7 @@
 // every execution must return exactly the rows a serial run returns, and
 // TSan must see no races. Covers plain scans, filters, synchronized
 // joins, UNION, and OPTIONAL shapes, plus the per-query ExecStats
-// carried on the ResultSet and the deprecated last_stats() shim.
+// carried on the ResultSet.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,7 +44,7 @@ std::vector<std::string> QueryMix() {
       // Temporal join with range pushdown.
       "SELECT ?s ?o1 ?o2 ?t { ?s term1 ?o1 ?t . ?s term2 ?o2 ?t . "
       "FILTER(?t <= " + FormatChronon(1000) + ") }",
-      // Three patterns (hash pipeline; parallel prescan).
+      // Three patterns (join chain; parallel prescan).
       "SELECT ?s ?t { ?s term1 ?a ?t . ?s term2 ?b ?t . ?s term3 ?c ?t }",
       // UNION of two branches.
       "SELECT ?s ?t { { ?s term1 ?a ?t } UNION { ?s term2 ?b ?t } }",
@@ -57,6 +57,10 @@ std::vector<std::string> QueryMix() {
       // Two OPTIONAL groups (evaluated in parallel, joined in order).
       "SELECT ?s ?a ?b ?c { ?s term1 ?a ?t . "
       "OPTIONAL { ?s term2 ?b ?t } . OPTIONAL { ?s term3 ?c ?t } }",
+      // Two-pattern OPTIONAL group: the group runs its own join chain,
+      // prescanning in parallel inside the parallel group evaluation.
+      "SELECT ?s ?a ?b ?c { ?s term1 ?a ?t . "
+      "OPTIONAL { ?s term2 ?b ?t2 . ?s term3 ?c ?t2 } }",
       // Temporal built-ins.
       "SELECT ?s ?o ?t { ?s term4 ?o ?t . FILTER(LENGTH(?t) > 30 DAY) }",
       "SELECT ?s ?o { ?s term5 ?o ?t . FILTER(TEND(?t) = now) }",
@@ -141,36 +145,6 @@ TEST(EngineConcurrencyTest, SynchronizedJoinParallelEngine) {
   ConcurrencyFixture fx(EngineOptions{
       .join_algorithm = JoinAlgorithm::kSynchronized, .num_threads = 4});
   Hammer(fx.engine());
-}
-
-TEST(EngineConcurrencyTest, LastStatsShimIsReadableUnderConcurrency) {
-  // The deprecated shim may interleave snapshots from racing queries but
-  // must never tear or crash; each snapshot is internally consistent.
-  ConcurrencyFixture fx(EngineOptions{.num_threads = 2});
-  QueryEngine& engine = fx.engine();
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      ExecStats snap = engine.last_stats();
-      // A snapshot never reports output rows without any scanned pattern.
-      if (snap.result_rows > 0) {
-        EXPECT_GT(snap.patterns_scanned, 0u);
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int tid = 0; tid < 4; ++tid) {
-    writers.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        auto r = engine.Execute("SELECT ?s ?o ?t { ?s term1 ?o ?t }");
-        ASSERT_TRUE(r.ok());
-        ASSERT_GT(r->rows.size(), 0u);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
 }
 
 TEST(EngineConcurrencyTest, ParallelMatchesSerialRowOrder) {

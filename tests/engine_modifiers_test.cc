@@ -1,7 +1,7 @@
 // ExecStats coverage for the solution-modifier / EXISTS operators:
-// agg_groups, topk_pushdowns, and exists_probes must be populated the
-// same way under both exec modes (the operators run in the shared
-// row-level tail), and the results must agree cell for cell.
+// agg_groups, topk_pushdowns, and exists_probes must take the asserted
+// values, and every counter and row must agree between the
+// TemporalGraph and the NaiveStore oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/naive_store.h"
 #include "dict/dictionary.h"
 #include "engine/executor.h"
 #include "rdf/temporal_graph.h"
@@ -34,26 +35,27 @@ class ModifierStatsTest : public ::testing::Test {
         {{ut, president, id("Powers")}, {day(2006, 2, 1), day(2015, 6, 2)}},
     };
     ASSERT_TRUE(graph_.Load(triples).ok());
+    ASSERT_TRUE(naive_.Load(triples).ok());
   }
 
-  engine::ResultSet Run(const std::string& query, engine::ExecMode mode) {
+  engine::ResultSet Run(const std::string& query,
+                        const TemporalStore* store) {
     engine::EngineOptions options;
     options.now = day(2016, 3, 15);
-    options.exec_mode = mode;
-    engine::QueryEngine eng(&graph_, &dict_, options);
+    engine::QueryEngine eng(store, &dict_, options);
     auto r = eng.Execute(query);
     EXPECT_TRUE(r.ok()) << query << "\n" << r.status().ToString();
     return r.ok() ? *r : engine::ResultSet{};
   }
 
-  // Runs under both modes, checks the rows agree (as a set — insertion
-  // order may differ between modes without ORDER BY), and returns the
-  // two stats for counter assertions.
-  std::pair<engine::ExecStats, engine::ExecStats> RunBoth(
-      const std::string& query) {
-    engine::ResultSet tuple = Run(query, engine::ExecMode::kTupleAtATime);
-    engine::ResultSet vec = Run(query, engine::ExecMode::kVectorized);
-    EXPECT_EQ(tuple.columns, vec.columns) << query;
+  // Runs on the TemporalGraph and on the NaiveStore oracle, checks the
+  // rows agree (as a set — insertion order may differ between stores
+  // without ORDER BY) and so do the operator counters, and returns the
+  // TemporalGraph run's stats for counter assertions.
+  engine::ExecStats RunBoth(const std::string& query) {
+    engine::ResultSet graph = Run(query, &graph_);
+    engine::ResultSet naive = Run(query, &naive_);
+    EXPECT_EQ(graph.columns, naive.columns) << query;
     auto sorted_rows = [](const engine::ResultSet& rs) {
       std::vector<std::string> out;
       for (const auto& row : rs.rows) {
@@ -64,84 +66,81 @@ class ModifierStatsTest : public ::testing::Test {
       std::sort(out.begin(), out.end());
       return out;
     };
-    EXPECT_EQ(sorted_rows(tuple), sorted_rows(vec)) << query;
-    return {tuple.stats, vec.stats};
+    EXPECT_EQ(sorted_rows(graph), sorted_rows(naive)) << query;
+    const engine::ExecStats& g = graph.stats;
+    const engine::ExecStats& n = naive.stats;
+    EXPECT_EQ(g.patterns_scanned, n.patterns_scanned) << query;
+    EXPECT_EQ(g.rows_scanned, n.rows_scanned) << query;
+    EXPECT_EQ(g.join_output_rows, n.join_output_rows) << query;
+    EXPECT_EQ(g.result_rows, n.result_rows) << query;
+    EXPECT_EQ(g.merge_join_steps, n.merge_join_steps) << query;
+    EXPECT_EQ(g.hash_join_steps, n.hash_join_steps) << query;
+    EXPECT_EQ(g.sort_steps, n.sort_steps) << query;
+    EXPECT_EQ(g.agg_groups, n.agg_groups) << query;
+    EXPECT_EQ(g.topk_pushdowns, n.topk_pushdowns) << query;
+    EXPECT_EQ(g.exists_probes, n.exists_probes) << query;
+    return g;
   }
 
   Dictionary dict_;
   TemporalGraph graph_;
+  NaiveStore naive_;
 };
 
 TEST_F(ModifierStatsTest, AggGroupsCountsEmittedGroups) {
-  auto [tuple, vec] =
+  const engine::ExecStats s =
       RunBoth("SELECT ?u (COUNT(?p) AS ?n) { ?u president ?p ?t } "
               "GROUP BY ?u");
-  EXPECT_EQ(tuple.agg_groups, 2u);  // UC and UT
-  EXPECT_EQ(vec.agg_groups, 2u);
-  EXPECT_EQ(tuple.topk_pushdowns, 0u);
-  EXPECT_EQ(tuple.exists_probes, 0u);
+  EXPECT_EQ(s.agg_groups, 2u);  // UC and UT
+  EXPECT_EQ(s.topk_pushdowns, 0u);
+  EXPECT_EQ(s.exists_probes, 0u);
 }
 
 TEST_F(ModifierStatsTest, AggGroupsCountsTheGlobalGroup) {
   // Ungrouped aggregation over empty input still emits its zero row.
-  auto [tuple, vec] =
+  const engine::ExecStats s =
       RunBoth("SELECT (COUNT(*) AS ?n) { ?u chancellor ?p ?t }");
-  EXPECT_EQ(tuple.agg_groups, 1u);
-  EXPECT_EQ(vec.agg_groups, 1u);
+  EXPECT_EQ(s.agg_groups, 1u);
 }
 
 TEST_F(ModifierStatsTest, TopKPushdownFiresOnEligibleShape) {
   // Single pattern, full projection, bound time variable: the executor
   // skips duplicate elimination and bounds the sort.
-  auto [tuple, vec] =
+  const engine::ExecStats s =
       RunBoth("SELECT ?p ?t { UC president ?p ?t } ORDER BY ?t LIMIT 2");
-  EXPECT_EQ(tuple.topk_pushdowns, 1u);
-  EXPECT_EQ(vec.topk_pushdowns, 1u);
+  EXPECT_EQ(s.topk_pushdowns, 1u);
 }
 
 TEST_F(ModifierStatsTest, TopKPushdownDeclinesJoinsAndPartialProjections) {
   // A join can produce duplicate projected rows: no pushdown.
-  auto [t1, v1] = RunBoth(
-      "SELECT ?p ?t { ?u president ?p ?t . ?u budget ?b ?t } "
-      "ORDER BY ?t LIMIT 2");
-  EXPECT_EQ(t1.topk_pushdowns, 0u);
-  EXPECT_EQ(v1.topk_pushdowns, 0u);
+  EXPECT_EQ(RunBoth("SELECT ?p ?t { ?u president ?p ?t . ?u budget ?b ?t } "
+                    "ORDER BY ?t LIMIT 2")
+                .topk_pushdowns,
+            0u);
   // Projection that drops a bound variable can collapse rows: no
   // pushdown either.
-  auto [t2, v2] =
-      RunBoth("SELECT ?p { UC president ?p ?t } ORDER BY ?p LIMIT 2");
-  EXPECT_EQ(t2.topk_pushdowns, 0u);
-  EXPECT_EQ(v2.topk_pushdowns, 0u);
+  EXPECT_EQ(
+      RunBoth("SELECT ?p { UC president ?p ?t } ORDER BY ?p LIMIT 2")
+          .topk_pushdowns,
+      0u);
 }
 
 TEST_F(ModifierStatsTest, ExistsProbesCountOuterRows) {
-  // Three UC president rows reach the EXISTS probe in either mode.
-  auto [tuple, vec] = RunBoth(
+  // Three UC president rows reach the EXISTS probe.
+  const engine::ExecStats s = RunBoth(
       "SELECT ?p { UC president ?p ?t . "
       "FILTER EXISTS { UC budget ?b ?t } }");
-  EXPECT_EQ(tuple.exists_probes, 3u);
-  EXPECT_EQ(vec.exists_probes, 3u);
+  EXPECT_EQ(s.exists_probes, 3u);
 }
 
 TEST_F(ModifierStatsTest, NotExistsProbesEveryRowOfEveryBlock) {
   // Two stacked EXISTS blocks: 4 president rows probe the first block;
   // the survivors probe the second.
-  auto [tuple, vec] = RunBoth(
+  const engine::ExecStats s = RunBoth(
       "SELECT ?u ?p { ?u president ?p ?t . "
       "FILTER EXISTS { ?u budget ?b ?t2 } . "
       "FILTER NOT EXISTS { ?u budget ?b2 ?t } }");
-  EXPECT_EQ(tuple.exists_probes, vec.exists_probes);
-  EXPECT_GE(tuple.exists_probes, 4u);
-}
-
-TEST_F(ModifierStatsTest, CountersSurviveIntoLastStatsShim) {
-  engine::EngineOptions options;
-  options.now = day(2016, 3, 15);
-  engine::QueryEngine eng(&graph_, &dict_, options);
-  auto r = eng.Execute(
-      "SELECT ?u (COUNT(*) AS ?n) { ?u president ?p ?t } GROUP BY ?u");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(eng.last_stats().agg_groups, r->stats.agg_groups);
+  EXPECT_GE(s.exists_probes, 4u);
 }
 
 }  // namespace

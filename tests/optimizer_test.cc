@@ -20,25 +20,29 @@ class OptimizerFixture : public ::testing::Test {
   void SetUp() override {
     Rng rng(7);
     Chronon t0 = ChrononFromYmd(2010, 1, 1);
+    // Appends rather than "c" + std::to_string(n), which GCC 12 rejects
+    // under -Werror=restrict in Release builds.
+    auto term = [](const char* prefix, uint64_t n) {
+      return std::string(prefix).append(std::to_string(n));
+    };
     for (int s = 0; s < 200; ++s) {
       std::string subject = "entity" + std::to_string(s);
       // Every entity has ~6 "common" values over time.
       Chronon t = t0;
       for (int v = 0; v < 6; ++v) {
         Chronon end = t + 100 + static_cast<Chronon>(rng.Uniform(200));
-        ASSERT_TRUE(db_.Add(subject, "common",
-                            "c" + std::to_string(rng.Uniform(50)),
+        ASSERT_TRUE(db_.Add(subject, "common", term("c", rng.Uniform(50)),
                             Interval(t, end))
                         .ok());
         t = end;
       }
       // Entities also carry a "name" fact (static).
-      ASSERT_TRUE(db_.Add(subject, "name", "n" + std::to_string(s),
+      ASSERT_TRUE(db_.Add(subject, "name", term("n", s),
                           Interval(t0, kChrononNow))
                       .ok());
       // Only a few entities have the "rare" predicate.
       if (s < 5) {
-        ASSERT_TRUE(db_.Add(subject, "rare", "r" + std::to_string(s),
+        ASSERT_TRUE(db_.Add(subject, "rare", term("r", s),
                             Interval(t0 + 50, t0 + 400))
                         .ok());
       }

@@ -176,16 +176,11 @@ class StoreConformanceTest
 };
 
 TEST_P(StoreConformanceTest, EngineAgreesWithNaiveOracle) {
-  // The reference answers come from the tuple-at-a-time oracle; every
-  // other (store, exec mode) combination must match it, so the
-  // vectorized pipeline is conformance-checked against the row pipeline
-  // on the same workloads.
-  engine::EngineOptions tuple_opts;
-  tuple_opts.exec_mode = engine::ExecMode::kTupleAtATime;
-  engine::QueryEngine oracle(&naive_, &dict_, tuple_opts);
-  engine::QueryEngine oracle_vec(&naive_, &dict_);
+  // The reference answers come from the engine over the NaiveStore
+  // oracle; the engine over the TemporalGraph, before and after a
+  // snapshot round trip, must match them.
+  engine::QueryEngine oracle(&naive_, &dict_);
   engine::QueryEngine mvbt(graph_.get(), &dict_);
-  engine::QueryEngine mvbt_tuple(graph_.get(), &dict_, tuple_opts);
   engine::QueryEngine restored(loaded_.get(), &loaded_dict_);
   int nonempty = 0;
   for (const std::string& q : Workload(/*seed=*/101)) {
@@ -197,10 +192,7 @@ TEST_P(StoreConformanceTest, EngineAgreesWithNaiveOracle) {
       engine::QueryEngine* eng;
     };
     for (const Check& c :
-         {Check{"vectorized oracle", &oracle_vec},
-          Check{"vectorized mvbt", &mvbt},
-          Check{"tuple mvbt", &mvbt_tuple},
-          Check{"post-load vectorized mvbt", &restored}}) {
+         {Check{"mvbt", &mvbt}, Check{"post-load mvbt", &restored}}) {
       auto got = c.eng->Execute(q);
       ASSERT_TRUE(got.ok()) << q << "\n" << got.status().ToString();
       EXPECT_EQ(SortedFingerprint(*got), expect)
@@ -215,40 +207,25 @@ TEST_P(StoreConformanceTest, EngineAgreesWithNaiveOracle) {
 }
 
 TEST_P(StoreConformanceTest, ModifierQueriesAgreeAcrossModesAndStores) {
-  // Aggregates, ORDER BY/LIMIT, and EXISTS run in the shared row-level
-  // tail, so both exec modes must produce identical rows AND identical
-  // operator counters (agg_groups, topk_pushdowns, exists_probes) on
-  // every store; the NaiveStore tuple run is the oracle for the rows.
-  engine::EngineOptions tuple_opts;
-  tuple_opts.exec_mode = engine::ExecMode::kTupleAtATime;
-  engine::QueryEngine oracle(&naive_, &dict_, tuple_opts);
-  engine::QueryEngine oracle_vec(&naive_, &dict_);
+  // Aggregates, ORDER BY/LIMIT, and EXISTS run in the row-level tail, so
+  // the TemporalGraph must produce the NaiveStore oracle's rows AND its
+  // operator counters (agg_groups, topk_pushdowns, exists_probes).
+  engine::QueryEngine oracle(&naive_, &dict_);
   engine::QueryEngine mvbt(graph_.get(), &dict_);
-  engine::QueryEngine mvbt_tuple(graph_.get(), &dict_, tuple_opts);
   uint64_t agg_groups = 0, topk = 0, exists_probes = 0;
   for (const std::string& q : ModifierWorkload(GetParam().seed * 31 + 7)) {
     auto want = oracle.Execute(q);
     ASSERT_TRUE(want.ok()) << q << "\n" << want.status().ToString();
-    const std::string expect = SortedFingerprint(*want);
-    struct Check {
-      const char* what;
-      engine::QueryEngine* eng;
-    };
-    for (const Check& c : {Check{"vectorized oracle", &oracle_vec},
-                           Check{"vectorized mvbt", &mvbt},
-                           Check{"tuple mvbt", &mvbt_tuple}}) {
-      auto got = c.eng->Execute(q);
-      ASSERT_TRUE(got.ok()) << q << "\n" << got.status().ToString();
-      EXPECT_EQ(SortedFingerprint(*got), expect)
-          << c.what << " divergence on\n"
-          << q;
-      EXPECT_EQ(got->stats.agg_groups, want->stats.agg_groups)
-          << c.what << " agg_groups parity on\n" << q;
-      EXPECT_EQ(got->stats.topk_pushdowns, want->stats.topk_pushdowns)
-          << c.what << " topk_pushdowns parity on\n" << q;
-      EXPECT_EQ(got->stats.exists_probes, want->stats.exists_probes)
-          << c.what << " exists_probes parity on\n" << q;
-    }
+    auto got = mvbt.Execute(q);
+    ASSERT_TRUE(got.ok()) << q << "\n" << got.status().ToString();
+    EXPECT_EQ(SortedFingerprint(*got), SortedFingerprint(*want))
+        << "divergence on\n" << q;
+    EXPECT_EQ(got->stats.agg_groups, want->stats.agg_groups)
+        << "agg_groups parity on\n" << q;
+    EXPECT_EQ(got->stats.topk_pushdowns, want->stats.topk_pushdowns)
+        << "topk_pushdowns parity on\n" << q;
+    EXPECT_EQ(got->stats.exists_probes, want->stats.exists_probes)
+        << "exists_probes parity on\n" << q;
     agg_groups += want->stats.agg_groups;
     topk += want->stats.topk_pushdowns;
     exists_probes += want->stats.exists_probes;

@@ -2,8 +2,8 @@
 // encoding, BlockPool/BlockHandle RAII, columnar leaf decode, the
 // sorted-run operators (sort, merge join, hash join) against the tuple
 // operators on randomized inputs, VectorizedScan against ScanToRows on
-// random graphs, and the executor's exec-mode switch with the
-// optimizer's join-algorithm predictions.
+// random graphs, and the executor's merge/hash/sort choices and join
+// counters against the NaiveStore oracle.
 #include "engine/vectorized.h"
 
 #include <gtest/gtest.h>
@@ -12,11 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "baselines/naive_store.h"
 #include "engine/block.h"
 #include "engine/executor.h"
 #include "engine/operators.h"
 #include "mvbt/leaf_block.h"
-#include "optimizer/optimizer.h"
 #include "rdf/temporal_graph.h"
 #include "util/rng.h"
 
@@ -127,7 +127,8 @@ TEST(ColumnarEntriesTest, DecodeColumnarMatchesDecode) {
 std::vector<VarInfo> MakeVars(int keys, bool with_time) {
   std::vector<VarInfo> vars;
   for (int i = 0; i < keys; ++i) {
-    vars.push_back({"v" + std::to_string(i), false, false});
+    vars.push_back({std::string("v").append(std::to_string(i)), false,
+                    false});
   }
   if (with_time) vars.push_back({"t", true, false});
   return vars;
@@ -320,7 +321,8 @@ TEST_F(VectorizedScanTest, MatchesScanToRowsOnAllPatternShapes) {
       const size_t num_vars = static_cast<size_t>(slot);
       std::vector<VarInfo> vars;
       for (int v = 0; v + 1 < slot; ++v) {
-        vars.push_back({"k" + std::to_string(v), false, false});
+        vars.push_back({std::string("k").append(std::to_string(v)), false,
+                        false});
       }
       vars.push_back({"t", true, false});
 
@@ -370,49 +372,74 @@ TEST_F(VectorizedScanTest, RepeatedVariableSlotsFilterEquality) {
   EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), SortedKeys(want, vars));
 }
 
-// --- executor mode switch + optimizer prediction ---
+// --- the executor's join choice, observed through ResultSet::stats ---
 
-TEST(ExecModeTest, ModesAgreeAndMergeJoinIsChosenAndCounted) {
-  Dictionary dict;
-  auto id = [&](const std::string& s) { return dict.Intern(s); };
-  std::vector<TemporalTriple> data;
-  Rng rng(808);
-  const TermId works_at = id("works_at");
-  const TermId lives_in = id("lives_in");
-  for (int i = 0; i < 500; ++i) {
-    const TermId person = id("person" + std::to_string(rng.Uniform(60)));
-    const Chronon s = static_cast<Chronon>(rng.Uniform(1000));
-    const Interval iv{s, s + 1 + static_cast<Chronon>(rng.Uniform(300))};
-    if (rng.Uniform(2) == 0) {
-      data.push_back(
-          {{person, works_at, id("org" + std::to_string(rng.Uniform(10)))},
-           iv});
-    } else {
-      data.push_back(
-          {{person, lives_in, id("city" + std::to_string(rng.Uniform(10)))},
-           iv});
+/// One random employment history loaded into both a compressed
+/// TemporalGraph and the NaiveStore oracle. Persons work at orgs and
+/// live in cities; half the orgs are located in a city, and every city
+/// lies in a country, so chains and OPTIONAL groups both match and miss.
+class JoinChoiceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto id = [&](const std::string& s) { return dict_.Intern(s); };
+    std::vector<TemporalTriple> data;
+    Rng rng(808);
+    const TermId works_at = id("works_at");
+    const TermId lives_in = id("lives_in");
+    for (int i = 0; i < 500; ++i) {
+      const TermId person = id("person" + std::to_string(rng.Uniform(60)));
+      const Chronon s = static_cast<Chronon>(rng.Uniform(1000));
+      const Interval iv{s, s + 1 + static_cast<Chronon>(rng.Uniform(300))};
+      if (rng.Uniform(2) == 0) {
+        data.push_back(
+            {{person, works_at, id("org" + std::to_string(rng.Uniform(10)))},
+             iv});
+      } else {
+        data.push_back(
+            {{person, lives_in, id("city" + std::to_string(rng.Uniform(10)))},
+             iv});
+      }
     }
+    const Interval always{0, 2000};
+    for (int i = 0; i < 10; ++i) {
+      const TermId city = id("city" + std::to_string(i));
+      if (i % 2 == 0) {
+        data.push_back({{id("org" + std::to_string(i)), id("located_in"),
+                         city},
+                        always});
+      }
+      data.push_back(
+          {{city, id("in_country"), id("country" + std::to_string(i % 3))},
+           always});
+    }
+    ASSERT_TRUE(graph_.Load(data).ok());
+    ASSERT_TRUE(naive_.Load(data).ok());
   }
-  TemporalGraph graph(
-      TemporalGraphOptions{.block_capacity = 64, .compress_leaves = true});
-  ASSERT_TRUE(graph.Load(data).ok());
 
-  const std::string q = R"(
-    SELECT ?person ?org ?city
-    { ?person works_at ?org ?t .
-      ?person lives_in ?city ?t . }
-  )";
-  QueryEngine vec(&graph, &dict);  // kVectorized default
-  EngineOptions tuple_opts;
-  tuple_opts.exec_mode = ExecMode::kTupleAtATime;
-  QueryEngine tup(&graph, &dict, tuple_opts);
+  /// Runs `q` (with `order` when given) on the graph and on the oracle,
+  /// checks that both return the same non-empty rows, and returns the
+  /// graph run.
+  ResultSet RunOnBoth(const std::string& q, const std::vector<int>& order) {
+    QueryEngine graph_engine(&graph_, &dict_);
+    QueryEngine naive_engine(&naive_, &dict_);
+    auto parsed = sparqlt::Parse(q);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return {};
+    auto run = [&](const QueryEngine& eng) {
+      return order.empty() ? eng.Execute(*parsed)
+                           : eng.ExecutePlan(*parsed, order);
+    };
+    auto got = run(graph_engine);
+    auto want = run(naive_engine);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    if (!got.ok() || !want.ok()) return {};
+    EXPECT_EQ(Fingerprints(*got), Fingerprints(*want)) << q;
+    EXPECT_FALSE(got->rows.empty()) << q;
+    return *got;
+  }
 
-  auto rv = vec.Execute(q);
-  auto rt = tup.Execute(q);
-  ASSERT_TRUE(rv.ok()) << rv.status().ToString();
-  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
-
-  auto fingerprints = [](const ResultSet& rs) {
+  static std::vector<std::string> Fingerprints(const ResultSet& rs) {
     std::vector<std::string> keys;
     for (const auto& row : rs.rows) {
       std::string fp;
@@ -421,68 +448,90 @@ TEST(ExecModeTest, ModesAgreeAndMergeJoinIsChosenAndCounted) {
     }
     std::sort(keys.begin(), keys.end());
     return keys;
-  };
-  EXPECT_EQ(fingerprints(*rv), fingerprints(*rt));
-  EXPECT_FALSE(rv->rows.empty());
+  }
 
-  // The join shares exactly ?person in key position: the vectorized
-  // executor merge-joins without any explicit sort (both scan orders are
-  // free), and the tuple executor records no such steps.
-  EXPECT_EQ(rv->stats.merge_join_steps, 1u);
-  EXPECT_EQ(rv->stats.hash_join_steps, 0u);
-  EXPECT_EQ(rv->stats.sort_steps, 0u);
-  EXPECT_EQ(rt->stats.merge_join_steps, 0u);
+  Dictionary dict_;
+  TemporalGraph graph_{TemporalGraphOptions{.block_capacity = 64,
+                                            .compress_leaves = true}};
+  NaiveStore naive_;
+};
 
-  // The optimizer's plan-level prediction mirrors that choice.
-  auto parsed = sparqlt::Parse(q);
-  ASSERT_TRUE(parsed.ok());
-  auto cq = Compile(*parsed, dict);
-  ASSERT_TRUE(cq.ok());
-  const std::vector<int> order = {0, 1};
-  const auto algos = optimizer::PlanJoinAlgos(*cq, order);
-  ASSERT_EQ(algos.size(), 2u);
-  EXPECT_EQ(algos[0], optimizer::JoinStepAlgo::kScan);
-  EXPECT_EQ(algos[1], optimizer::JoinStepAlgo::kMerge);
+TEST_F(JoinChoiceTest, SharedSingleKeyMergeJoinsWithoutSort) {
+  // The join shares exactly ?person in key position: both scans emit
+  // runs sorted by it for free, so the executor merge-joins with no
+  // explicit sort.
+  const ResultSet rs = RunOnBoth(R"(
+    SELECT ?person ?org ?city
+    { ?person works_at ?org ?t .
+      ?person lives_in ?city ?t . }
+  )", {});
+  EXPECT_EQ(rs.stats.merge_join_steps, 1u);
+  EXPECT_EQ(rs.stats.hash_join_steps, 0u);
+  EXPECT_EQ(rs.stats.sort_steps, 0u);
 }
 
-TEST(ExecModeTest, PlanJoinAlgosPredictsHashAndSortMerge) {
-  // ?a p1 ?b . ?c p2 ?d: no shared variable -> hash (cross product).
-  CompiledQuery cq;
-  cq.vars = MakeVars(4, false);
-  CompiledPattern p0;
-  p0.spec.p = 1;
-  p0.var_s = 0;
-  p0.var_o = 1;
-  CompiledPattern p1;
-  p1.spec.p = 2;
-  p1.var_s = 2;
-  p1.var_o = 3;
-  cq.patterns = {p0, p1};
-  auto algos = optimizer::PlanJoinAlgos(cq, {0, 1});
-  EXPECT_EQ(algos[1], optimizer::JoinStepAlgo::kHash);
+TEST_F(JoinChoiceTest, ChainSortsOnceAndDisjointPatternsHashJoin) {
+  // ?p works_at ?o . ?o located_in ?c . ?c in_country ?k: step 1 merges
+  // on ?o for free; step 2 joins on ?c, but the accumulated side is
+  // sorted by ?o, so it is re-sorted once before the second merge.
+  const ResultSet chain = RunOnBoth(R"(
+    SELECT ?p ?o ?c ?k
+    { ?p works_at ?o ?t . ?o located_in ?c ?t2 . ?c in_country ?k ?t3 . }
+  )", {0, 1, 2});
+  EXPECT_EQ(chain.stats.merge_join_steps, 2u);
+  EXPECT_EQ(chain.stats.sort_steps, 1u);
+  EXPECT_EQ(chain.stats.hash_join_steps, 0u);
 
-  // ?a p1 ?b . ?b p2 ?c . ?c p3 ?d: step 1 merges on ?b for free; step
-  // 2 joins on ?c, but the accumulated side is sorted by ?b -> re-sort.
-  CompiledQuery chain;
-  chain.vars = MakeVars(4, false);
-  CompiledPattern c0;
-  c0.spec.p = 1;
-  c0.var_s = 0;
-  c0.var_o = 1;
-  CompiledPattern c1;
-  c1.spec.p = 2;
-  c1.var_s = 1;
-  c1.var_o = 2;
-  CompiledPattern c2;
-  c2.spec.p = 3;
-  c2.var_s = 2;
-  c2.var_o = 3;
-  chain.patterns = {c0, c1, c2};
-  algos = optimizer::PlanJoinAlgos(chain, {0, 1, 2});
-  ASSERT_EQ(algos.size(), 3u);
-  EXPECT_EQ(algos[0], optimizer::JoinStepAlgo::kScan);
-  EXPECT_EQ(algos[1], optimizer::JoinStepAlgo::kMerge);
-  EXPECT_EQ(algos[2], optimizer::JoinStepAlgo::kSortMerge);
+  // No shared variable: the cross product takes the hash path.
+  const ResultSet cross = RunOnBoth(R"(
+    SELECT ?o ?c ?k { ?o located_in ?c ?t . ?x in_country ?k ?t2 . }
+  )", {0, 1});
+  EXPECT_EQ(cross.stats.hash_join_steps, 1u);
+  EXPECT_EQ(cross.stats.merge_join_steps, 0u);
+  EXPECT_EQ(cross.stats.sort_steps, 0u);
+}
+
+TEST_F(JoinChoiceTest, OptionalGroupMatchesNaiveAndCountsOnlyOuterJoins) {
+  const std::string q = R"(
+    SELECT ?p ?o ?c ?oc ?k
+    { ?p works_at ?o ?t .
+      ?p lives_in ?c ?t .
+      OPTIONAL { ?o located_in ?oc ?t2 . ?oc in_country ?k ?t3 . } }
+  )";
+  const ResultSet rs = RunOnBoth(q, {0, 1});
+  // The group's own join is not a plan step.
+  EXPECT_EQ(rs.stats.merge_join_steps + rs.stats.hash_join_steps, 1u);
+
+  // join_output_rows = main-chain join output + OPTIONAL left-join
+  // output, recomputed here with the reference row operators.
+  auto parsed = sparqlt::Parse(q);
+  ASSERT_TRUE(parsed.ok());
+  auto cq = Compile(*parsed, dict_);
+  ASSERT_TRUE(cq.ok());
+  ASSERT_EQ(cq->optionals.size(), 1u);
+  const size_t nv = cq->vars.size();
+  auto scan = [&](const CompiledPattern& cp) {
+    std::vector<Row> rows;
+    ScanToRows(naive_, cp, nv, cq->vars, &rows);
+    return rows;
+  };
+  auto slot = [&](const std::string& name) {
+    for (size_t i = 0; i < nv; ++i) {
+      if (cq->vars[i].name == name) return static_cast<int>(i);
+    }
+    ADD_FAILURE() << "no variable ?" << name;
+    return -1;
+  };
+  const CompiledOptional& opt = cq->optionals[0];
+  const std::vector<Row> main =
+      HashJoinRows(scan(cq->patterns[0]), scan(cq->patterns[1]), {slot("p")});
+  const std::vector<Row> group = HashJoinRows(
+      scan(opt.patterns[0]), scan(opt.patterns[1]), {slot("oc")});
+  const std::vector<Row> left = LeftHashJoinRows(main, group, {slot("o")});
+  // A non-empty group join makes the equality below tell "group join
+  // not counted" apart from "counted".
+  ASSERT_FALSE(group.empty());
+  EXPECT_EQ(rs.stats.join_output_rows, main.size() + left.size());
 }
 
 }  // namespace
