@@ -118,8 +118,25 @@ void ExpectIndexStatsEqual(const TemporalGraph& a, const TemporalGraph& b) {
   }
 }
 
+// A shape names itself through an index into kShapeNames, not a string
+// pointer: gtest lists a parameter it cannot print as a dump of its bytes,
+// and a pointer there would make the listed test names vary between builds.
+enum ShapeName : size_t {
+  kEmpty,
+  kSingleLeaf,
+  kSplitHeavy,
+  kCompressed,
+  kUncompressed,
+  kNoZoneMaps,
+  kPlainMvbt,
+};
+const char* const kShapeNames[] = {"empty",        "single-leaf",
+                                   "split-heavy",  "compressed",
+                                   "uncompressed", "no-zone-maps",
+                                   "plain-mvbt"};
+
 struct Shape {
-  const char* name;
+  ShapeName name;
   TemporalGraphOptions opts;
   size_t triples;
 };
@@ -128,17 +145,17 @@ struct Shape {
 // block capacity + deletions), and all four compression/zone-map
 // configurations.
 const Shape kShapes[] = {
-    {"empty", {}, 0},
-    {"single-leaf", {}, 30},
-    {"split-heavy", {.block_capacity = 8}, 900},
-    {"compressed", {.block_capacity = 16, .compress_leaves = true,
-                    .zone_maps = true}, 500},
-    {"uncompressed", {.block_capacity = 16, .compress_leaves = false,
-                      .zone_maps = true}, 500},
-    {"no-zone-maps", {.block_capacity = 16, .compress_leaves = true,
-                      .zone_maps = false}, 500},
-    {"plain-mvbt", {.block_capacity = 16, .compress_leaves = false,
-                    .zone_maps = false}, 500},
+    {kEmpty, {}, 0},
+    {kSingleLeaf, {}, 30},
+    {kSplitHeavy, {.block_capacity = 8}, 900},
+    {kCompressed, {.block_capacity = 16, .compress_leaves = true,
+                   .zone_maps = true}, 500},
+    {kUncompressed, {.block_capacity = 16, .compress_leaves = false,
+                     .zone_maps = true}, 500},
+    {kNoZoneMaps, {.block_capacity = 16, .compress_leaves = true,
+                   .zone_maps = false}, 500},
+    {kPlainMvbt, {.block_capacity = 16, .compress_leaves = false,
+                  .zone_maps = false}, 500},
 };
 
 class SnapshotRoundTripTest : public ::testing::TestWithParam<Shape> {};
@@ -166,7 +183,7 @@ TEST_P(SnapshotRoundTripTest, BufferRoundTripPreservesQueriesAndInvariants) {
   // loaded index exactly as it accepts the original.
   for (int i = 0; i < 4; ++i) {
     Status st = analysis::ValidateMvbt(loaded.index(static_cast<IndexOrder>(i)));
-    EXPECT_TRUE(st.ok()) << shape.name << " index " << i << ": "
+    EXPECT_TRUE(st.ok()) << kShapeNames[shape.name] << " index " << i << ": "
                          << st.ToString();
   }
 }
@@ -181,7 +198,7 @@ TEST_P(SnapshotRoundTripTest, SerializationIsDeterministic) {
 INSTANTIATE_TEST_SUITE_P(Shapes, SnapshotRoundTripTest,
                          ::testing::ValuesIn(kShapes),
                          [](const auto& info) {
-                           std::string s = info.param.name;
+                           std::string s = kShapeNames[info.param.name];
                            for (char& c : s) {
                              if (c == '-') c = '_';
                            }
