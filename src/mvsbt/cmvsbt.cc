@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace rdftx::mvsbt {
 
@@ -45,6 +47,10 @@ size_t Cmvsbt::FindLive(uint64_t key) const {
 }
 
 void Cmvsbt::Insert(uint64_t key, Chronon t) {
+  if (sealed_) {
+    std::fprintf(stderr, "Cmvsbt::Insert after Seal\n");
+    std::abort();
+  }
   assert(t >= last_time_);
   last_time_ = t;
   ++points_;
@@ -266,56 +272,120 @@ void Cmvsbt::Compact() {
   entries_ = std::move(merged);
 }
 
+double Cmvsbt::Contribution(const Entry& e, uint64_t k, Chronon t) {
+  if (t < e.ts || t >= e.te || e.ks > k) return 0.0;
+  double sum;
+  if (e.vke <= e.vks || k >= e.vke - 1) {
+    sum = k >= e.vks ? e.v : 0.0;  // mass fully at or below k (or above)
+  } else if (k < e.vks) {
+    sum = 0.0;
+  } else {
+    sum = e.v * (static_cast<double>(k - e.vks + 1) /
+                 static_cast<double>(e.vke - e.vks));
+  }
+  if (e.c > 0) {
+    double ratio_k;
+    if (k >= e.km) {
+      ratio_k = 1.0;
+    } else if (k < e.kmin) {
+      ratio_k = 0.0;
+    } else {
+      ratio_k = static_cast<double>(k - e.kmin + 1) /
+                static_cast<double>(e.km - e.kmin + 1);
+    }
+    double ratio_t;
+    if (t >= e.tm) {
+      ratio_t = 1.0;
+    } else if (t < e.tmin) {
+      ratio_t = 0.0;
+    } else {
+      ratio_t = static_cast<double>(t - e.tmin + 1) /
+                static_cast<double>(e.tm - e.tmin + 1);
+    }
+    sum += static_cast<double>(e.c) * ratio_k * ratio_t;
+  }
+  return sum;
+}
+
+// Contribution(e, k, t) is 0 below ks. Its carried part is constant from
+// vks on (point mass) or from vke - 1 on (spread mass), and its point
+// part from km on. So it is flat for every k past the largest of these.
+uint64_t Cmvsbt::SpanEnd(const Entry& e) {
+  uint64_t end = e.ks;
+  if (e.v != 0.0) end = std::max(end, e.vke > e.vks ? e.vke - 1 : e.vks);
+  if (e.c > 0) end = std::max(end, e.km);
+  return end;
+}
+
 double Cmvsbt::Query(uint64_t k, Chronon t) const {
   double total = 0.0;
-  auto contribution = [&](const Entry& e) -> double {
-    if (t < e.ts || t >= e.te || e.ks > k) return 0.0;
-    double sum;
-    if (e.vke <= e.vks || k >= e.vke - 1) {
-      sum = k >= e.vks ? e.v : 0.0;  // mass fully at or below k (or above)
-    } else if (k < e.vks) {
-      sum = 0.0;
-    } else {
-      sum = e.v * (static_cast<double>(k - e.vks + 1) /
-                   static_cast<double>(e.vke - e.vks));
-    }
-    if (e.c > 0) {
-      double ratio_k;
-      if (k >= e.km) {
-        ratio_k = 1.0;
-      } else if (k < e.kmin) {
-        ratio_k = 0.0;
-      } else {
-        ratio_k = static_cast<double>(k - e.kmin + 1) /
-                  static_cast<double>(e.km - e.kmin + 1);
-      }
-      double ratio_t;
-      if (t >= e.tm) {
-        ratio_t = 1.0;
-      } else if (t < e.tmin) {
-        ratio_t = 0.0;
-      } else {
-        ratio_t = static_cast<double>(t - e.tmin + 1) /
-                  static_cast<double>(e.tm - e.tmin + 1);
-      }
-      sum += static_cast<double>(e.c) * ratio_k * ratio_t;
-    }
-    return sum;
-  };
-  for (const Entry& e : entries_) total += contribution(e);
-  for (const Entry& e : live_) total += contribution(e);
+  for (const Entry& e : entries_) total += Contribution(e, k, t);
+  for (const Entry& e : live_) total += Contribution(e, k, t);
   return total;
 }
 
+void Cmvsbt::Seal() {
+  assert(!sealed_);
+  sealed_ = true;
+  entries_.insert(entries_.end(), live_.begin(), live_.end());
+  live_.clear();
+  live_.shrink_to_fit();
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) {
+              if (a.ks != b.ks) return a.ks < b.ks;
+              return a.ts < b.ts;
+            });
+  entries_.shrink_to_fit();
+  leaves_ = 1;
+  while (leaves_ < entries_.size()) leaves_ *= 2;
+  max_span_end_.assign(2 * leaves_, 0);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    max_span_end_[leaves_ + i] = SpanEnd(entries_[i]);
+  }
+  for (size_t j = leaves_ - 1; j >= 1; --j) {
+    max_span_end_[j] =
+        std::max(max_span_end_[2 * j], max_span_end_[2 * j + 1]);
+  }
+}
+
 double Cmvsbt::QueryExact(uint64_t k, Chronon t) const {
-  double hi = Query(k, t);
-  double lo = k == 0 ? 0.0 : Query(k - 1, t);
+  assert(sealed_);
+  // Only entries with ks <= k <= SpanEnd can make Query(k, t) and
+  // Query(k - 1, t) differ; every other entry adds the same to both.
+  // They lie in the ks-sorted prefix [0, limit) and are found by
+  // descending the max-SpanEnd tree, pruning subtrees that end below k.
+  const size_t limit = static_cast<size_t>(
+      std::upper_bound(entries_.begin(), entries_.end(), k,
+                       [](uint64_t key, const Entry& e) {
+                         return key < e.ks;
+                       }) -
+      entries_.begin());
+  struct Node {
+    size_t id, first, width;  // tree node covering [first, first+width)
+  };
+  Node stack[64];  // depth-first: at most one pending sibling per level
+  size_t depth = 0;
+  stack[depth++] = Node{1, 0, leaves_};
+  double hi = 0.0, lo = 0.0;
+  while (depth > 0) {
+    const Node n = stack[--depth];
+    if (n.first >= limit || max_span_end_[n.id] < k) continue;
+    if (n.width == 1) {
+      const Entry& e = entries_[n.first];
+      hi += Contribution(e, k, t);
+      if (k > 0) lo += Contribution(e, k - 1, t);
+      continue;
+    }
+    const size_t half = n.width / 2;
+    stack[depth++] = Node{2 * n.id + 1, n.first + half, half};
+    stack[depth++] = Node{2 * n.id, n.first, half};
+  }
   return std::max(0.0, hi - lo);
 }
 
 size_t Cmvsbt::MemoryUsage() const {
   return (entries_.capacity() + live_.capacity()) * sizeof(Entry) +
-         sizeof(*this);
+         max_span_end_.capacity() * sizeof(uint64_t) + sizeof(*this);
 }
 
 }  // namespace rdftx::mvsbt

@@ -13,6 +13,11 @@
 //
 // Like MVSBT, points must arrive in nondecreasing time order, which the
 // transaction-time setting guarantees.
+//
+// Once every point is in, Seal() freezes the tree and indexes the
+// rectangles by the key span over which each can change a prefix count,
+// so an exact-key query visits only the few rectangles that can tell
+// key k apart from key k-1 instead of the whole tree.
 #ifndef RDFTX_MVSBT_CMVSBT_H_
 #define RDFTX_MVSBT_CMVSBT_H_
 
@@ -38,17 +43,23 @@ class Cmvsbt {
  public:
   explicit Cmvsbt(const CmvsbtOptions& options = {});
 
-  /// Adds a point. Times must be nondecreasing across calls.
+  /// Adds a point. Times must be nondecreasing across calls. Inserting
+  /// into a sealed tree is an error (aborts).
   void Insert(uint64_t key, Chronon t);
 
-  /// Estimated number of points with key <= k and time <= t.
+  /// Ends insertion and builds the point-query index QueryExact needs.
+  /// Call exactly once, after the last Insert.
+  void Seal();
+
+  /// Estimated number of points with key <= k and time <= t. A linear
+  /// scan over every rectangle; the reference QueryExact must agree with.
   double Query(uint64_t k, Chronon t) const;
 
   /// Estimated number of points with key == k and time <= t
-  /// (Query(k, t) - Query(k - 1, t), clamped to >= 0).
+  /// (Query(k, t) - Query(k - 1, t), clamped to >= 0). Requires Seal().
   double QueryExact(uint64_t k, Chronon t) const;
 
-  size_t entry_count() const { return entries_.size(); }
+  size_t entry_count() const { return entries_.size() + live_.size(); }
   size_t point_count() const { return points_; }
   size_t MemoryUsage() const;
 
@@ -67,6 +78,11 @@ class Cmvsbt {
     bool live() const { return te == kChrononNow; }
   };
 
+  static double Contribution(const Entry& e, uint64_t k, Chronon t);
+  /// Largest key whose prefix count `e` can change: for every k above
+  /// it, Contribution(e, k, t) == Contribution(e, k - 1, t).
+  static uint64_t SpanEnd(const Entry& e);
+
   void TimeFreeze(size_t live_index);
   void KeySplit(size_t live_index);
   void Compact();
@@ -80,8 +96,16 @@ class Cmvsbt {
   size_t points_ = 0;
   size_t last_frozen_compact_ = 0;
   Chronon last_time_ = 0;
-  std::vector<Entry> entries_;       // frozen entries, any order
-  std::vector<Entry> live_;          // live column tiling, sorted by ks
+  // Before Seal(): frozen entries in any order, and the live column
+  // tiling sorted by ks. After Seal(): every entry in entries_, sorted
+  // by ks, and live_ empty.
+  std::vector<Entry> entries_;
+  std::vector<Entry> live_;
+  bool sealed_ = false;
+  // Max-SpanEnd segment tree over the sealed entries_: leaf i (at
+  // leaves_ + i) holds SpanEnd(entries_[i]), node j the max of 2j, 2j+1.
+  size_t leaves_ = 0;
+  std::vector<uint64_t> max_span_end_;
 };
 
 }  // namespace rdftx::mvsbt

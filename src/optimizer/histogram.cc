@@ -1,6 +1,7 @@
 #include "optimizer/histogram.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace rdftx::optimizer {
 namespace {
@@ -14,6 +15,18 @@ void BulkInsert(mvsbt::Cmvsbt* tree, std::vector<Point>* points) {
   std::sort(points->begin(), points->end(),
             [](const Point& a, const Point& b) { return a.t < b.t; });
   for (const Point& p : *points) tree->Insert(p.key, p.t);
+}
+
+// Records alive somewhere in [t1, t2) = started by t2-1 minus ended at
+// or before t1 (§6.3 query reduction).
+double RangeCount(const mvsbt::Cmvsbt& starts, const mvsbt::Cmvsbt& ends,
+                  uint64_t key, const Interval& window) {
+  if (window.empty()) return 0.0;
+  const Chronon border =
+      window.end == kChrononNow ? kChrononMax : window.end - 1;
+  double started = starts.QueryExact(key, border);
+  double ended = window.start == 0 ? 0.0 : ends.QueryExact(key, window.start);
+  return std::max(0.0, started - ended);
 }
 
 mvsbt::CmvsbtOptions TreeOptions(const HistogramOptions& options,
@@ -53,28 +66,20 @@ TemporalHistogram::TemporalHistogram(
     Chronon end = 0;
   };
   std::unordered_map<TermId, Span> subject_spans;
-  // Dense occurrence keys: sorted by composite so related predicates of
+  // Dense occurrence keys: sorted by (cs, p) so related predicates of
   // one characteristic set stay adjacent in the CMVSBT key dimension.
-  {
-    std::vector<uint64_t> composites;
-    composites.reserve(triples.size());
-    for (const TemporalTriple& tt : triples) {
-      CharSetId cs = catalog_->SetOf(tt.triple.s);
-      if (cs == kNoCharSet) continue;
-      composites.push_back(CompositeKey(cs, tt.triple.p));
-    }
-    std::sort(composites.begin(), composites.end());
-    composites.erase(std::unique(composites.begin(), composites.end()),
-                     composites.end());
-    for (size_t i = 0; i < composites.size(); ++i) {
-      dense_occ_keys_.emplace(composites[i], i);
-    }
+  for (const TemporalTriple& tt : triples) {
+    CharSetId cs = catalog_->SetOf(tt.triple.s);
+    if (cs != kNoCharSet) occ_keys_.emplace_back(cs, tt.triple.p);
   }
+  std::sort(occ_keys_.begin(), occ_keys_.end());
+  occ_keys_.erase(std::unique(occ_keys_.begin(), occ_keys_.end()),
+                  occ_keys_.end());
+  occ_keys_.shrink_to_fit();
   for (const TemporalTriple& tt : triples) {
     CharSetId cs = catalog_->SetOf(tt.triple.s);
     if (cs == kNoCharSet) continue;
-    const uint64_t key =
-        dense_occ_keys_.at(CompositeKey(cs, tt.triple.p));
+    const uint64_t key = DenseOccKey(cs, tt.triple.p);
     const Chronon end =
         tt.iv.end == kChrononNow ? horizon_ : tt.iv.end;
     occ_start_points.push_back({key, tt.iv.start});
@@ -95,41 +100,17 @@ TemporalHistogram::TemporalHistogram(
   }
   BulkInsert(&subj_starts_, &subj_start_points);
   BulkInsert(&subj_ends_, &subj_end_points);
-}
-
-double TemporalHistogram::RangeCount(const mvsbt::Cmvsbt& starts,
-                                     const mvsbt::Cmvsbt& ends,
-                                     uint64_t key,
-                                     const Interval& window) const {
-  if (window.empty()) return 0.0;
-  // Cache key mixes the tree identity, point key, and window.
-  uint64_t ck = reinterpret_cast<uintptr_t>(&starts);
-  ck = ck * 0x9E3779B97F4A7C15ull + key;
-  ck = ck * 0x9E3779B97F4A7C15ull + window.start;
-  ck = ck * 0x9E3779B97F4A7C15ull + window.end;
-  {
-    util::MutexLock lock(&cache_mutex_);
-    auto it = cache_.find(ck);
-    if (it != cache_.end()) return it->second;
+  for (mvsbt::Cmvsbt* tree :
+       {&subj_starts_, &subj_ends_, &occ_starts_, &occ_ends_}) {
+    tree->Seal();
   }
-
-  const Chronon border =
-      window.end == kChrononNow ? kChrononMax : window.end - 1;
-  // Records alive somewhere in [t1, t2) = started by t2-1 minus ended
-  // at or before t1 (§6.3 query reduction).
-  double started = starts.QueryExact(key, border);
-  double ended = window.start == 0 ? 0.0 : ends.QueryExact(key, window.start);
-  double result = std::max(0.0, started - ended);
-  {
-    util::MutexLock lock(&cache_mutex_);
-    cache_.emplace(ck, result);
-  }
-  return result;
 }
 
 uint64_t TemporalHistogram::DenseOccKey(CharSetId cs, TermId p) const {
-  auto it = dense_occ_keys_.find(CompositeKey(cs, p));
-  return it == dense_occ_keys_.end() ? ~0ull : it->second;
+  const std::pair<CharSetId, TermId> composite(cs, p);
+  auto it = std::lower_bound(occ_keys_.begin(), occ_keys_.end(), composite);
+  if (it == occ_keys_.end() || *it != composite) return ~0ull;
+  return static_cast<uint64_t>(it - occ_keys_.begin());
 }
 
 double TemporalHistogram::EstimateOccurrences(CharSetId cs, TermId p,
@@ -153,14 +134,10 @@ double TemporalHistogram::EstimatePredicateTriples(
   return total;
 }
 
-void TemporalHistogram::ClearCache() const {
-  util::MutexLock lock(&cache_mutex_);
-  cache_.clear();
-}
-
 size_t TemporalHistogram::MemoryUsage() const {
   return subj_starts_.MemoryUsage() + subj_ends_.MemoryUsage() +
-         occ_starts_.MemoryUsage() + occ_ends_.MemoryUsage();
+         occ_starts_.MemoryUsage() + occ_ends_.MemoryUsage() +
+         occ_keys_.capacity() * sizeof(occ_keys_[0]);
 }
 
 }  // namespace rdftx::optimizer

@@ -7,13 +7,12 @@
 #ifndef RDFTX_OPTIMIZER_HISTOGRAM_H_
 #define RDFTX_OPTIMIZER_HISTOGRAM_H_
 
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "mvsbt/cmvsbt.h"
 #include "optimizer/char_set.h"
 #include "temporal/interval.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace rdftx::optimizer {
 
@@ -26,7 +25,8 @@ struct HistogramOptions {
   double max_fraction_of_raw = 0.10;
 };
 
-/// Time-varying statistics of a temporal RDF graph.
+/// Time-varying statistics of a temporal RDF graph. Immutable once
+/// constructed, so concurrent queries share it without locking.
 class TemporalHistogram {
  public:
   /// Builds the histogram (and uses `catalog` for cs membership).
@@ -47,23 +47,12 @@ class TemporalHistogram {
   /// every characteristic set containing `p`).
   double EstimatePredicateTriples(TermId p, const Interval& window) const;
 
-  /// Clears the per-query statistics cache (paper §6.3 caches all
-  /// statistics during one optimization).
-  void ClearCache() const;
-
   size_t MemoryUsage() const;
 
  private:
-  static uint64_t CompositeKey(CharSetId cs, TermId p) {
-    return (static_cast<uint64_t>(cs) << 24) | (p & 0xFFFFFF);
-  }
-
   /// Dense id of an occurrence composite (CMVSBT columns stay tight when
   /// the key space has no sparse gaps); ~0ull when never seen.
   uint64_t DenseOccKey(CharSetId cs, TermId p) const;
-
-  double RangeCount(const mvsbt::Cmvsbt& starts, const mvsbt::Cmvsbt& ends,
-                    uint64_t key, const Interval& window) const;
 
   const CharSetCatalog* catalog_;
   mvsbt::Cmvsbt subj_starts_;
@@ -71,15 +60,8 @@ class TemporalHistogram {
   mvsbt::Cmvsbt occ_starts_;
   mvsbt::Cmvsbt occ_ends_;
   Chronon horizon_ = 0;  // substitute for `now` on live records
-  std::unordered_map<uint64_t, uint64_t> dense_occ_keys_;
-
-  /// Per-optimization statistics cache (§6.3). Mutex-guarded so
-  /// concurrent queries can optimize against one shared histogram; the
-  /// CMVSBTs themselves are immutable after construction.
-  mutable util::Mutex cache_mutex_ LEAF_MUTEX{
-      "TemporalHistogram::cache_mutex_"};
-  mutable std::unordered_map<uint64_t, double> cache_
-      GUARDED_BY(cache_mutex_);
+  // Every (cs, p) composite seen, sorted; an index is the dense key.
+  std::vector<std::pair<CharSetId, TermId>> occ_keys_;
 };
 
 }  // namespace rdftx::optimizer

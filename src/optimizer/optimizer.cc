@@ -150,6 +150,15 @@ double QueryOptimizer::JoinSelectivity(const CompiledQuery& cq,
 
 double QueryOptimizer::EstimateSubsetCard(const CompiledQuery& cq,
                                           uint32_t mask) const {
+  std::vector<double> scan(cq.patterns.size(), 0.0);
+  for (size_t i = 0; i < cq.patterns.size(); ++i) {
+    if (mask & (1u << i)) scan[i] = EstimatePattern(cq.patterns[i]);
+  }
+  return SubsetCard(cq, mask, scan);
+}
+
+double QueryOptimizer::SubsetCard(const CompiledQuery& cq, uint32_t mask,
+                                  const std::vector<double>& scan) const {
   // Subject-star special case: every pattern shares one subject
   // variable and has a constant predicate -> the characteristic-set
   // formula of §6.1, with time-varying counts from the histogram.
@@ -175,7 +184,7 @@ double QueryOptimizer::EstimateSubsetCard(const CompiledQuery& cq,
   }
   if (star && preds.size() >= 2) {
     double total = 0.0;
-    for (CharSetId cs = 0; cs < catalog_->set_count(); ++cs) {
+    for (CharSetId cs : catalog_->SetsWithPredicate(preds[0])) {
       const auto& stats = catalog_->stats(cs);
       bool has_all = true;
       for (TermId p : preds) {
@@ -223,11 +232,11 @@ double QueryOptimizer::EstimateSubsetCard(const CompiledQuery& cq,
       }
       if (next < 0) next = static_cast<int>(i);
     }
-    const CompiledPattern& np = cq.patterns[static_cast<size_t>(next)];
+    const double np_card = scan[static_cast<size_t>(next)];
     if (built == 0) {
-      card = EstimatePattern(np);
+      card = np_card;
     } else {
-      card = card * EstimatePattern(np) * JoinSelectivity(cq, built, next);
+      card = card * np_card * JoinSelectivity(cq, built, next);
     }
     built |= 1u << next;
   }
@@ -238,18 +247,21 @@ double QueryOptimizer::EstimateOrderCost(const CompiledQuery& cq,
                                          const std::vector<int>& order) const {
   // Left-deep hash-join chain: pay each scan, each build+probe, and
   // each intermediate's cardinality.
+  std::vector<double> scan(cq.patterns.size());
+  for (size_t i = 0; i < cq.patterns.size(); ++i) {
+    scan[i] = EstimatePattern(cq.patterns[i]);
+  }
   double cost = 0.0;
   uint32_t mask = 0;
   double card = 0.0;
   for (size_t k = 0; k < order.size(); ++k) {
-    const CompiledPattern& cp = cq.patterns[static_cast<size_t>(order[k])];
-    double scan = EstimatePattern(cp);
-    cost += scan;
+    const double step = scan[static_cast<size_t>(order[k])];
+    cost += step;
     uint32_t new_mask = mask | (1u << order[k]);
     if (k == 0) {
-      card = scan;
+      card = step;
     } else {
-      double out = EstimateSubsetCard(cq, new_mask);
+      double out = SubsetCard(cq, new_mask, scan);
       cost += card + out;  // build side + output
       card = out;
     }
@@ -260,7 +272,6 @@ double QueryOptimizer::EstimateOrderCost(const CompiledQuery& cq,
 
 std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
   const size_t n = cq.patterns.size();
-  histogram_->ClearCache();
   if (n <= 1) return n == 1 ? std::vector<int>{0} : std::vector<int>{};
   if (n > options_.max_dp_patterns) {
     return engine::QueryEngine::GreedyOrder(cq);
@@ -275,10 +286,16 @@ std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
     uint32_t prev = 0;
   };
   std::vector<State> dp(full + 1);
+  // Every estimate is computed once per call: each pattern's scan, and
+  // each subset's cardinality (NaN until first needed).
+  std::vector<double> scan(n);
+  std::vector<double> subset_card(full + 1,
+                                  std::numeric_limits<double>::quiet_NaN());
   for (size_t i = 0; i < n; ++i) {
     uint32_t m = 1u << i;
-    dp[m].cost = EstimatePattern(cq.patterns[i]);
-    dp[m].card = dp[m].cost;
+    scan[i] = EstimatePattern(cq.patterns[i]);
+    dp[m].cost = scan[i];
+    dp[m].card = scan[i];
     dp[m].last = static_cast<int>(i);
   }
   for (uint32_t mask = 1; mask <= full; ++mask) {
@@ -312,9 +329,9 @@ std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
         if (!connected) continue;
       }
       uint32_t next_mask = mask | bit;
-      double scan = EstimatePattern(cq.patterns[i]);
-      double out = EstimateSubsetCard(cq, next_mask);
-      double cost = dp[mask].cost + scan + dp[mask].card + out;
+      double& out = subset_card[next_mask];
+      if (std::isnan(out)) out = SubsetCard(cq, next_mask, scan);
+      double cost = dp[mask].cost + scan[i] + dp[mask].card + out;
       if (cost < dp[next_mask].cost) {
         dp[next_mask].cost = cost;
         dp[next_mask].card = out;

@@ -62,6 +62,10 @@ class QueryOptimizer {
   engine::JoinOrderProvider AsProvider() const;
 
  private:
+  /// EstimateSubsetCard given every pattern's EstimatePattern in `scan`
+  /// (only the entries in `mask` are read).
+  double SubsetCard(const engine::CompiledQuery& cq, uint32_t mask,
+                    const std::vector<double>& scan) const;
   double DistinctOfVar(const engine::CompiledPattern& cp, int slot) const;
   double JoinSelectivity(const engine::CompiledQuery& cq, uint32_t mask,
                          int next) const;

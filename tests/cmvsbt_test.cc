@@ -146,6 +146,7 @@ TEST(CmvsbtTest, QueryExactDifferencing) {
   tree.Insert(5, 1);
   tree.Insert(5, 2);
   tree.Insert(7, 3);
+  tree.Seal();
   double a = tree.QueryExact(5, 10);
   double b = tree.QueryExact(7, 10);
   EXPECT_GE(a, 0.0);
@@ -155,6 +156,64 @@ TEST(CmvsbtTest, QueryExactDifferencing) {
   EXPECT_GT(tree.Query(7, 10), 2.0);
   EXPECT_LT(tree.Query(2, 10), 1.5);
 }
+
+// The sealed index must visit exactly the rectangles that matter: its
+// QueryExact equals differencing the linear Query, everywhere.
+class CmvsbtSealedTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(CmvsbtSealedTest, QueryExactMatchesLinearDifference) {
+  const uint32_t cm = GetParam();
+  constexpr uint64_t kKeys = 300;
+  Rng rng(40 + cm);
+  // A small budget makes both Compact (frozen) and CompactLive (live
+  // columns) run during the inserts.
+  Cmvsbt tree(CmvsbtOptions{.cm = cm, .max_entries = 64});
+  Cmvsbt uncapped(CmvsbtOptions{.cm = cm});
+  auto insert = [&](uint64_t key, Chronon at) {
+    tree.Insert(key, at);
+    uncapped.Insert(key, at);
+  };
+  std::vector<Chronon> times;
+  Chronon t = 1;
+  for (int i = 0; i < 6000; ++i) {
+    t += static_cast<Chronon>(rng.Uniform(3));
+    // A skewed key mix: hot keys split columns down to single keys.
+    insert(rng.Uniform(4) == 0 ? rng.Uniform(8) : rng.Uniform(kKeys), t);
+    times.push_back(t);
+  }
+  // A same-timestamp burst across the key range.
+  t += 5;
+  for (uint64_t k = 0; k < kKeys; k += 3) insert(k, t);
+  times.push_back(t);
+  tree.Seal();
+  ASSERT_LT(tree.entry_count(), uncapped.entry_count());
+  const double total = static_cast<double>(tree.point_count());
+  const double tol = 1e-9 * std::max(1.0, total);
+
+  // Times: around sampled insert times (rectangle time boundaries sit
+  // at an insert time + 1), the ends of history, and kChrononMax.
+  std::vector<Chronon> query_times = {0, 1, t - 1, t, t + 1, kChrononMax};
+  for (int i = 0; i < 25; ++i) {
+    Chronon x = times[rng.Uniform(times.size())];
+    query_times.insert(query_times.end(), {x - 1, x, x + 1});
+  }
+  // Keys: every key of the domain (every column boundary lies in it),
+  // plus keys past the largest inserted key.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k <= kKeys + 2; ++k) keys.push_back(k);
+  keys.insert(keys.end(), {kKeys * 1000, UINT64_MAX - 1, UINT64_MAX});
+  for (Chronon qt : query_times) {
+    for (uint64_t k : keys) {
+      const double want = std::max(
+          0.0, tree.Query(k, qt) - (k == 0 ? 0.0 : tree.Query(k - 1, qt)));
+      ASSERT_NEAR(tree.QueryExact(k, qt), want, tol)
+          << "cm=" << cm << " k=" << k << " t=" << qt;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cm, CmvsbtSealedTest,
+                         ::testing::Values<uint32_t>(1, 4, 16, 64));
 
 }  // namespace
 }  // namespace rdftx::mvsbt

@@ -3,7 +3,8 @@
 // every execution must return exactly the rows a serial run returns, and
 // TSan must see no races. Covers plain scans, filters, synchronized
 // joins, UNION, and OPTIONAL shapes, plus the per-query ExecStats
-// carried on the ResultSet.
+// carried on the ResultSet. A shared QueryOptimizer must plan
+// concurrently without locks: its histogram is immutable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,8 +14,11 @@
 #include <vector>
 
 #include "engine/executor.h"
+#include "optimizer/optimizer.h"
 #include "rdf/temporal_graph.h"
 #include "store_test_util.h"
+#include "workload/query_gen.h"
+#include "workload/wikipedia_gen.h"
 
 namespace rdftx::engine {
 namespace {
@@ -166,6 +170,58 @@ TEST(EngineConcurrencyTest, ParallelMatchesSerialRowOrder) {
       }
     }
   }
+}
+
+TEST(EngineConcurrencyTest, SharedOptimizerPlansMatchSerial) {
+  Dictionary dict;
+  workload::Dataset data = workload::GenerateWikipedia(
+      &dict, workload::WikipediaOptions{.num_triples = 6000, .seed = 8});
+  optimizer::CharSetCatalog catalog;
+  catalog.Build(data.triples);
+  optimizer::TemporalHistogram histogram(
+      &catalog, data.triples, data.triples.size() * sizeof(TemporalTriple));
+  const optimizer::QueryOptimizer shared(&catalog, &histogram);
+
+  // Mixed 1-5 pattern queries: selections, joins, complex 3-5.
+  Rng rng(21);
+  std::vector<std::string> texts =
+      workload::MakeSelectionQueries(data, dict, 6, &rng);
+  for (auto& q : workload::MakeJoinQueries(data, dict, 6, &rng)) {
+    texts.push_back(std::move(q));
+  }
+  for (auto& [size, qs] :
+       workload::MakeComplexQueries(data, dict, 3, 5, 3, &rng)) {
+    texts.insert(texts.end(), qs.begin(), qs.end());
+  }
+  std::vector<sparqlt::Query> parsed;  // compiled queries point into these
+  parsed.reserve(texts.size());
+  std::vector<CompiledQuery> queries;
+  std::vector<std::vector<int>> expected;
+  for (const std::string& text : texts) {
+    auto q = sparqlt::Parse(text);
+    ASSERT_TRUE(q.ok()) << text;
+    parsed.push_back(std::move(q).value());
+    auto cq = Compile(parsed.back(), dict);
+    ASSERT_TRUE(cq.ok()) << text;
+    expected.push_back(shared.ChooseOrder(*cq));
+    queries.push_back(std::move(cq).value());
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        const size_t qi = (tid + i) % queries.size();
+        if (shared.ChooseOrder(queries[qi]) != expected[qi]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -194,6 +194,34 @@ TEST(HistogramTest, SizeCapIsEnforced) {
   EXPECT_NEAR(est, 30000.0, 3000.0);
 }
 
+TEST(HistogramTest, PredicatesDifferingBy2To24DoNotAlias) {
+  // Predicate ids past 2^24 occur once a dictionary holds more than
+  // 16.7M terms. Two predicates of one characteristic set whose ids
+  // differ by exactly 2^24 must keep separate occurrence counts.
+  const TermId low = 7;
+  const TermId high = low + (TermId{1} << 24);
+  std::vector<TemporalTriple> triples;
+  for (TermId s = 1; s <= 20; ++s) {
+    for (TermId o = 0; o < 4; ++o) {
+      triples.push_back({{s, low, 100 + o}, Interval(10, 50)});
+    }
+    triples.push_back({{s, high, 200}, Interval(10, 50)});
+  }
+  CharSetCatalog catalog;
+  catalog.Build(triples);
+  ASSERT_EQ(catalog.set_count(), 1u);
+  TemporalHistogram histogram(&catalog, triples,
+                              triples.size() * sizeof(TemporalTriple),
+                              HistogramOptions{.cm = 1});
+  const double low_est =
+      histogram.EstimatePredicateTriples(low, Interval::All());
+  const double high_est =
+      histogram.EstimatePredicateTriples(high, Interval::All());
+  EXPECT_NE(low_est, high_est);
+  EXPECT_NEAR(low_est, 80.0, 1e-6);
+  EXPECT_NEAR(high_est, 20.0, 1e-6);
+}
+
 TEST(CharSetCatalogTest, GroupsSubjectsByPredicateSet) {
   std::vector<TemporalTriple> triples = {
       {{1, 10, 100}, {0, 10}},  // s1: {10, 11}
