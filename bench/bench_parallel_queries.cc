@@ -1,13 +1,21 @@
 // Concurrent query serving: throughput of ONE shared QueryEngine under
-// 1/2/4/8 client threads (the tentpole scenario of the thread-safety
-// PR), plus single-client latency with engine-internal parallelism
-// (EngineOptions::num_threads). On a multicore host the 4-client row
-// should reach >= 2x the 1-client queries/sec; on a single hardware
-// thread the series degenerates to ~1x but still exercises the
-// concurrent paths.
+// 1/2/4/8 client threads. A query runs on the thread that calls
+// Execute(), so concurrency comes only from the clients. Wall-clock
+// queries/s scales only as far as the host has free cores;
+// queries_per_cpu_s (queries per second of process CPU time) stays
+// comparable on hosts with fewer effective cores than clients. Every
+// client's results are checked against the single-client answer, and
+// any failed or differing query exits nonzero. Writes
+// BENCH_parallel.json.
+#include <time.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -21,39 +29,79 @@ using namespace rdftx::bench;
 // Total executions per throughput measurement, split across clients.
 constexpr int kQueriesPerRun = 240;
 
-double QueriesPerSecond(const engine::QueryEngine& engine,
-                        const std::vector<std::string>& queries,
-                        int clients) {
-  // Warm-up pass (index caches, dictionary) on one thread.
-  for (const auto& q : queries) {
-    auto r = engine.Execute(q);
-    if (!r.ok()) {
-      std::fprintf(stderr, "query failed: %s\n", r.status().ToString().c_str());
-      std::exit(1);
-    }
-  }
+/// Order-insensitive form of a result: its sorted row fingerprints.
+std::vector<std::string> Canon(const engine::ResultSet& rs) {
+  std::vector<std::string> rows;
+  rows.reserve(rs.rows.size());
+  for (const auto& row : rs.rows) rows.push_back(engine::RowFingerprint(row));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+struct Throughput {
+  double wall_qps = 0;
+  double cpu_qps = 0;
+};
+
+/// Runs kQueriesPerRun queries split over `clients` threads, then checks
+/// every result against `expected` (exits nonzero on any failure or
+/// difference).
+Throughput Measure(const engine::QueryEngine& engine,
+                   const std::vector<std::string>& queries,
+                   const std::vector<std::vector<std::string>>& expected,
+                   int clients) {
   const int per_client = kQueriesPerRun / clients;
   std::atomic<int> errors{0};
-  double secs = TimeSeconds([&] {
+  // Results are kept and checked after the timed run, so the check's
+  // cost stays out of the throughput figures.
+  std::vector<std::vector<std::pair<size_t, engine::ResultSet>>> results(
+      static_cast<size_t>(clients));
+  const double cpu_start = ProcessCpuSeconds();
+  const double secs = TimeSeconds([&] {
     std::vector<std::thread> threads;
-    threads.reserve(clients);
+    threads.reserve(static_cast<size_t>(clients));
     for (int c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
+        auto& mine = results[static_cast<size_t>(c)];
         for (int i = 0; i < per_client; ++i) {
-          const auto& q = queries[(c + i) % queries.size()];
-          if (!engine.Execute(q).ok()) {
+          const size_t qi = static_cast<size_t>(c + i) % queries.size();
+          auto r = engine.Execute(queries[qi]);
+          if (!r.ok()) {
             errors.fetch_add(1, std::memory_order_relaxed);
+            continue;
           }
+          mine.emplace_back(qi, std::move(r).value());
         }
       });
     }
     for (auto& t : threads) t.join();
   });
+  const double cpu_secs = ProcessCpuSeconds() - cpu_start;
   if (errors.load() != 0) {
-    std::fprintf(stderr, "%d queries failed\n", errors.load());
+    std::fprintf(stderr, "%d clients: %d queries failed\n", clients,
+                 errors.load());
     std::exit(1);
   }
-  return static_cast<double>(per_client * clients) / secs;
+  for (int c = 0; c < clients; ++c) {
+    for (const auto& [qi, rs] : results[static_cast<size_t>(c)]) {
+      if (rs.rows.size() != expected[qi].size() || Canon(rs) != expected[qi]) {
+        std::fprintf(stderr,
+                     "%d clients: client %d query %zu returned %zu rows, "
+                     "single client %zu (or different rows)\n",
+                     clients, c, qi, rs.rows.size(), expected[qi].size());
+        std::exit(1);
+      }
+    }
+  }
+  const double total = static_cast<double>(per_client * clients);
+  return {total / secs, total / cpu_secs};
 }
 
 }  // namespace
@@ -67,33 +115,40 @@ int main() {
   auto bundle = BuildOptimizer(f);
   auto store = BuildStore(System::kRdfTx, f);
 
-  std::printf("# hardware threads: %u\n\n",
-              std::thread::hardware_concurrency());
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::printf("# hardware threads: %u\n\n", hw);
+  JsonReport report("parallel");
+  report.Add("dataset_triples", static_cast<uint64_t>(f.data.triples.size()));
+  report.Add("hardware_concurrency", static_cast<uint64_t>(hw));
+  report.Add("queries_per_run", static_cast<uint64_t>(kQueriesPerRun));
 
-  // (a) Serving throughput: external client threads sharing one engine.
   engine::QueryEngine shared(store.get(), f.dict.get());
   shared.set_join_order_provider(bundle->optimizer->AsProvider());
+
+  // The single-client answer, from a serial pass that also warms the
+  // index caches and the dictionary.
+  std::vector<std::vector<std::string>> expected;
+  for (const auto& q : queries) {
+    auto r = shared.Execute(q);
+    if (!r.ok()) {
+      std::fprintf(stderr, "query failed: %s\n", r.status().ToString().c_str());
+      return 1;
+    }
+    expected.push_back(Canon(*r));
+  }
+
   PrintSeriesHeader("Concurrent serving (one shared engine)",
-                    {"client_threads", "queries_per_sec", "speedup"});
+                    {"client_threads", "wall_queries_per_s",
+                     "queries_per_cpu_s", "wall_speedup"});
   double base_qps = 0.0;
   for (int clients : {1, 2, 4, 8}) {
-    double qps = QueriesPerSecond(shared, queries, clients);
-    if (clients == 1) base_qps = qps;
-    PrintSeriesRow({std::to_string(clients), Fmt(qps),
-                    Fmt(qps / base_qps)});
+    const Throughput t = Measure(shared, queries, expected, clients);
+    if (clients == 1) base_qps = t.wall_qps;
+    PrintSeriesRow({std::to_string(clients), Fmt(t.wall_qps), Fmt(t.cpu_qps),
+                    Fmt(t.wall_qps / base_qps)});
+    const std::string prefix = "clients_" + std::to_string(clients);
+    report.Add(prefix + "_wall_queries_per_s", t.wall_qps);
+    report.Add(prefix + "_queries_per_cpu_s", t.cpu_qps);
   }
-  std::printf("\n");
-
-  // (b) Intra-query parallelism: one client, engine-internal pool.
-  PrintSeriesHeader("Intra-query parallelism (single client)",
-                    {"num_threads", "avg_ms_per_query"});
-  for (int workers : {1, 2, 4}) {
-    engine::EngineOptions options;
-    options.num_threads = workers;
-    engine::QueryEngine eng(store.get(), f.dict.get(), options);
-    eng.set_join_order_provider(bundle->optimizer->AsProvider());
-    PrintSeriesRow({std::to_string(workers),
-                    Fmt(AvgQueryMillis(eng, queries))});
-  }
-  return 0;
+  return report.Write() ? 0 : 1;
 }

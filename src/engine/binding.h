@@ -57,6 +57,10 @@ struct Cell {
   void AppendFingerprint(std::string* out) const;
 };
 
+/// The concatenated fingerprints of a row's cells: the duplicate
+/// elimination and tie-break key for result rows.
+std::string RowFingerprint(const std::vector<Cell>& cells);
+
 /// Per-query execution counters, owned by the query that produced them
 /// (the engine itself holds no cross-query mutable state).
 struct ExecStats {

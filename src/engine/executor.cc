@@ -2,7 +2,6 @@
 
 #include <map>
 #include <numeric>
-#include <optional>
 #include <set>
 
 #include "engine/modifiers.h"
@@ -38,12 +37,6 @@ void MergeStats(const ExecStats& in, ExecStats* out) {
   out->scan.MergeFrom(in.scan);
 }
 
-std::string RowFingerprint(const std::vector<Cell>& cells) {
-  std::string fp;
-  for (const Cell& cell : cells) cell.AppendFingerprint(&fp);
-  return fp;
-}
-
 }  // namespace
 
 void Cell::AppendFingerprint(std::string* out) const {
@@ -62,16 +55,15 @@ void Cell::AppendFingerprint(std::string* out) const {
   out->push_back('\x1F');
 }
 
-QueryEngine::QueryEngine(const TemporalStore* store, const Dictionary* dict,
-                         EngineOptions options)
-    : store_(store), dict_(dict), options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<size_t>(options_.num_threads));
-  }
+std::string RowFingerprint(const std::vector<Cell>& cells) {
+  std::string fp;
+  for (const Cell& cell : cells) cell.AppendFingerprint(&fp);
+  return fp;
 }
 
-QueryEngine::~QueryEngine() = default;
+QueryEngine::QueryEngine(const TemporalStore* store, const Dictionary* dict,
+                         EngineOptions options)
+    : store_(store), dict_(dict), options_(options) {}
 
 std::vector<int> QueryEngine::GreedyOrder(const CompiledQuery& cq) {
   const size_t n = cq.patterns.size();
@@ -130,9 +122,7 @@ Result<ResultSet> QueryEngine::Execute(const sparqlt::Query& query) const {
   if (!query.union_branches.empty()) {
     // UNION: run each branch with the outer projection, concatenate in
     // branch order, and eliminate duplicates across branches (set
-    // semantics). Branches are independent, so they run in parallel;
-    // the merge below walks them in declaration order, keeping the
-    // output deterministic.
+    // semantics).
     if (query.select.empty()) {
       return Status::InvalidArgument(
           "UNION queries need an explicit SELECT list");
@@ -142,8 +132,8 @@ Result<ResultSet> QueryEngine::Execute(const sparqlt::Query& query) const {
           "aggregates over UNION are not supported");
     }
     const size_t nb = query.union_branches.size();
-    // Compile (and pick join orders) serially: compilation is cheap and
-    // any error surfaces deterministically.
+    // Compile (and pick join orders) every branch before running any, so
+    // a compile error surfaces ahead of any run error.
     std::vector<CompiledQuery> compiled;
     std::vector<std::vector<int>> orders;
     compiled.reserve(nb);
@@ -167,16 +157,12 @@ Result<ResultSet> QueryEngine::Execute(const sparqlt::Query& query) const {
                                             : GreedyOrder(*cq));
       compiled.push_back(std::move(*cq));
     }
-    std::vector<std::optional<Result<ResultSet>>> branch_results(nb);
-    util::ParallelFor(pool_.get(), nb, [&](size_t i) {
-      branch_results[i].emplace(
-          Run(query.union_branches[i], compiled[i], orders[i]));
-    });
     ResultSet merged;
     merged.columns = query.select;
     std::set<std::string> seen;
     for (size_t i = 0; i < nb; ++i) {
-      Result<ResultSet>& rs = *branch_results[i];
+      Result<ResultSet> rs =
+          Run(query.union_branches[i], compiled[i], orders[i]);
       if (!rs.ok()) return rs.status();
       MergeStats(rs->stats, &merged.stats);
       for (auto& row : rs->rows) {
@@ -232,32 +218,23 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
 
   // OPTIONAL groups: evaluate each group, then left-join it onto the
   // running solutions (unmatched rows keep the group's variables
-  // unbound). Groups are independent of each other and of the main
-  // block, so they evaluate in parallel; the left joins apply in
-  // declaration order.
+  // unbound), in declaration order.
   if (!cq.optionals.empty() && !rows.empty()) {
     std::set<int> main_bound;
     for (const CompiledPattern& cp : cq.patterns) {
       for (int slot : cp.KeySlots()) main_bound.insert(slot);
     }
-    const size_t ng = cq.optionals.size();
-    std::vector<std::vector<Row>> groups(ng);
-    std::vector<ExecStats> group_stats(ng);
-    util::ParallelFor(pool_.get(), ng, [&](size_t i) {
-      groups[i] =
-          EvalOptionalGroup(cq.optionals[i], cq, ctx, &group_stats[i]);
-    });
-    for (size_t i = 0; i < ng; ++i) {
-      MergeStats(group_stats[i], &stats);
+    for (const CompiledOptional& opt : cq.optionals) {
+      const std::vector<Row> group = EvalOptionalGroup(opt, cq, ctx, &stats);
       std::set<int> block_bound;
-      for (const CompiledPattern& cp : cq.optionals[i].patterns) {
+      for (const CompiledPattern& cp : opt.patterns) {
         for (int slot : cp.KeySlots()) block_bound.insert(slot);
       }
       std::vector<int> shared;
       for (int slot : block_bound) {
         if (main_bound.contains(slot)) shared.push_back(slot);
       }
-      rows = LeftHashJoinRows(rows, groups[i], shared);
+      rows = LeftHashJoinRows(rows, group, shared);
       stats.join_output_rows += rows.size();
       for (int slot : block_bound) main_bound.insert(slot);
     }
@@ -279,8 +256,9 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
   }
 
   // FILTER [NOT] EXISTS groups: evaluate each group like an OPTIONAL
-  // block (independently, so in parallel), then semi/anti-join the
-  // surviving solutions against it in declaration order.
+  // block, then semi/anti-join the surviving solutions against it, in
+  // declaration order. Once no solution survives, later groups are not
+  // evaluated.
   if (!cq.exists.empty() && !kept.empty()) {
     std::set<int> outer_bound;
     auto note_bound = [&outer_bound](const CompiledPattern& cp) {
@@ -291,16 +269,10 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
     for (const CompiledOptional& opt : cq.optionals) {
       for (const CompiledPattern& cp : opt.patterns) note_bound(cp);
     }
-    const size_t ng = cq.exists.size();
-    std::vector<std::vector<Row>> groups(ng);
-    std::vector<ExecStats> group_stats(ng);
-    util::ParallelFor(pool_.get(), ng, [&](size_t i) {
-      groups[i] =
-          EvalOptionalGroup(cq.exists[i].group, cq, ctx, &group_stats[i]);
-    });
-    for (size_t i = 0; i < ng; ++i) {
-      MergeStats(group_stats[i], &stats);
-      FilterExistsRows(cq.exists[i], outer_bound, groups[i], &kept, &stats);
+    for (const CompiledExists& ex : cq.exists) {
+      const std::vector<Row> group =
+          EvalOptionalGroup(ex.group, cq, ctx, &stats);
+      FilterExistsRows(ex, outer_bound, group, &kept, &stats);
       if (kept.empty()) break;
     }
   }
@@ -393,38 +365,23 @@ BlockRun QueryEngine::RunChain(const std::vector<CompiledPattern>& patterns,
   for (size_t step = 1; step < n; ++step) sort_req[step] = join_slot(step);
   if (n > 1) sort_req[0] = join_slot(1);
 
-  // With a pool, all pattern scans run up front in parallel and the
-  // joins consume them in plan order, so the output (and the stats merge
-  // order) is identical to the serial chain. Serially, scanning stays
-  // lazy so an empty intermediate result skips the remaining scans.
-  std::vector<BlockRun> scanned(n);
-  std::vector<ExecStats> scan_stats(n);
-  const bool prescanned = pool_ != nullptr && n > 1;
-  if (prescanned) {
-    util::ParallelFor(pool_.get(), n, [&](size_t step) {
-      VectorizedScan(*store_, pattern(step), num_vars, vars, sort_req[step],
-                     &block_pool_, &scanned[step], &scan_stats[step]);
-    });
-    for (const ExecStats& s : scan_stats) MergeStats(s, stats);
-  }
-
   // Re-sorting the accumulated side to enable a merge join pays off only
   // while it is small; past this row count the hash join wins.
   constexpr size_t kAccSortMax = size_t{1} << 15;
 
+  // Scans stay lazy: each step scans only once the previous steps left
+  // a non-empty intermediate result.
   BlockRun acc;
   for (size_t step = 0; step < n; ++step) {
-    if (!prescanned) {
-      VectorizedScan(*store_, pattern(step), num_vars, vars, sort_req[step],
-                     &block_pool_, &scanned[step], stats);
-    }
+    BlockRun right;
+    VectorizedScan(*store_, pattern(step), num_vars, vars, sort_req[step],
+                   &block_pool_, &right, stats);
     if (step == 0) {
-      acc = std::move(scanned[step]);
+      acc = std::move(right);
     } else {
       const int s = join_slot(step);
       bool merged = false;
       if (s >= 0) {
-        BlockRun& right = scanned[step];
         if (right.sorted_by != s) {  // defensive; scans honor sort_req
           right = SortRun(right, s, vars, &block_pool_);
           ++stats->sort_steps;
@@ -440,13 +397,12 @@ BlockRun QueryEngine::RunChain(const std::vector<CompiledPattern>& patterns,
         }
       }
       if (!merged) {
-        acc = HashJoinRuns(acc, scanned[step], shared[step], vars,
-                           &block_pool_);
+        acc = HashJoinRuns(acc, right, shared[step], vars, &block_pool_);
         ++stats->hash_join_steps;
       }
       stats->join_output_rows += acc.size();
     }
-    if (acc.empty() && !prescanned) break;
+    if (acc.empty()) break;
   }
   return acc;
 }
@@ -519,9 +475,7 @@ bool QueryEngine::TrySynchronizedJoin(const CompiledQuery& cq,
   const IndexOrder order_b = TemporalGraph::ChooseIndex(b.spec);
 
   // Join fragments, then group per logical record pair and coalesce the
-  // emitted intersections into the binding's temporal element. The join
-  // partitions its node-pair work across the pool; emission happens on
-  // this thread in deterministic pair order either way.
+  // emitted intersections into the binding's temporal element.
   struct PairKey {
     Triple ta, tb;
     auto operator<=>(const PairKey&) const = default;
@@ -529,6 +483,7 @@ bool QueryEngine::TrySynchronizedJoin(const CompiledQuery& cq,
   std::map<PairKey, std::vector<Interval>> groups;
   mvbt::SyncJoinSpec spec{subject_extractor(order_a),
                           subject_extractor(order_b)};
+  mvbt::SyncJoinStats join_stats;
   SynchronizedJoin(
       graph->index(order_a), TemporalGraph::PatternRange(order_a, a.spec),
       a.spec.time, graph->index(order_b),
@@ -539,8 +494,12 @@ bool QueryEngine::TrySynchronizedJoin(const CompiledQuery& cq,
                 TemporalGraph::DecodeKey(order_b, eb.key)}]
             .push_back(iv);
       },
-      /*stats=*/nullptr, pool_.get());
+      &join_stats);
   stats->patterns_scanned += 2;
+  // The join keeps one decoded-record cache, so its misses count the
+  // distinct leaves it decoded.
+  stats->scan.leaves_visited += join_stats.cache_misses;
+  stats->scan.leaves_pruned += join_stats.leaves_pruned;
 
   const size_t num_vars = cq.vars.size();
   for (auto& [pair, ivs] : groups) {

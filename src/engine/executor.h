@@ -5,7 +5,6 @@
 #define RDFTX_ENGINE_EXECUTOR_H_
 
 #include <functional>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "engine/translate.h"
 #include "rdf/store_interface.h"
 #include "sparqlt/parser.h"
-#include "util/thread_pool.h"
 
 namespace rdftx::engine {
 
@@ -35,12 +33,6 @@ struct EngineOptions {
   /// "now" for measuring live runs; 0 means "use store->last_time()".
   Chronon now = 0;
   JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
-  /// Worker threads for intra-query parallelism: independent pattern
-  /// scans, UNION branches, OPTIONAL groups, and synchronized-join
-  /// partitions. <= 1 keeps the serial pipeline (no pool is created).
-  /// The pool is shared by all queries running on this engine, so the
-  /// engine stays safe to call from many threads either way.
-  int num_threads = 1;
 };
 
 /// Chooses a join order (a permutation of pattern indices) for a
@@ -48,15 +40,15 @@ struct EngineOptions {
 using JoinOrderProvider =
     std::function<std::vector<int>(const CompiledQuery&)>;
 
-/// A query engine over an immutable-after-load store. Execute() is safe
-/// to call concurrently from any number of threads: every query carries
-/// its own ExecStats (returned in ResultSet::stats) and the engine
-/// mutates no shared state on the read path.
+/// A query engine over an immutable-after-load store. A query runs
+/// entirely on the thread that calls Execute(). Execute() is safe to
+/// call concurrently from any number of threads: every query carries its
+/// own ExecStats (returned in ResultSet::stats) and the engine mutates no
+/// shared state on the read path.
 class QueryEngine {
  public:
   QueryEngine(const TemporalStore* store, const Dictionary* dict,
               EngineOptions options = {});
-  ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
@@ -114,8 +106,6 @@ class QueryEngine {
   const Dictionary* dict_;
   EngineOptions options_;
   JoinOrderProvider join_order_provider_;
-  /// Intra-query worker pool; null when options_.num_threads <= 1.
-  std::unique_ptr<util::ThreadPool> pool_;
   /// Recycles binding blocks across queries (internally synchronized,
   /// so concurrent Execute calls share it safely).
   mutable BlockPool block_pool_;

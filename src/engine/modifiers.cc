@@ -36,12 +36,6 @@ int CompareTermStrings(const std::string& a, const std::string& b) {
   return a.compare(b);
 }
 
-std::string RowFingerprint(const std::vector<Cell>& cells) {
-  std::string fp;
-  for (const Cell& cell : cells) cell.AppendFingerprint(&fp);
-  return fp;
-}
-
 /// Renders an aggregate's numeric result: integral values print without
 /// a fraction, the rest with %g.
 std::string FormatNumeric(double v) {

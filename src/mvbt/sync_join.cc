@@ -13,10 +13,8 @@ namespace {
 using Node = Mvbt::Node;
 
 // Decoded-record cache: one decode per node regardless of how many node
-// pairs it participates in. Under a pool each worker owns its own cache
-// (a node spanning two partitions is decoded once per partition — the
-// price of lock-free caching). Records are kept columnar so the
-// per-pair region filters run as SIMD masks over whole columns.
+// pairs it participates in. Records are kept columnar so the per-pair
+// region filters run as SIMD masks over whole columns.
 class RecordCache {
  public:
   explicit RecordCache(SyncJoinStats* stats) : stats_(stats) {}
@@ -38,7 +36,7 @@ class RecordCache {
   SyncJoinStats* stats_;
 };
 
-/// Reused per-worker buffers of the SIMD prefilter.
+/// Reused buffers of the SIMD prefilter.
 struct JoinScratch {
   std::vector<uint64_t> mask;
   std::vector<uint32_t> sel_a, sel_b;
@@ -95,20 +93,6 @@ struct NodePair {
   const Node* nb;
 };
 
-/// A buffered output row of one worker's partition.
-struct Emission {
-  Entry ea;
-  Entry eb;
-  Interval iv;
-};
-
-void MergeSyncStats(const SyncJoinStats& in, SyncJoinStats* out) {
-  out->node_pairs += in.node_pairs;
-  out->cache_hits += in.cache_hits;
-  out->cache_misses += in.cache_misses;
-  out->output_rows += in.output_rows;
-}
-
 }  // namespace
 
 void SynchronizedJoin(
@@ -116,7 +100,7 @@ void SynchronizedJoin(
     const KeyRange& rb, const Interval& tb, const SyncJoinSpec& spec,
     const std::function<void(const Entry&, const Entry&, const Interval&)>&
         emit,
-    SyncJoinStats* stats, util::ThreadPool* pool) {
+    SyncJoinStats* stats) {
   const Interval shared = ta.Intersect(tb);
   if (shared.empty()) return;
 
@@ -176,34 +160,28 @@ void SynchronizedJoin(
       mine.push_back(ev.node);
     }
   }
-  if (pairs.empty()) return;
 
-  // Step (ii): join the record fragments of each pair. `sink` receives
-  // the outputs of one pair; in the serial path it is the caller's emit,
-  // under a pool it is the worker's buffer (flushed below in pair
-  // order, so emission order matches the serial join exactly).
-  auto join_pair = [&](const NodePair& pair, RecordCache* cache,
-                       JoinScratch* scratch, SyncJoinStats* pair_stats,
-                       const std::function<void(const Entry&, const Entry&,
-                                                const Interval&)>& sink) {
-    if (pair_stats != nullptr) ++pair_stats->node_pairs;
-    const ColumnarEntries& ca = cache->Get(pair.na);
-    const ColumnarEntries& cb = cache->Get(pair.nb);
+  // Steps (ii) and (iii): join the record fragments of each pair, in
+  // pair order, through one record cache.
+  RecordCache cache(stats);
+  JoinScratch scratch;
+  for (const NodePair& pair : pairs) {
+    if (stats != nullptr) ++stats->node_pairs;
+    const ColumnarEntries& ca = cache.Get(pair.na);
+    const ColumnarEntries& cb = cache.Get(pair.nb);
     // SIMD prefilter: region-qualifying entries of each side, as
     // selection vectors over the columnar records.
-    const size_t ka =
-        FilterEntries(ca, ra, ta, &scratch->mask, &scratch->sel_a);
-    const size_t kb =
-        FilterEntries(cb, rb, tb, &scratch->mask, &scratch->sel_b);
-    if (ka == 0 || kb == 0) return;
+    const size_t ka = FilterEntries(ca, ra, ta, &scratch.mask, &scratch.sel_a);
+    const size_t kb = FilterEntries(cb, rb, tb, &scratch.mask, &scratch.sel_b);
+    if (ka == 0 || kb == 0) continue;
     // Per-pair hash join on the join keys (build on the smaller side).
     const bool build_a = ka <= kb;
     const ColumnarEntries& build = build_a ? ca : cb;
     const ColumnarEntries& probe = build_a ? cb : ca;
     const std::vector<uint32_t>& build_sel =
-        build_a ? scratch->sel_a : scratch->sel_b;
+        build_a ? scratch.sel_a : scratch.sel_b;
     const std::vector<uint32_t>& probe_sel =
-        build_a ? scratch->sel_b : scratch->sel_a;
+        build_a ? scratch.sel_b : scratch.sel_a;
     const size_t nb_ = build_a ? ka : kb;
     const size_t np_ = build_a ? kb : ka;
     const auto& build_key = build_a ? spec.key_a : spec.key_b;
@@ -226,51 +204,14 @@ void SynchronizedJoin(
         Interval iv = e.interval().Intersect(other.interval());
         iv = iv.Intersect(shared);
         if (iv.empty()) continue;
-        if (pair_stats != nullptr) ++pair_stats->output_rows;
+        if (stats != nullptr) ++stats->output_rows;
         if (build_a) {
-          sink(other, e, iv);
+          emit(other, e, iv);
         } else {
-          sink(e, other, iv);
+          emit(e, other, iv);
         }
       }
     }
-  };
-
-  const size_t workers = pool == nullptr ? 0 : pool->num_threads();
-  if (workers == 0 || pairs.size() <= 1) {
-    RecordCache cache(stats);
-    JoinScratch scratch;
-    for (const NodePair& pair : pairs) {
-      join_pair(pair, &cache, &scratch, stats, emit);
-    }
-    return;
-  }
-
-  // Step (iii), parallel: contiguous partitions of the pair list, one
-  // per ParallelFor chunk; workers buffer their outputs and this thread
-  // flushes the buffers in partition order afterwards.
-  const size_t partitions = std::min(workers + 1, pairs.size());
-  const size_t per = pairs.size() / partitions;
-  const size_t extra = pairs.size() % partitions;
-  std::vector<std::vector<Emission>> buffers(partitions);
-  std::vector<SyncJoinStats> partition_stats(partitions);
-  util::ParallelFor(pool, partitions, [&](size_t p) {
-    const size_t begin = p * per + std::min(p, extra);
-    const size_t end = begin + per + (p < extra ? 1 : 0);
-    RecordCache cache(&partition_stats[p]);
-    JoinScratch scratch;
-    std::vector<Emission>& buffer = buffers[p];
-    auto sink = [&buffer](const Entry& x, const Entry& y,
-                          const Interval& iv) {
-      buffer.push_back({x, y, iv});
-    };
-    for (size_t i = begin; i < end; ++i) {
-      join_pair(pairs[i], &cache, &scratch, &partition_stats[p], sink);
-    }
-  });
-  for (size_t p = 0; p < partitions; ++p) {
-    if (stats != nullptr) MergeSyncStats(partition_stats[p], stats);
-    for (const Emission& e : buffers[p]) emit(e.ea, e.eb, e.iv);
   }
 }
 

@@ -12,7 +12,9 @@
 //       original algorithm).
 //
 // Because RDF-TX's version splits never duplicate a fragment across
-// leaves, each matching fragment pair is emitted exactly once.
+// leaves, each matching fragment pair is emitted exactly once. The join
+// runs entirely on the calling thread with one record cache, so every
+// leaf it touches is decoded exactly once per call.
 #ifndef RDFTX_MVBT_SYNC_JOIN_H_
 #define RDFTX_MVBT_SYNC_JOIN_H_
 
@@ -20,7 +22,6 @@
 #include <functional>
 
 #include "mvbt/mvbt.h"
-#include "util/thread_pool.h"
 
 namespace rdftx::mvbt {
 
@@ -32,10 +33,11 @@ struct SyncJoinSpec {
   std::function<uint64_t(const Entry&)> key_b;
 };
 
-/// Counters for the join ablation bench.
+/// Counters for the join ablation bench and the engine's scan stats.
 struct SyncJoinStats {
   uint64_t node_pairs = 0;
   uint64_t cache_hits = 0;
+  /// Distinct leaves decoded (one record cache per call).
   uint64_t cache_misses = 0;
   uint64_t output_rows = 0;
   /// Leaves excluded from pair enumeration by their zone maps.
@@ -44,19 +46,14 @@ struct SyncJoinStats {
 
 /// Runs the synchronized join between region (ra, ta) of tree `a` and
 /// region (rb, tb) of tree `b`. `emit` receives the two fragments and
-/// the intersection of their intervals with both time ranges.
-///
-/// With a `pool`, the node-pair work is partitioned across the workers,
-/// each with its own RecordCache and output buffer; `emit` still runs
-/// only on the calling thread, in the same deterministic pair order as
-/// the serial join, so callers need no locking. The key extractors in
-/// `spec` are invoked concurrently and must be stateless.
+/// the intersection of their intervals with both time ranges, in node-pair
+/// order.
 void SynchronizedJoin(
     const Mvbt& a, const KeyRange& ra, const Interval& ta, const Mvbt& b,
     const KeyRange& rb, const Interval& tb, const SyncJoinSpec& spec,
     const std::function<void(const Entry&, const Entry&, const Interval&)>&
         emit,
-    SyncJoinStats* stats = nullptr, util::ThreadPool* pool = nullptr);
+    SyncJoinStats* stats = nullptr);
 
 }  // namespace rdftx::mvbt
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
+#include "mvbt/sync_join.h"
 #include "rdf/temporal_graph.h"
 #include "store_test_util.h"
 
@@ -97,6 +98,50 @@ TEST(EngineSyncJoinTest, FallsBackOnUnsupportedShapes) {
     ASSERT_TRUE(rs.ok()) << text << rs.status().ToString();
     ASSERT_EQ(Canon(*rh), Canon(*rs)) << text;
   }
+}
+
+TEST(EngineSyncJoinTest, FastPathReportsDecodedLeaves) {
+  Rng rng(5);
+  Dictionary dict;
+  for (int i = 0; i < 40; ++i) dict.Intern("term" + std::to_string(i));
+  auto data = testutil::RandomTriples(&rng, 2500);
+  TemporalGraph graph;
+  ASSERT_TRUE(graph.Load(data).ok());
+  QueryEngine sync_engine(
+      &graph, &dict,
+      EngineOptions{.join_algorithm = JoinAlgorithm::kSynchronized});
+
+  auto query = sparqlt::Parse(
+      "SELECT ?s ?o1 ?o2 ?t { ?s term1 ?o1 ?t . ?s term2 ?o2 ?t }");
+  ASSERT_TRUE(query.ok());
+  auto rs = sync_engine.Execute(*query);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  // The fast path ran: two patterns scanned and no join-chain step.
+  ASSERT_EQ(rs->stats.patterns_scanned, 2u);
+  ASSERT_EQ(rs->stats.hash_join_steps + rs->stats.merge_join_steps, 0u);
+  EXPECT_GT(rs->stats.scan.leaves_visited, 0u);
+
+  // A direct join over the same two regions decodes the same leaves.
+  auto cq = Compile(*query, dict);
+  ASSERT_TRUE(cq.ok());
+  const PatternSpec& a = cq->patterns[0].spec;
+  const PatternSpec& b = cq->patterns[1].spec;
+  const IndexOrder order_a = TemporalGraph::ChooseIndex(a);
+  const IndexOrder order_b = TemporalGraph::ChooseIndex(b);
+  auto subject = [](IndexOrder order) {
+    return [order](const mvbt::Entry& e) {
+      return TemporalGraph::DecodeKey(order, e.key).s;
+    };
+  };
+  mvbt::SyncJoinStats direct;
+  mvbt::SynchronizedJoin(
+      graph.index(order_a), TemporalGraph::PatternRange(order_a, a), a.time,
+      graph.index(order_b), TemporalGraph::PatternRange(order_b, b), b.time,
+      mvbt::SyncJoinSpec{subject(order_a), subject(order_b)},
+      [](const mvbt::Entry&, const mvbt::Entry&, const Interval&) {},
+      &direct);
+  EXPECT_EQ(rs->stats.scan.leaves_visited, direct.cache_misses);
+  EXPECT_EQ(rs->stats.scan.leaves_pruned, direct.leaves_pruned);
 }
 
 }  // namespace

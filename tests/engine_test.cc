@@ -220,6 +220,23 @@ TEST_F(PaperExamplesTest, ExplicitPlanMatchesDefault) {
   EXPECT_EQ(r1->ToString(), r2->ToString());
 }
 
+TEST_F(PaperExamplesTest, EmptyIntermediateStopsScanning) {
+  // The second pattern names known terms but matches no triple, so the
+  // chain is empty after two steps and the third pattern is never
+  // scanned.
+  auto query = sparqlt::Parse(R"(
+    SELECT ?number ?t
+    { ?u undergraduate ?number ?t .
+      ?u endowment Mark_Yudof ?t .
+      ?u staff ?staff ?t . }
+  )");
+  ASSERT_TRUE(query.ok());
+  auto r = engine_->ExecutePlan(*query, {0, 1, 2});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->rows.empty());
+  EXPECT_EQ(r->stats.patterns_scanned, 2u);
+}
+
 // --- Engine/store cross-checks on random data ---
 
 // Runs the same generated queries against RDF-TX and the naive store;
