@@ -6,15 +6,15 @@
 //           the compressed store, same two scans (the headline rows/sec
 //           gate)
 //   join  — Example 4 subject-star temporal joins through the full
-//           engine: the default scan/join chain (merge join) against
-//           the MVBT synchronized join on the same queries
-// Both sides of each comparison must produce identical row counts — a
-// mismatch is a harness bug, not a result. Results land in
-// BENCH_exec.json.
+//           engine's scan/join chain (merge join), cross-checked
+//           against the same engine over a NaiveStore oracle
+// Both sides of each check must produce identical row counts — a
+// mismatch is a bug, not a result. Results land in BENCH_exec.json.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "baselines/naive_store.h"
 #include "bench_common.h"
 #include "engine/translate.h"
 #include "engine/vectorized.h"
@@ -135,12 +135,8 @@ double BestOf3(Fn fn) {
   return best;
 }
 
-struct DatasetResult {
-  double range_speedup = 0;
-  double merge_vs_sync = 0;
-};
-
-DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
+/// Runs one dataset's classes and returns its range-scan speedup.
+double RunDataset(const char* name, Fixture f, JsonReport* report) {
   const std::string ds = name;
   TemporalGraph store(TemporalGraphOptions{.compress_leaves = true});
   if (!store.Load(f.data.triples).ok()) std::exit(1);
@@ -148,7 +144,7 @@ DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
   report->Add(ds + "_triples",
               static_cast<uint64_t>(f.data.triples.size()));
 
-  DatasetResult result;
+  double range_speedup = 0;
   PrintSeriesHeader(
       "Exec ablation (" + ds + "): ScanToRows vs VectorizedScan (rows/sec)",
       {"class", "rows", "tuple_rows_per_sec", "vec_rows_per_sec",
@@ -176,7 +172,7 @@ DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
     const double tuple_rps = tuple_rows * kRuns / tuple_s;
     const double vec_rps = vec_rows * kRuns / vec_s;
     const double speedup = tuple_s / vec_s;
-    if (!point) result.range_speedup = speedup;
+    if (!point) range_speedup = speedup;
     PrintSeriesRow({cls, Fmt(static_cast<double>(tuple_rows)),
                     Fmt(tuple_rps), Fmt(vec_rps), Fmt(speedup)});
     const std::string prefix = ds + "_" + cls;
@@ -186,18 +182,19 @@ DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
     report->Add(prefix + "_speedup", speedup);
   }
 
-  // --- join class: full engine, merge-join chain vs sync join ---
+  // --- join class: full engine, checked against the NaiveStore oracle ---
   Rng rng(9);
   const auto queries = workload::MakeJoinQueries(f.data, *f.dict, 10, &rng);
-  engine::EngineOptions sync_opts;
-  sync_opts.join_algorithm = engine::JoinAlgorithm::kSynchronized;
   engine::QueryEngine vec_eng(&store, f.dict.get());
-  engine::QueryEngine sync_eng(&store, f.dict.get(), sync_opts);
+  NaiveStore oracle_store;
+  if (!oracle_store.Load(f.data.triples).ok()) std::exit(1);
+  engine::QueryEngine oracle_eng(&oracle_store, f.dict.get());
 
   engine::ExecStats vec_stats;
   const uint64_t join_rows = ResultRows(vec_eng, queries, &vec_stats);
-  if (ResultRows(sync_eng, queries, nullptr) != join_rows) {
-    std::fprintf(stderr, "%s join result mismatch across engines\n", name);
+  if (ResultRows(oracle_eng, queries, nullptr) != join_rows) {
+    std::fprintf(stderr, "%s join result mismatch against the oracle\n",
+                 name);
     std::exit(1);
   }
   // The index-sorted join workload must actually take the merge path.
@@ -206,19 +203,13 @@ DatasetResult RunDataset(const char* name, Fixture f, JsonReport* report) {
     std::exit(1);
   }
   const double vec_ms = AvgQueryMillis(vec_eng, queries);
-  const double sync_ms = AvgQueryMillis(sync_eng, queries);
-  result.merge_vs_sync = sync_ms / vec_ms;
-  std::printf("  %s join (%llu rows): merge %.3f ms, sync join %.3f ms "
-              "-> %.2fx\n",
-              name, static_cast<unsigned long long>(join_rows), vec_ms,
-              sync_ms, sync_ms / vec_ms);
+  std::printf("  %s join (%llu rows): merge %.3f ms\n", name,
+              static_cast<unsigned long long>(join_rows), vec_ms);
   report->Add(ds + "_join_result_rows", join_rows);
   report->Add(ds + "_join_vectorized_ms", vec_ms);
-  report->Add(ds + "_join_sync_ms", sync_ms);
-  report->Add(ds + "_merge_vs_sync_speedup", sync_ms / vec_ms);
   report->Add(ds + "_merge_join_steps", vec_stats.merge_join_steps);
   std::printf("\n");
-  return result;
+  return range_speedup;
 }
 
 }  // namespace
@@ -227,22 +218,18 @@ int main() {
   JsonReport report("exec");
   report.Add("runs", static_cast<uint64_t>(kRuns));
 
-  const DatasetResult wiki =
+  const double wiki =
       RunDataset("wikipedia", MakeWikipedia(Scaled(60000)), &report);
-  const DatasetResult gov =
+  const double gov =
       RunDataset("govtrack", MakeGovTrack(Scaled(60000)), &report);
 
-  // Headline numbers: best range-scan speedup (the vectorized-execution
-  // acceptance gate) and best merge-vs-sync ratio.
-  const double range = std::max(wiki.range_speedup, gov.range_speedup);
-  const double merge = std::max(wiki.merge_vs_sync, gov.merge_vs_sync);
+  // Headline number: best range-scan speedup (the vectorized-execution
+  // acceptance gate).
+  const double range = std::max(wiki, gov);
   report.Add("range_scan_speedup", range);
-  report.Add("merge_vs_sync_best_speedup", merge);
   std::printf("range-scan speedup (VectorizedScan vs ScanToRows, best "
               "dataset): %.2fx\n",
               range);
-  std::printf("merge join vs synchronized join (best dataset): %.2fx\n",
-              merge);
   report.Write();
   return 0;
 }

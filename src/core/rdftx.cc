@@ -57,7 +57,7 @@ Status RdfTx::BuildDerivedState() {
     histogram_ = std::make_unique<optimizer::TemporalHistogram>(
         &catalog_, staged_, raw_bytes, options_.histogram);
     optimizer_ = std::make_unique<optimizer::QueryOptimizer>(
-        &catalog_, histogram_.get(), options_.optimizer);
+        &catalog_, histogram_.get());
   }
   staged_.clear();
   staged_.shrink_to_fit();

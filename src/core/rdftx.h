@@ -31,7 +31,6 @@ namespace rdftx {
 struct RdfTxOptions {
   TemporalGraphOptions graph;
   optimizer::HistogramOptions histogram;
-  optimizer::OptimizerOptions optimizer;
   /// Install the cost-based join-order optimizer (paper §6). Off falls
   /// back to the engine's greedy order.
   bool enable_optimizer = true;

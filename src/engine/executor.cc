@@ -1,14 +1,10 @@
 #include "engine/executor.h"
 
-#include <map>
 #include <numeric>
 #include <set>
 
 #include "engine/modifiers.h"
 #include "engine/vectorized.h"
-#include "mvbt/sync_join.h"
-#include "optimizer/optimizer.h"
-#include "rdf/temporal_graph.h"
 
 namespace rdftx::engine {
 namespace {
@@ -196,8 +192,20 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
                                    const CompiledQuery& cq,
                                    const std::vector<int>& order) const {
   ExecStats stats;
-  if (order.size() != cq.patterns.size()) {
+  // The order must be a permutation of the pattern indices: an index out
+  // of range would read past `cq.patterns`, and a repeated one would
+  // leave another pattern unscanned.
+  const size_t n = cq.patterns.size();
+  if (order.size() != n) {
     return Status::InvalidArgument("join order size mismatch");
+  }
+  std::vector<bool> used(n, false);
+  for (int i : order) {
+    if (i < 0 || static_cast<size_t>(i) >= n ||
+        used[static_cast<size_t>(i)]) {
+      return Status::InvalidArgument("join order is not a permutation");
+    }
+    used[static_cast<size_t>(i)] = true;
   }
   EvalContext ctx;
   ctx.vars = &cq.vars;
@@ -205,16 +213,9 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
   ctx.now = options_.now != 0 ? options_.now : store_->last_time();
   if (ctx.now == 0) ctx.now = kChrononMax;
 
-  // Pipeline: the scan/join chain over the plan order. A two-pattern
-  // temporal join on an MVBT store may take the synchronized-join fast
-  // path instead (§5.2.2).
-  std::vector<Row> rows;
-  const bool sync_joined =
-      options_.join_algorithm == JoinAlgorithm::kSynchronized &&
-      TrySynchronizedJoin(cq, &rows, &stats);
-  if (!sync_joined) {
-    rows = RunToRows(RunChain(cq.patterns, order, cq.vars, &stats), cq.vars);
-  }
+  // Pipeline: the scan/join chain over the plan order.
+  std::vector<Row> rows =
+      RunToRows(RunChain(cq.patterns, order, cq.vars, &stats), cq.vars);
 
   // OPTIONAL groups: evaluate each group, then left-join it onto the
   // running solutions (unmatched rows keep the group's variables
@@ -286,7 +287,7 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
     // the scan output provably contains no duplicate projected rows, so
     // the fingerprint set is skipped and the ORDER BY below bounds its
     // sort to a heap select of offset+limit rows.
-    const bool topk = optimizer::TopKPushdownEligible(query, cq);
+    const bool topk = TopKPushdownEligible(query, cq);
     if (topk) ++stats.topk_pushdowns;
     for (int slot : cq.projection) {
       result.columns.push_back(cq.vars[static_cast<size_t>(slot)].name);
@@ -427,96 +428,6 @@ std::vector<Row> QueryEngine::EvalOptionalGroup(const CompiledOptional& opt,
     return false;
   });
   return group;
-}
-
-bool QueryEngine::TrySynchronizedJoin(const CompiledQuery& cq,
-                                      std::vector<Row>* rows,
-                                      ExecStats* stats) const {
-  // Shape check: exactly two patterns, no OPTIONAL groups, a shared
-  // temporal variable (the temporal join), a shared subject variable,
-  // and an MVBT store.
-  if (cq.patterns.size() != 2 || !cq.optionals.empty()) return false;
-  const CompiledPattern& a = cq.patterns[0];
-  const CompiledPattern& b = cq.patterns[1];
-  if (a.never_matches || b.never_matches) {
-    return false;  // hash path handles the empty result
-  }
-  if (a.var_t < 0 || a.var_t != b.var_t) return false;
-  if (a.var_s < 0 || a.var_s != b.var_s) return false;
-  if (cq.vars[static_cast<size_t>(a.var_t)].needs_full) return false;
-  // No other shared key variables and no repeated variables within one
-  // pattern (they would need extra equality checks the fast path does
-  // not evaluate).
-  for (int slot : {a.var_p, a.var_o}) {
-    if (slot >= 0 && (slot == b.var_p || slot == b.var_o)) return false;
-  }
-  for (const CompiledPattern* cp : {&a, &b}) {
-    if ((cp->var_p >= 0 && cp->var_p == cp->var_s) ||
-        (cp->var_o >= 0 && cp->var_o == cp->var_s) ||
-        (cp->var_p >= 0 && cp->var_p == cp->var_o)) {
-      return false;
-    }
-  }
-  const auto* graph = dynamic_cast<const TemporalGraph*>(store_);
-  if (graph == nullptr) return false;
-
-  // The subject component's position within each pattern's index order.
-  auto subject_extractor =
-      [](IndexOrder order) -> uint64_t (*)(const mvbt::Entry&) {
-    switch (order) {
-      case IndexOrder::kSpo:
-      case IndexOrder::kSop:
-        return [](const mvbt::Entry& e) { return e.key.a; };
-      default:  // kPos, kOps store the subject in the last component
-        return [](const mvbt::Entry& e) { return e.key.c; };
-    }
-  };
-  const IndexOrder order_a = TemporalGraph::ChooseIndex(a.spec);
-  const IndexOrder order_b = TemporalGraph::ChooseIndex(b.spec);
-
-  // Join fragments, then group per logical record pair and coalesce the
-  // emitted intersections into the binding's temporal element.
-  struct PairKey {
-    Triple ta, tb;
-    auto operator<=>(const PairKey&) const = default;
-  };
-  std::map<PairKey, std::vector<Interval>> groups;
-  mvbt::SyncJoinSpec spec{subject_extractor(order_a),
-                          subject_extractor(order_b)};
-  mvbt::SyncJoinStats join_stats;
-  SynchronizedJoin(
-      graph->index(order_a), TemporalGraph::PatternRange(order_a, a.spec),
-      a.spec.time, graph->index(order_b),
-      TemporalGraph::PatternRange(order_b, b.spec), b.spec.time, spec,
-      [&](const mvbt::Entry& ea, const mvbt::Entry& eb,
-          const Interval& iv) {
-        groups[{TemporalGraph::DecodeKey(order_a, ea.key),
-                TemporalGraph::DecodeKey(order_b, eb.key)}]
-            .push_back(iv);
-      },
-      &join_stats);
-  stats->patterns_scanned += 2;
-  // The join keeps one decoded-record cache, so its misses count the
-  // distinct leaves it decoded.
-  stats->scan.leaves_visited += join_stats.cache_misses;
-  stats->scan.leaves_pruned += join_stats.leaves_pruned;
-
-  const size_t num_vars = cq.vars.size();
-  for (auto& [pair, ivs] : groups) {
-    Row row(num_vars);
-    auto bind = [&row](const CompiledPattern& cp, const Triple& t) {
-      if (cp.var_s >= 0) row.terms[static_cast<size_t>(cp.var_s)] = t.s;
-      if (cp.var_p >= 0) row.terms[static_cast<size_t>(cp.var_p)] = t.p;
-      if (cp.var_o >= 0) row.terms[static_cast<size_t>(cp.var_o)] = t.o;
-    };
-    bind(a, pair.ta);
-    bind(b, pair.tb);
-    row.times[static_cast<size_t>(a.var_t)] =
-        TemporalSet::FromIntervals(ivs);
-    rows->push_back(std::move(row));
-  }
-  stats->join_output_rows += rows->size();
-  return true;
 }
 
 std::string ResultSet::ToString() const {

@@ -17,22 +17,10 @@
 
 namespace rdftx::engine {
 
-/// Which physical join drives temporal joins (paper §5.2.2: hash join by
-/// default; the synchronized join when a pattern accesses a large
-/// portion of the index, avoiding the big hash table).
-enum class JoinAlgorithm {
-  kHash,
-  /// Use the MVBT synchronized join when the query shape allows it
-  /// (two-pattern subject-star temporal join on a TemporalGraph);
-  /// falls back to hash otherwise.
-  kSynchronized,
-};
-
 /// Engine configuration.
 struct EngineOptions {
   /// "now" for measuring live runs; 0 means "use store->last_time()".
   Chronon now = 0;
-  JoinAlgorithm join_algorithm = JoinAlgorithm::kHash;
 };
 
 /// Chooses a join order (a permutation of pattern indices) for a
@@ -78,12 +66,6 @@ class QueryEngine {
   Result<ResultSet> Run(const sparqlt::Query& query,
                         const CompiledQuery& cq,
                         const std::vector<int>& order) const;
-
-  /// Synchronized-join fast path; returns true and fills `rows` when
-  /// the query shape and store support it. Counters accumulate into
-  /// `stats`.
-  bool TrySynchronizedJoin(const CompiledQuery& cq, std::vector<Row>* rows,
-                           ExecStats* stats) const;
 
   /// The scan/join chain: scans `patterns` in `order` into columnar
   /// BlockRuns and joins them left-deep — sort-merge when a step shares

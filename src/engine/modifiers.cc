@@ -113,6 +113,28 @@ Status ApplyOrderAndSlice(const std::vector<sparqlt::OrderKey>& order_by,
   return Status::OK();
 }
 
+bool TopKPushdownEligible(const sparqlt::Query& query,
+                          const CompiledQuery& cq) {
+  if (query.limit < 0 || query.order_by.empty()) return false;
+  if (!query.union_branches.empty()) return false;
+  if (cq.patterns.size() != 1 || !cq.filters.empty() ||
+      !cq.optionals.empty() || !cq.exists.empty() ||
+      !cq.aggregates.empty()) {
+    return false;
+  }
+  const CompiledPattern& cp = cq.patterns[0];
+  // A bound time variable makes scan rows pairwise distinct (one row per
+  // validity group); without it two triples can collapse to one row.
+  if (cp.var_t < 0) return false;
+  // The projection must cover every bound slot, or duplicate elimination
+  // could still shrink the output below the pruned k rows.
+  std::set<int> projected(cq.projection.begin(), cq.projection.end());
+  for (int s : {cp.var_s, cp.var_p, cp.var_o, cp.var_t}) {
+    if (s >= 0 && !projected.contains(s)) return false;
+  }
+  return true;
+}
+
 void FilterExistsRows(const CompiledExists& ex,
                       const std::set<int>& outer_bound,
                       const std::vector<Row>& group, std::vector<Row>* rows,

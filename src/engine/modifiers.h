@@ -30,6 +30,18 @@ int CompareCells(const Cell& a, const Cell& b);
 Status ApplyOrderAndSlice(const std::vector<sparqlt::OrderKey>& order_by,
                           int64_t limit, int64_t offset, ResultSet* rs);
 
+/// Top-k pushdown rule (DESIGN.md §14.2): an ORDER BY + LIMIT query may
+/// bypass duplicate elimination and bound its sort to a heap select of
+/// offset+limit rows when the scan output provably contains no
+/// duplicate projected rows and no later operator can reorder or drop
+/// rows. Conditions: a single pattern (no joins), no FILTER / OPTIONAL
+/// / EXISTS / aggregation, a bound time variable (so scan rows are
+/// distinct), and a projection covering every variable the pattern
+/// binds (so projection cannot collapse rows). The executor consults
+/// this and counts topk_pushdowns.
+bool TopKPushdownEligible(const sparqlt::Query& query,
+                          const CompiledQuery& cq);
+
 /// Semi-joins (anti-joins when `ex.negated`) `rows` against the
 /// evaluated EXISTS group: a row survives iff some (no) group row is
 /// compatible — equal terms on every key slot bound on both sides, and

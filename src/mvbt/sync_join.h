@@ -33,7 +33,7 @@ struct SyncJoinSpec {
   std::function<uint64_t(const Entry&)> key_b;
 };
 
-/// Counters for the join ablation bench and the engine's scan stats.
+/// Counters for the join ablation bench and tests.
 struct SyncJoinStats {
   uint64_t node_pairs = 0;
   uint64_t cache_hits = 0;

@@ -3,39 +3,26 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 
 namespace rdftx::optimizer {
 
 using engine::CompiledPattern;
 using engine::CompiledQuery;
 
-bool TopKPushdownEligible(const sparqlt::Query& query,
-                          const engine::CompiledQuery& cq) {
-  if (query.limit < 0 || query.order_by.empty()) return false;
-  if (!query.union_branches.empty()) return false;
-  if (cq.patterns.size() != 1 || !cq.filters.empty() ||
-      !cq.optionals.empty() || !cq.exists.empty() ||
-      !cq.aggregates.empty()) {
-    return false;
-  }
-  const engine::CompiledPattern& cp = cq.patterns[0];
-  // A bound time variable makes scan rows pairwise distinct (one row per
-  // validity group); without it two triples can collapse to one row.
-  if (cp.var_t < 0) return false;
-  // The projection must cover every bound slot, or duplicate elimination
-  // could still shrink the output below the pruned k rows.
-  std::set<int> projected(cq.projection.begin(), cq.projection.end());
-  for (int s : {cp.var_s, cp.var_p, cp.var_o, cp.var_t}) {
-    if (s >= 0 && !projected.contains(s)) return false;
-  }
-  return true;
-}
+namespace {
+
+/// Selectivity charged for each shared temporal variable between two
+/// joined patterns (chance two validity elements intersect).
+constexpr double kTemporalSelectivity = 0.25;
+/// Queries with more patterns than this use the greedy order (the DP
+/// table is 2^n).
+constexpr size_t kMaxDpPatterns = 14;
+
+}  // namespace
 
 QueryOptimizer::QueryOptimizer(const CharSetCatalog* catalog,
-                               const TemporalHistogram* histogram,
-                               OptimizerOptions options)
-    : catalog_(catalog), histogram_(histogram), options_(options) {}
+                               const TemporalHistogram* histogram)
+    : catalog_(catalog), histogram_(histogram) {}
 
 double QueryOptimizer::EstimatePattern(const CompiledPattern& cp) const {
   if (cp.never_matches || cp.spec.time.empty()) return 0.0;
@@ -140,7 +127,7 @@ double QueryOptimizer::JoinSelectivity(const CompiledQuery& cq,
     for (size_t i = 0; i < cq.patterns.size(); ++i) {
       if ((mask & (1u << i)) &&
           cq.patterns[i].var_t == np.var_t) {
-        sel *= options_.temporal_selectivity;
+        sel *= kTemporalSelectivity;
         break;
       }
     }
@@ -273,7 +260,7 @@ double QueryOptimizer::EstimateOrderCost(const CompiledQuery& cq,
 std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
   const size_t n = cq.patterns.size();
   if (n <= 1) return n == 1 ? std::vector<int>{0} : std::vector<int>{};
-  if (n > options_.max_dp_patterns) {
+  if (n > kMaxDpPatterns) {
     return engine::QueryEngine::GreedyOrder(cq);
   }
   // Left-deep DP over subsets (bottom-up, avoiding cross products when

@@ -14,34 +14,11 @@
 
 namespace rdftx::optimizer {
 
-/// Estimation/search knobs.
-struct OptimizerOptions {
-  /// Selectivity charged for each shared temporal variable between two
-  /// joined patterns (chance two validity elements intersect).
-  double temporal_selectivity = 0.25;
-  /// Queries with more patterns than this use the greedy order (the DP
-  /// table is 2^n).
-  size_t max_dp_patterns = 14;
-};
-
-/// Top-k pushdown rule (DESIGN.md §14.2): an ORDER BY + LIMIT query may
-/// bypass duplicate elimination and bound its sort to a heap select of
-/// offset+limit rows when the scan output provably contains no
-/// duplicate projected rows and no later operator can reorder or drop
-/// rows. Conditions: a single pattern (no joins, no synchronized-join
-/// shape), no FILTER / OPTIONAL / EXISTS / aggregation, a bound time
-/// variable (so scan rows are distinct), and a projection covering
-/// every variable the pattern binds (so projection cannot collapse
-/// rows). The executor consults this and counts topk_pushdowns.
-bool TopKPushdownEligible(const sparqlt::Query& query,
-                          const engine::CompiledQuery& cq);
-
 /// Cost-based join-order optimizer over a loaded graph's statistics.
 class QueryOptimizer {
  public:
   QueryOptimizer(const CharSetCatalog* catalog,
-                 const TemporalHistogram* histogram,
-                 OptimizerOptions options = {});
+                 const TemporalHistogram* histogram);
 
   /// Estimated result cardinality of one pattern scan.
   double EstimatePattern(const engine::CompiledPattern& cp) const;
@@ -72,7 +49,6 @@ class QueryOptimizer {
 
   const CharSetCatalog* catalog_;
   const TemporalHistogram* histogram_;
-  OptimizerOptions options_;
 };
 
 }  // namespace rdftx::optimizer

@@ -80,7 +80,8 @@ class TemporalGraph : public TemporalStore {
   /// Number of live triples.
   size_t live_size() const { return indices_[0]->live_size(); }
 
-  /// Direct access for the synchronized join and white-box tests.
+  /// Direct access for the vectorized scan, snapshots, the
+  /// synchronized-join bench and white-box tests.
   const mvbt::Mvbt& index(IndexOrder order) const {
     return *indices_[static_cast<size_t>(order)];
   }

@@ -1,9 +1,9 @@
 // Hammers a single shared QueryEngine from many threads. A correct
 // engine is stateless per query (PR "thread-safe concurrent serving"):
 // every execution must return exactly the rows a serial run returns, and
-// TSan must see no races. Covers plain scans, filters, synchronized
-// joins, UNION, and OPTIONAL shapes, plus the per-query ExecStats
-// carried on the ResultSet. A shared QueryOptimizer must plan
+// TSan must see no races. Covers plain scans, filters, temporal joins,
+// UNION, and OPTIONAL shapes, plus the per-query ExecStats carried on
+// the ResultSet. A shared QueryOptimizer must plan
 // concurrently without locks: its histogram is immutable.
 #include <gtest/gtest.h>
 
@@ -37,13 +37,13 @@ std::multiset<std::string> Canon(const ResultSet& rs) {
 }
 
 // A query mix exercising every execution path in the executor: single
-// scans, multi-pattern hash joins, synchronized-join shapes, UNION
-// branches, OPTIONAL groups, and temporal filters.
+// scans, multi-pattern merge and hash joins, UNION branches, OPTIONAL
+// groups, and temporal filters.
 std::vector<std::string> QueryMix() {
   return {
       // Plain selection.
       "SELECT ?s ?o ?t { ?s term1 ?o ?t }",
-      // Two-pattern temporal join (sync-join fast-path shape).
+      // Two-pattern subject-star temporal join.
       "SELECT ?s ?o1 ?o2 ?t { ?s term1 ?o1 ?t . ?s term2 ?o2 ?t }",
       // Temporal join with range pushdown.
       "SELECT ?s ?o1 ?o2 ?t { ?s term1 ?o1 ?t . ?s term2 ?o2 ?t . "
@@ -72,12 +72,12 @@ std::vector<std::string> QueryMix() {
 
 class ConcurrencyFixture {
  public:
-  explicit ConcurrencyFixture(EngineOptions options) {
+  ConcurrencyFixture() {
     Rng rng(4242);
     for (int i = 0; i < 40; ++i) dict_.Intern("term" + std::to_string(i));
     auto data = testutil::RandomTriples(&rng, 3000);
     EXPECT_TRUE(graph_.Load(data).ok());
-    engine_ = std::make_unique<QueryEngine>(&graph_, &dict_, options);
+    engine_ = std::make_unique<QueryEngine>(&graph_, &dict_);
   }
 
   QueryEngine& engine() { return *engine_; }
@@ -88,7 +88,7 @@ class ConcurrencyFixture {
   std::unique_ptr<QueryEngine> engine_;
 };
 
-// Runs the full hammer against one engine configuration: precompute the
+// Runs the full hammer against one engine: precompute the
 // expected canonical rows serially, then fire kThreads threads each
 // executing kQueriesPerThread queries round-robin over the mix.
 void Hammer(QueryEngine& engine) {
@@ -135,13 +135,7 @@ void Hammer(QueryEngine& engine) {
 // Each query runs on its calling thread; these hammers check that
 // concurrent callers sharing one engine never see each other's state.
 TEST(EngineConcurrencyTest, HashJoinSerialEngine) {
-  ConcurrencyFixture fx(EngineOptions{});
-  Hammer(fx.engine());
-}
-
-TEST(EngineConcurrencyTest, SynchronizedJoinSerialEngine) {
-  ConcurrencyFixture fx(
-      EngineOptions{.join_algorithm = JoinAlgorithm::kSynchronized});
+  ConcurrencyFixture fx;
   Hammer(fx.engine());
 }
 

@@ -220,6 +220,23 @@ TEST_F(PaperExamplesTest, ExplicitPlanMatchesDefault) {
   EXPECT_EQ(r1->ToString(), r2->ToString());
 }
 
+TEST_F(PaperExamplesTest, ExecutePlanRejectsNonPermutationOrders) {
+  auto query = sparqlt::Parse(R"(
+    SELECT ?number ?t
+    { ?u undergraduate ?number ?t .
+      ?u president Mark_Yudof ?t . }
+  )");
+  ASSERT_TRUE(query.ok());
+  // Out of range, repeated, and negative pattern indices.
+  for (const std::vector<int>& order :
+       {std::vector<int>{0, 7}, std::vector<int>{0, 0},
+        std::vector<int>{-1, 1}}) {
+    auto r = engine_->ExecutePlan(*query, order);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(PaperExamplesTest, EmptyIntermediateStopsScanning) {
   // The second pattern names known terms but matches no triple, so the
   // chain is empty after two steps and the third pattern is never

@@ -13,7 +13,7 @@
 namespace rdftx::mvbt {
 namespace {
 
-// The engine's canonical use: join two scans on the first key component
+// The canonical use: join two scans on the first key component
 // (e.g. the shared subject), with overlapping validity.
 uint64_t FirstComponent(const Entry& e) { return e.key.a; }
 
@@ -159,6 +159,13 @@ TEST(SyncJoinTest, CacheReusesDecodedNodes) {
   EXPECT_GT(stats.node_pairs, stats.cache_misses)
       << "nodes in many pairs should hit the cache";
   EXPECT_GT(stats.cache_hits, 0u);
+  // Every pair looks up both of its leaves, and each leaf is decoded at
+  // most once per call: the misses cannot exceed the region leaves.
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 2 * stats.node_pairs);
+  std::vector<const Mvbt::Node*> leaves_a, leaves_b;
+  a.CollectRegionLeaves(KeyRange{}, Interval::All(), &leaves_a);
+  b.CollectRegionLeaves(KeyRange{}, Interval::All(), &leaves_b);
+  EXPECT_LE(stats.cache_misses, leaves_a.size() + leaves_b.size());
 }
 
 }  // namespace
