@@ -65,7 +65,13 @@ std::string RowFingerprint(const std::vector<Cell>& cells);
 /// (the engine itself holds no cross-query mutable state).
 struct ExecStats {
   uint64_t patterns_scanned = 0;
+  /// Rows the pattern scans emitted. On MVBT stores a scan under a
+  /// sideways key filter emits only rows whose key may join, so this is
+  /// lower there than on the NaiveStore oracle, which ignores filters.
   uint64_t rows_scanned = 0;
+  /// Matching fragments that MVBT scans dropped before gathering them
+  /// because the sideways key filter showed their key joins nothing.
+  uint64_t key_filtered_fragments = 0;
   /// Rows out of the main chain's joins plus the OPTIONAL left joins;
   /// joins inside OPTIONAL / EXISTS groups are not counted.
   uint64_t join_output_rows = 0;

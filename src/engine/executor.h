@@ -12,6 +12,7 @@
 #include "engine/block.h"
 #include "engine/operators.h"
 #include "engine/translate.h"
+#include "engine/vectorized.h"
 #include "rdf/store_interface.h"
 #include "sparqlt/parser.h"
 
@@ -70,19 +71,27 @@ class QueryEngine {
   /// The scan/join chain: scans `patterns` in `order` into columnar
   /// BlockRuns and joins them left-deep — sort-merge when a step shares
   /// exactly one key variable with the bound ones, columnar hash join
-  /// otherwise. This is the only place merge vs hash is chosen.
+  /// otherwise. This is the only place merge vs hash is chosen. Each
+  /// step after the first scans under a key filter built from the
+  /// accumulated run; `first_filter`, when given, filters the first
+  /// scan.
   BlockRun RunChain(const std::vector<CompiledPattern>& patterns,
                     const std::vector<int>& order,
-                    const std::vector<VarInfo>& vars, ExecStats* stats) const;
+                    const std::vector<VarInfo>& vars,
+                    const KeyFilter* first_filter, ExecStats* stats) const;
 
-  /// Evaluates one OPTIONAL (or EXISTS) group — its patterns through
-  /// RunChain in declaration order, then the group-local filters —
-  /// independently of the main solutions. Only the group's scan
-  /// counters reach `stats`; its internal joins are not plan steps.
-  std::vector<Row> EvalOptionalGroup(const CompiledOptional& opt,
-                                     const CompiledQuery& cq,
-                                     const EvalContext& ctx,
-                                     ExecStats* stats) const;
+  /// Evaluates one OPTIONAL (or EXISTS) group for the outer solutions:
+  /// its patterns through RunChain in declaration order, then the
+  /// group-local filters. The first scan keeps only the keys that the
+  /// outer rows `outer_rows` of `outer` (all rows when null) hold in the
+  /// first of `shared_key_slots` that the group's first pattern binds —
+  /// unless some outer row leaves that slot unbound. Only the group's
+  /// scan counters reach `stats`; its internal joins are not plan steps.
+  BlockRun EvalGroup(const CompiledOptional& group, const CompiledQuery& cq,
+                     const EvalContext& ctx, const BlockRun& outer,
+                     const RowSelection* outer_rows,
+                     const std::vector<int>& shared_key_slots,
+                     ExecStats* stats) const;
 
   const TemporalStore* store_;
   const Dictionary* dict_;

@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 namespace rdftx::engine {
@@ -135,90 +135,9 @@ bool TopKPushdownEligible(const sparqlt::Query& query,
   return true;
 }
 
-void FilterExistsRows(const CompiledExists& ex,
-                      const std::set<int>& outer_bound,
-                      const std::vector<Row>& group, std::vector<Row>* rows,
-                      ExecStats* stats) {
-  std::set<int> group_keys, group_times;
-  for (const CompiledPattern& cp : ex.group.patterns) {
-    for (int s : {cp.var_s, cp.var_p, cp.var_o}) {
-      if (s >= 0) group_keys.insert(s);
-    }
-    if (cp.var_t >= 0) group_times.insert(cp.var_t);
-  }
-  std::vector<int> shared_keys, shared_times;
-  for (int s : group_keys) {
-    if (outer_bound.contains(s)) shared_keys.push_back(s);
-  }
-  for (int s : group_times) {
-    if (outer_bound.contains(s)) shared_times.push_back(s);
-  }
-
-  auto key_of = [&shared_keys](const Row& r) {
-    std::string key;
-    for (int s : shared_keys) {
-      key += std::to_string(r.terms[static_cast<size_t>(s)]);
-      key.push_back('\x1F');
-    }
-    return key;
-  };
-  std::unordered_multimap<std::string, const Row*> index;
-  index.reserve(group.size());
-  for (const Row& g : group) index.emplace(key_of(g), &g);
-
-  auto compatible = [&](const Row& r, const Row& g) {
-    for (int s : shared_keys) {
-      const TermId rt = r.terms[static_cast<size_t>(s)];
-      const TermId gt = g.terms[static_cast<size_t>(s)];
-      // A side left unbound (OPTIONAL) constrains nothing.
-      if (rt != kInvalidTerm && gt != kInvalidTerm && rt != gt) return false;
-    }
-    for (int s : shared_times) {
-      const TemporalSet& rs = r.times[static_cast<size_t>(s)];
-      const TemporalSet& gs = g.times[static_cast<size_t>(s)];
-      if (rs.empty() || gs.empty()) continue;
-      if (rs.Intersect(gs).empty()) return false;
-    }
-    return true;
-  };
-
-  std::vector<Row> kept;
-  kept.reserve(rows->size());
-  for (Row& r : *rows) {
-    ++stats->exists_probes;
-    bool fully_bound = true;
-    for (int s : shared_keys) {
-      if (r.terms[static_cast<size_t>(s)] == kInvalidTerm) {
-        fully_bound = false;
-        break;
-      }
-    }
-    bool match = false;
-    if (fully_bound) {
-      auto [lo, hi] = index.equal_range(key_of(r));
-      for (auto it = lo; it != hi; ++it) {
-        if (compatible(r, *it->second)) {
-          match = true;
-          break;
-        }
-      }
-    } else {
-      // An unbound shared key is a wildcard; probe the whole group.
-      for (const Row& g : group) {
-        if (compatible(r, g)) {
-          match = true;
-          break;
-        }
-      }
-    }
-    if (match != ex.negated) kept.push_back(std::move(r));
-  }
-  *rows = std::move(kept);
-}
-
-ResultSet AggregateRows(const CompiledQuery& cq, const std::vector<Row>& rows,
-                        const Dictionary& dict, Chronon now,
-                        ExecStats* stats) {
+ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
+                        RowSelection rows, const Dictionary& dict,
+                        Chronon now, ExecStats* stats) {
   ResultSet rs;
   for (int slot : cq.projection) {
     rs.columns.push_back(cq.vars[static_cast<size_t>(slot)].name);
@@ -229,26 +148,13 @@ ResultSet AggregateRows(const CompiledQuery& cq, const std::vector<Row>& rows,
 
   // Set semantics: aggregates range over the distinct solutions of the
   // WHERE block, consistent with the engine's duplicate elimination (and
-  // independent of physical join duplication differences between modes).
-  std::set<std::string> seen;
-  std::vector<const Row*> distinct;
-  distinct.reserve(rows.size());
-  for (const Row& r : rows) {
-    std::string fp;
-    for (size_t i = 0; i < cq.vars.size(); ++i) {
-      if (cq.vars[i].local) continue;
-      fp += std::to_string(r.terms[i]);
-      fp.push_back(',');
-      for (const Interval& run : r.times[i].runs()) {
-        fp += std::to_string(run.start);
-        fp.push_back('-');
-        fp += std::to_string(run.end);
-        fp.push_back(';');
-      }
-      fp.push_back('\x1F');
-    }
-    if (seen.insert(std::move(fp)).second) distinct.push_back(&r);
+  // independent of physical join duplication differences between
+  // stores).
+  std::vector<int> visible;
+  for (size_t i = 0; i < cq.vars.size(); ++i) {
+    if (!cq.vars[i].local) visible.push_back(static_cast<int>(i));
   }
+  DistinctRows(run, visible, cq.vars, &rows);
 
   // Per-aggregate running state within one group.
   struct AggState {
@@ -264,24 +170,25 @@ ResultSet AggregateRows(const CompiledQuery& cq, const std::vector<Row>& rows,
     std::vector<AggState> aggs;
   };
 
-  auto cell_of = [&](const Row& r, int slot) {
+  auto cell_of = [&](const Row& row, int slot) {
     const VarInfo& info = cq.vars[static_cast<size_t>(slot)];
     Cell cell;
     if (info.is_time) {
       cell.is_time = true;
-      cell.time = r.times[static_cast<size_t>(slot)];
+      cell.time = row.times[static_cast<size_t>(slot)];
     } else {
-      const TermId id = r.terms[static_cast<size_t>(slot)];
+      const TermId id = row.terms[static_cast<size_t>(slot)];
       if (id != kInvalidTerm) cell.term = dict.Decode(id);
     }
     return cell;
   };
 
   // Canonical, store-independent group keys (decoded content, not term
-  // ids) keep the emission order deterministic across stores and modes.
+  // ids) keep the emission order deterministic across stores.
   std::map<std::string, Group> groups;
-  for (const Row* rp : distinct) {
-    const Row& r = *rp;
+  Row r(cq.vars.size());  // scratch, reused for every solution
+  for (const uint32_t i : rows) {
+    LoadRow(run, i, cq.vars, &r);
     std::string key;
     for (int slot : cq.group_by) cell_of(r, slot).AppendFingerprint(&key);
     auto [it, inserted] = groups.try_emplace(std::move(key));

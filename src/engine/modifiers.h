@@ -1,14 +1,16 @@
-// Row-level implementations of the SPARQLt solution modifiers and the
-// EXISTS semi/anti-join (DESIGN.md §14). These run in the row tail of
-// QueryEngine::Run, after the scan/join chain, on every store alike.
+// The SPARQLt solution modifiers (DESIGN.md §14): grouped aggregation
+// over the surviving rows of the final columnar run, and ORDER BY /
+// LIMIT / OFFSET over the projected result. They run at the end of
+// QueryEngine::Run's tail, on every store alike.
 #ifndef RDFTX_ENGINE_MODIFIERS_H_
 #define RDFTX_ENGINE_MODIFIERS_H_
 
-#include <set>
 #include <vector>
 
 #include "engine/binding.h"
+#include "engine/block.h"
 #include "engine/translate.h"
+#include "engine/vectorized.h"
 #include "util/status.h"
 
 namespace rdftx::engine {
@@ -42,27 +44,16 @@ Status ApplyOrderAndSlice(const std::vector<sparqlt::OrderKey>& order_by,
 bool TopKPushdownEligible(const sparqlt::Query& query,
                           const CompiledQuery& cq);
 
-/// Semi-joins (anti-joins when `ex.negated`) `rows` against the
-/// evaluated EXISTS group: a row survives iff some (no) group row is
-/// compatible — equal terms on every key slot bound on both sides, and
-/// non-empty temporal intersection on every time slot bound on both
-/// sides. `outer_bound` holds the slots bound by the main block (and
-/// OPTIONAL groups); a row-side slot left unbound (via OPTIONAL)
-/// constrains nothing. Counts one exists_probe per input row.
-void FilterExistsRows(const CompiledExists& ex,
-                      const std::set<int>& outer_bound,
-                      const std::vector<Row>& group, std::vector<Row>* rows,
-                      ExecStats* stats);
-
-/// Grouped aggregation (DESIGN.md §14): deduplicates the solutions on
-/// their full binding (set semantics, matching the engine's output
-/// duplicate elimination), partitions them by the GROUP BY slots (one
-/// global group when none), and evaluates the compiled aggregates.
-/// Groups emit in canonical key order. COUNT/SUM/DCOUNT/DSUM of an
-/// empty ungrouped input produce one row of zeros (MIN/MAX unbound).
-ResultSet AggregateRows(const CompiledQuery& cq, const std::vector<Row>& rows,
-                        const Dictionary& dict, Chronon now,
-                        ExecStats* stats);
+/// Grouped aggregation (DESIGN.md §14) over the rows `rows` of `run`:
+/// deduplicates the solutions on their full binding (set semantics,
+/// matching the engine's output duplicate elimination), partitions them
+/// by the GROUP BY slots (one global group when none), and evaluates
+/// the compiled aggregates. Groups emit in canonical key order.
+/// COUNT/SUM/DCOUNT/DSUM of an empty ungrouped input produce one row of
+/// zeros (MIN/MAX unbound).
+ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
+                        RowSelection rows, const Dictionary& dict,
+                        Chronon now, ExecStats* stats);
 
 }  // namespace rdftx::engine
 

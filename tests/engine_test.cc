@@ -254,6 +254,117 @@ TEST_F(PaperExamplesTest, EmptyIntermediateStopsScanning) {
   EXPECT_EQ(r->stats.patterns_scanned, 2u);
 }
 
+// --- Sideways key filters, observed through ResultSet::stats ---
+
+// Four universities over two eras. UT has a president but no endowment
+// and Stanford an endowment but no president, so OPTIONAL groups leave
+// keys unbound and EXISTS groups have witnesses no bound key names.
+class SidewaysFilterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto id = [&](const std::string& s) { return dict_.Intern(s); };
+    const Interval early{ChrononFromYmd(2000, 1, 1),
+                         ChrononFromYmd(2005, 1, 1)};
+    const Interval late{ChrononFromYmd(2010, 1, 1),
+                        ChrononFromYmd(2012, 1, 1)};
+    const Interval both{early.start, late.end};
+    const TermId president = id("president");
+    const TermId endowment = id("endowment");
+    const TermId budget = id("budget");
+    id("chancellor");  // known, but no facts
+    const std::vector<TemporalTriple> data = {
+        {{id("UC"), president, id("P1")}, early},
+        {{id("UC"), endowment, id("10.3")}, early},
+        {{id("UC"), budget, id("22.7")}, early},
+        {{id("UT"), president, id("P2")}, late},
+        {{id("UT"), budget, id("9.1")}, late},
+        {{id("Stanford"), endowment, id("20.0")}, late},
+        {{id("Stanford"), budget, id("5.5")}, both},
+        {{id("MIT"), budget, id("7.7")}, both},
+    };
+    ASSERT_TRUE(graph_.Load(data).ok());
+    ASSERT_TRUE(naive_.Load(data).ok());
+  }
+
+  /// Runs `q` on both stores, checks equal rows, returns the graph run.
+  ResultSet RunBoth(const std::string& q) {
+    auto got = QueryEngine(&graph_, &dict_).Execute(q);
+    auto want = QueryEngine(&naive_, &dict_).Execute(q);
+    EXPECT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    EXPECT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    if (!got.ok() || !want.ok()) return {};
+    EXPECT_EQ(Rows(*got), Rows(*want)) << q;
+    EXPECT_EQ(want->stats.key_filtered_fragments, 0u) << q;
+    return *got;
+  }
+
+  static std::multiset<std::string> Rows(const ResultSet& rs) {
+    std::multiset<std::string> rows;
+    for (const auto& row : rs.rows) {
+      std::string s;
+      for (const Cell& cell : row) s += cell.ToString() + "|";
+      rows.insert(s);
+    }
+    return rows;
+  }
+
+  Dictionary dict_;
+  TemporalGraph graph_;
+  NaiveStore naive_;
+};
+
+TEST_F(SidewaysFilterTest, AnchoredJoinScansOnlyJoinableKeys) {
+  // The budget scan keeps UC's fragment and drops the other three.
+  const ResultSet rs =
+      RunBoth("SELECT ?u ?b { ?u president P1 ?t . ?u budget ?b ?t }");
+  EXPECT_EQ(Rows(rs), (std::multiset<std::string>{"UC|22.7|"}));
+  EXPECT_GT(rs.stats.key_filtered_fragments, 0u);
+  EXPECT_EQ(rs.stats.rows_scanned, 2u);
+}
+
+TEST_F(SidewaysFilterTest, ExistsAfterOptionalWithUnboundKeyIsNotFiltered) {
+  // UT's OPTIONAL leaves ?e unbound, which EXISTS treats as a wildcard:
+  // Stanford's endowment is UT's only witness. A filter from the bound
+  // ?e values ({10.3}) would drop it, so the group must scan unfiltered.
+  const std::string optional =
+      "SELECT ?u { ?u president ?p ?t . OPTIONAL { ?u endowment ?e ?t } ";
+  const ResultSet without = RunBoth(optional + "}");
+  const ResultSet with =
+      RunBoth(optional + ". FILTER EXISTS { ?x endowment ?e ?t } }");
+  EXPECT_EQ(Rows(with), (std::multiset<std::string>{"UC|", "UT|"}));
+  // The OPTIONAL group is filtered by ?u (Stanford dropped); the EXISTS
+  // group adds no filtered fragment.
+  EXPECT_GT(without.stats.key_filtered_fragments, 0u);
+  EXPECT_EQ(with.stats.key_filtered_fragments,
+            without.stats.key_filtered_fragments);
+}
+
+TEST_F(SidewaysFilterTest, SecondOptionalOnAnUnboundSlotIsNotFiltered) {
+  // UT's row leaves ?e unbound, so the second group's scan, whose first
+  // pattern binds ?e, is not filtered.
+  const std::string first =
+      "{ ?u president ?p ?t . OPTIONAL { ?u endowment ?e ?t } ";
+  const ResultSet without = RunBoth("SELECT ?u ?e " + first + "}");
+  const ResultSet with = RunBoth("SELECT ?u ?e ?x " + first +
+                                 ". OPTIONAL { ?x endowment ?e ?t2 } }");
+  EXPECT_EQ(Rows(with),
+            (std::multiset<std::string>{"UC|10.3|UC|", "UT|||"}));
+  EXPECT_EQ(with.stats.key_filtered_fragments,
+            without.stats.key_filtered_fragments);
+}
+
+TEST_F(SidewaysFilterTest, EmptyExistsStopsLaterGroups) {
+  // Nothing survives the first EXISTS, so the second group is never
+  // scanned and probes nothing.
+  const ResultSet rs = RunBoth(
+      "SELECT ?u { ?u president ?p ?t . "
+      "FILTER EXISTS { ?u chancellor ?c ?t2 } . "
+      "FILTER EXISTS { ?u budget ?b ?t3 } }");
+  EXPECT_TRUE(rs.rows.empty());
+  EXPECT_EQ(rs.stats.patterns_scanned, 2u);
+  EXPECT_EQ(rs.stats.exists_probes, 2u);
+}
+
 // --- Engine/store cross-checks on random data ---
 
 // Runs the same generated queries against RDF-TX and the naive store;
