@@ -207,9 +207,10 @@ TEST_P(StoreConformanceTest, EngineAgreesWithNaiveOracle) {
 }
 
 TEST_P(StoreConformanceTest, ModifierQueriesAgreeAcrossModesAndStores) {
-  // Aggregates, ORDER BY/LIMIT, and EXISTS run in the row-level tail, so
-  // the TemporalGraph must produce the NaiveStore oracle's rows AND its
-  // operator counters (agg_groups, topk_pushdowns, exists_probes).
+  // Aggregates, ORDER BY/LIMIT, and EXISTS run in the same columnar tail
+  // on every store, so the TemporalGraph must produce the NaiveStore
+  // oracle's rows AND its operator counters (agg_groups, topk_pushdowns,
+  // exists_probes).
   engine::QueryEngine oracle(&naive_, &dict_);
   engine::QueryEngine mvbt(graph_.get(), &dict_);
   uint64_t agg_groups = 0, topk = 0, exists_probes = 0;
