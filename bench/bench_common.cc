@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -182,6 +183,14 @@ double TimeSeconds(const std::function<void()>& fn) {
   fn();
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
+}
+
+std::vector<std::string> CanonicalRows(const engine::ResultSet& rs) {
+  std::vector<std::string> rows;
+  rows.reserve(rs.rows.size());
+  for (const auto& row : rs.rows) rows.push_back(engine::RowFingerprint(row));
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 double AvgQueryMillis(const engine::QueryEngine& engine,

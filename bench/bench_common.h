@@ -79,6 +79,9 @@ size_t RawTextBytes(const Fixture& fixture);
 /// Wall-clock seconds of fn().
 double TimeSeconds(const std::function<void()>& fn);
 
+/// Order-insensitive form of a result: its sorted row fingerprints.
+std::vector<std::string> CanonicalRows(const engine::ResultSet& rs);
+
 /// Average warm-cache milliseconds to run all `queries` once through
 /// `engine` (1 warm-up pass + `runs` measured passes, like the paper's
 /// average of 5 warm runs).

@@ -29,15 +29,6 @@ using namespace rdftx::bench;
 // Total executions per throughput measurement, split across clients.
 constexpr int kQueriesPerRun = 240;
 
-/// Order-insensitive form of a result: its sorted row fingerprints.
-std::vector<std::string> Canon(const engine::ResultSet& rs) {
-  std::vector<std::string> rows;
-  rows.reserve(rs.rows.size());
-  for (const auto& row : rs.rows) rows.push_back(engine::RowFingerprint(row));
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 double ProcessCpuSeconds() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -91,7 +82,8 @@ Throughput Measure(const engine::QueryEngine& engine,
   }
   for (int c = 0; c < clients; ++c) {
     for (const auto& [qi, rs] : results[static_cast<size_t>(c)]) {
-      if (rs.rows.size() != expected[qi].size() || Canon(rs) != expected[qi]) {
+      if (rs.rows.size() != expected[qi].size() ||
+          CanonicalRows(rs) != expected[qi]) {
         std::fprintf(stderr,
                      "%d clients: client %d query %zu returned %zu rows, "
                      "single client %zu (or different rows)\n",
@@ -134,7 +126,7 @@ int main() {
       std::fprintf(stderr, "query failed: %s\n", r.status().ToString().c_str());
       return 1;
     }
-    expected.push_back(Canon(*r));
+    expected.push_back(CanonicalRows(*r));
   }
 
   PrintSeriesHeader("Concurrent serving (one shared engine)",

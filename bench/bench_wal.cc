@@ -7,16 +7,27 @@
 //
 // Every write is a distinct triple asserted at one shared chronon, so
 // writers never conflict and the measured cost is purely the logging
-// discipline. Emits BENCH_wal.json.
+// discipline.
+//
+// A last section measures live reads: with a fixed backlog of unfolded
+// deltas over a checkpoint base, each round publishes one delta and runs
+// a query twice on the fresh epoch. It reports the median first and
+// repeat latencies and exits nonzero if the two answers differ (or no
+// query returns a row). Emits BENCH_wal.json.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/live_store.h"
+#include "engine/executor.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -79,6 +90,108 @@ double MeasureWrites(LiveStore* store, int threads, uint64_t per_thread,
     for (auto& t : workers) t.join();
   });
   return static_cast<double>(threads) * static_cast<double>(per_thread) / secs;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0 : v[v.size() / 2];
+}
+
+/// Fresh-epoch vs repeat query latency: `base` deltas folded by a
+/// checkpoint, `backlog` more left in the overlay, then `rounds` rounds
+/// of one published delta and one query run twice on the new epoch.
+/// Returns false if a repeat answer differs from the first, or if no
+/// query returned a row.
+bool MeasureEpochQueries(uint64_t base, uint64_t backlog, uint64_t rounds,
+                         JsonReport* report) {
+  constexpr uint64_t kTerms = 64;
+  constexpr uint64_t kPredicates = 8;
+  const std::string dir = FreshDir("rdftx_bench_wal_epoch");
+  LiveStoreOptions options;
+  options.sync_writes = false;
+  auto store = MustOpen(dir, options);
+  InternIds(store.get(), kTerms);
+  Dictionary dict;  // the store's ids, for the query engine
+  for (uint64_t i = 1; i <= kTerms; ++i) {
+    dict.Intern(std::string("t").append(std::to_string(i)));
+  }
+
+  // Random asserts and retracts over a small universe, one per chronon.
+  Rng rng(7);
+  std::set<Triple> live;
+  Chronon at = 1;
+  auto write_one = [&] {
+    const Triple t{1 + rng.Uniform(kTerms), 1 + rng.Uniform(kPredicates),
+                   1 + rng.Uniform(kTerms)};
+    const bool is_assert = !live.contains(t);
+    const Status st =
+        is_assert ? store->AssertId(t, at) : store->RetractId(t, at);
+    if (!st.ok()) {
+      std::fprintf(stderr, "epoch write failed: %s\n", st.ToString().c_str());
+      std::abort();
+    }
+    if (is_assert) {
+      live.insert(t);
+    } else {
+      live.erase(t);
+    }
+    ++at;
+  };
+  for (uint64_t i = 0; i < base; ++i) write_one();
+  if (!store->Checkpoint().ok()) {
+    std::fprintf(stderr, "epoch checkpoint failed\n");
+    std::abort();
+  }
+  for (uint64_t i = 0; i < backlog; ++i) write_one();
+
+  std::vector<double> first_us, repeat_us;
+  uint64_t rows = 0;
+  bool same = true;
+  for (uint64_t r = 0; r < rounds; ++r) {
+    write_one();
+    const std::shared_ptr<const Epoch> epoch = store->Snapshot();
+    engine::QueryEngine engine(epoch.get(), &dict);
+    // A subject selection or a two-pattern star on that subject.
+    const std::string s =
+        std::string("t").append(std::to_string(1 + r % kTerms));
+    const std::string q =
+        r % 2 == 0 ? "SELECT ?o ?t { " + s + " t1 ?o ?t }"
+                   : "SELECT ?o ?o2 ?t { " + s + " t1 ?o ?t . " + s +
+                         " t2 ?o2 ?t }";
+    auto timed = [&](std::vector<double>* us) {
+      const auto t0 = std::chrono::steady_clock::now();
+      auto answer = engine.Execute(q);
+      const auto t1 = std::chrono::steady_clock::now();
+      us->push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+      return answer;
+    };
+    const auto first = timed(&first_us);
+    const auto repeat = timed(&repeat_us);
+    if (!first.ok() || !repeat.ok() ||
+        CanonicalRows(*first) != CanonicalRows(*repeat)) {
+      std::fprintf(stderr, "fresh and repeat answers differ: %s\n", q.c_str());
+      same = false;
+    } else {
+      rows += first->rows.size();
+    }
+  }
+  store.reset();
+  std::filesystem::remove_all(dir);
+
+  report->Add("epoch_backlog", backlog);
+  report->Add("epoch_rounds", rounds);
+  report->Add("epoch_result_rows", rows);
+  report->Add("epoch_first_query_us", Median(first_us));
+  report->Add("epoch_repeat_query_us", Median(repeat_us));
+  PrintSeriesHeader("Live epoch query latency (median)",
+                    {"backlog", "rounds", "first_us", "repeat_us"});
+  PrintSeriesRow({std::to_string(backlog), std::to_string(rounds),
+                  Fmt(Median(first_us)), Fmt(Median(repeat_us))});
+  if (rows == 0) {
+    std::fprintf(stderr, "live epoch queries returned no rows\n");
+    return false;
+  }
+  return same;
 }
 
 }  // namespace
@@ -165,6 +278,8 @@ int main() {
   }
   std::filesystem::remove_all(group_dir);
 
+  const bool epochs_agree =
+      MeasureEpochQueries(Scaled(16000), Scaled(2000), Scaled(400), &report);
   report.Write();
-  return 0;
+  return epochs_agree ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <utility>
 
 #include "storage/snapshot.h"
@@ -94,6 +95,20 @@ Status ApplyRecord(const storage::WalRecord& rec, TemporalGraph* graph,
   }
   *applied = rec.lsn;
   return Status::OK();
+}
+
+/// The deltas of `head` and every chunk before it with LSN above `lsn`,
+/// in LSN order.
+std::vector<Delta> DeltasAfter(const DeltaChunk* head, uint64_t lsn) {
+  std::vector<Delta> out;
+  for (const DeltaChunk* c = head; c != nullptr; c = c->prev().get()) {
+    std::copy_if(c->deltas().begin(), c->deltas().end(),
+                 std::back_inserter(out),
+                 [lsn](const Delta& d) { return d.lsn > lsn; });
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Delta& x, const Delta& y) { return x.lsn < y.lsn; });
+  return out;
 }
 
 }  // namespace
@@ -395,7 +410,7 @@ void LiveStore::PublishLocked(uint64_t upto) {
                            pending_.begin() + static_cast<ptrdiff_t>(n));
   pending_.erase(pending_.begin(), pending_.begin() + static_cast<ptrdiff_t>(n));
   published_time_ = std::max(published_time_, batch.back().time);
-  head_ = std::make_shared<const DeltaChunk>(std::move(batch), head_);
+  head_ = DeltaChunk::Push(std::move(head_), std::move(batch));
   epoch_ = std::make_shared<const Epoch>(base_, head_, published_time_);
 }
 
@@ -554,8 +569,8 @@ Status LiveStore::Checkpoint() {
 
   // Phase 2 (no mu_): fold base + chunks into a fresh graph. The base
   // round-trips through its own serialized image — the one supported
-  // way to clone a TemporalGraph — and the chunks replay on top,
-  // oldest first.
+  // way to clone a TemporalGraph — and the captured deltas replay on
+  // top in LSN order.
   auto folded = std::make_unique<TemporalGraph>(options_.graph);
   {
     const std::vector<uint8_t> base_image =
@@ -563,18 +578,9 @@ Status LiveStore::Checkpoint() {
     RDFTX_RETURN_IF_ERROR(storage::ReadSnapshotFromBuffer(
         base_image.data(), base_image.size(), folded.get(), nullptr));
   }
-  {
-    std::vector<const DeltaChunk*> chain;
-    for (const DeltaChunk* c = head.get(); c != nullptr; c = c->prev().get()) {
-      chain.push_back(c);
-    }
-    std::reverse(chain.begin(), chain.end());
-    for (const DeltaChunk* c : chain) {
-      for (const Delta& d : c->deltas()) {
-        RDFTX_RETURN_IF_ERROR(d.is_assert ? folded->Assert(d.triple, d.time)
-                                          : folded->Retract(d.triple, d.time));
-      }
-    }
+  for (const Delta& d : DeltasAfter(head.get(), 0)) {
+    RDFTX_RETURN_IF_ERROR(d.is_assert ? folded->Assert(d.triple, d.time)
+                                      : folded->Retract(d.triple, d.time));
   }
   const std::vector<uint8_t> image = storage::SerializeSnapshotForCheckpoint(
       *folded, std::move(dict_section), ckpt_lsn);
@@ -586,35 +592,20 @@ Status LiveStore::Checkpoint() {
         checkpoint_fault_hook_(CheckpointPhase::kAfterSnapshotWrite));
   }
 
-  // Phase 3 (mu_): install the folded graph as the new epoch base and
-  // rebuild the overlay spine from the chunks published after the
-  // capture (they all carry LSNs above ckpt_lsn).
+  // Phase 3 (mu_): install the folded graph as the new epoch base. The
+  // overlay keeps the deltas published after the capture (LSNs above
+  // ckpt_lsn); publishing may have merged them into captured chunks.
   mu_.Lock();
   base_ = std::shared_ptr<const TemporalGraph>(folded.release());
   base_lsn_ = ckpt_lsn;
-  std::vector<const DeltaChunk*> newer;
-  for (const DeltaChunk* c = head_.get();
-       c != nullptr && c != head.get(); c = c->prev().get()) {
-    newer.push_back(c);
-  }
-  std::shared_ptr<const DeltaChunk> rebuilt;
-  for (auto it = newer.rbegin(); it != newer.rend(); ++it) {
-    rebuilt = std::make_shared<const DeltaChunk>((*it)->deltas(),
-                                                 std::move(rebuilt));
-  }
-  head_ = std::move(rebuilt);
+  std::vector<Delta> newer = DeltasAfter(head_.get(), ckpt_lsn);
   // Liveness entries covered by the new base are now derivable from it;
   // keep only what the surviving overlay + pending writes touched —
   // applied oldest-first so the newest delta per triple wins.
   liveness_.clear();
-  std::vector<const DeltaChunk*> surviving;
-  for (const DeltaChunk* c = head_.get(); c != nullptr; c = c->prev().get()) {
-    surviving.push_back(c);
-  }
-  for (auto it = surviving.rbegin(); it != surviving.rend(); ++it) {
-    for (const Delta& d : (*it)->deltas()) liveness_[d.triple] = d.is_assert;
-  }
+  for (const Delta& d : newer) liveness_[d.triple] = d.is_assert;
   for (const Delta& d : pending_) liveness_[d.triple] = d.is_assert;
+  head_ = DeltaChunk::Push(nullptr, std::move(newer));
   epoch_ = std::make_shared<const Epoch>(base_, head_, published_time_);
   mu_.Unlock();
 

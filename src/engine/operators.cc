@@ -443,6 +443,12 @@ bool EvalPredicate(const Expr& expr, const Row& row,
   return ev.Truthy(expr);
 }
 
+bool RepeatedSlotsAgree(const CompiledPattern& cp, const Triple& t) {
+  return !(cp.var_s >= 0 && cp.var_s == cp.var_p && t.s != t.p) &&
+         !(cp.var_s >= 0 && cp.var_s == cp.var_o && t.s != t.o) &&
+         !(cp.var_p >= 0 && cp.var_p == cp.var_o && t.p != t.o);
+}
+
 void ScanToRows(const TemporalStore& store, const CompiledPattern& cp,
                 size_t num_vars, const std::vector<VarInfo>& vars,
                 std::vector<Row>* out, ExecStats* stats) {
@@ -459,16 +465,7 @@ void ScanToRows(const TemporalStore& store, const CompiledPattern& cp,
   const bool needs_full =
       cp.var_t >= 0 && vars[static_cast<size_t>(cp.var_t)].needs_full;
   for (auto& [triple, fragments] : groups) {
-    // Repeated-variable consistency (e.g. {?x ?p ?x}).
-    if (cp.var_s >= 0 && cp.var_s == cp.var_p && triple.s != triple.p) {
-      continue;
-    }
-    if (cp.var_s >= 0 && cp.var_s == cp.var_o && triple.s != triple.o) {
-      continue;
-    }
-    if (cp.var_p >= 0 && cp.var_p == cp.var_o && triple.p != triple.o) {
-      continue;
-    }
+    if (!RepeatedSlotsAgree(cp, triple)) continue;
     Row row(num_vars);
     if (cp.var_s >= 0) row.terms[static_cast<size_t>(cp.var_s)] = triple.s;
     if (cp.var_p >= 0) row.terms[static_cast<size_t>(cp.var_p)] = triple.p;

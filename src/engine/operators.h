@@ -28,6 +28,10 @@ struct EvalContext {
 bool EvalPredicate(const sparqlt::Expr& expr, const Row& row,
                    const EvalContext& ctx);
 
+/// True when `t` holds equal terms wherever the pattern repeats a
+/// variable ({?x ?p ?x}, ...).
+bool RepeatedSlotsAgree(const CompiledPattern& cp, const Triple& t);
+
 /// Scans one compiled pattern into binding rows. Fragments are grouped
 /// per matching triple; the temporal variable (if any) binds to the
 /// coalesced validity clipped to the scan window, or to the full

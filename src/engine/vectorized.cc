@@ -10,6 +10,7 @@
 
 #include "engine/operators.h"
 #include "mvbt/mvbt.h"
+#include "rdf/epoch.h"
 #include "rdf/temporal_graph.h"
 #include "util/simd.h"
 
@@ -255,11 +256,16 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                     size_t num_vars, const std::vector<VarInfo>& vars,
                     int sort_slot, BlockPool* pool, BlockRun* out,
                     ExecStats* stats, const KeyFilter* key_filter) {
+  // A live Epoch scans as its base graph plus one overlay patch.
   const auto* graph = dynamic_cast<const TemporalGraph*>(&store);
+  const auto* epoch =
+      graph == nullptr ? dynamic_cast<const Epoch*>(&store) : nullptr;
+  if (epoch != nullptr) graph = epoch->base().get();
   if (graph == nullptr) {
-    // Stores without MVBT indices (the conformance oracle) scan through
-    // the tuple operator; blocking and ordering the rows here makes the
-    // downstream operators store-agnostic.
+    // Stores without MVBT indices (the conformance oracle and the
+    // paper's baselines) scan through the tuple operator; blocking and
+    // ordering the rows here makes the downstream operators
+    // store-agnostic.
     std::vector<Row> rows;
     ScanToRows(store, cp, num_vars, vars, &rows, stats);
     if (sort_slot >= 0 && (cp.var_s == sort_slot || cp.var_p == sort_slot ||
@@ -406,6 +412,51 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
     simd::Gather64(comp[2]->data(), sel.data(), k, fo.data() + base);
     simd::Gather32(cols->start.data(), sel.data(), k, fstart.data() + base);
     simd::Gather32(cols->end.data(), sel.data(), k, fend.data() + base);
+  }
+
+  if (epoch != nullptr && epoch->head() != nullptr) {
+    const OverlayPatch patch = epoch->Patch(cp.spec);
+    // A base-live fragment whose triple the overlay retracts closes at
+    // the retract, and goes when the closed run misses the window.
+    if (!patch.closes.empty()) {
+      size_t kept = 0;
+      for (size_t i = 0; i < fs.size(); ++i) {
+        if (fend[i] == kChrononNow) {
+          fend[i] = patch.CloseOf(Triple{fs[i], fp[i], fo[i]});
+          if (std::max(fstart[i], window.start) >=
+              std::min(fend[i], window.end)) {
+            continue;
+          }
+        }
+        fs[kept] = fs[i];
+        fp[kept] = fp[i];
+        fo[kept] = fo[i];
+        fstart[kept] = fstart[i];
+        fend[kept] = fend[i];
+        ++kept;
+      }
+      fs.resize(kept);
+      fp.resize(kept);
+      fo.resize(kept);
+      fstart.resize(kept);
+      fend.resize(kept);
+    }
+    // Overlay-born runs pass the checks the leaf masks apply.
+    for (const auto& [t, run] : patch.runs) {
+      if (!RepeatedSlotsAgree(cp, t)) continue;
+      if (filter_comp >= 0) {
+        const TermId comps[3] = {t.s, t.p, t.o};
+        if (!key_filter->MayContain(comps[filter_comp])) {
+          ++key_filtered;
+          continue;
+        }
+      }
+      fs.push_back(t.s);
+      fp.push_back(t.p);
+      fo.push_back(t.o);
+      fstart.push_back(run.start);
+      fend.push_back(run.end);
+    }
   }
 
   // Clip fragments to the scan window (the overlap filter already

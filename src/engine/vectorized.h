@@ -63,10 +63,12 @@ class KeyFilter {
 /// fragment grouping sorts anyway, so the requested order is free) and
 /// `out->sorted_by` records it. Counters accumulate into `stats` with
 /// the same semantics as ScanToRows; fragments the key filter drops
-/// count in `key_filtered_fragments`. Stores without MVBT indices (the
-/// conformance oracle) fall back to ScanToRows plus a sort and ignore
-/// the key filter, so results never depend on the store type and the
-/// oracle always checks the filtered path.
+/// count in `key_filtered_fragments`. A live Epoch scans its base graph
+/// and patches the gathered fragments with Epoch::Patch. Stores without
+/// MVBT indices (the oracle and the paper's baselines) fall back to
+/// ScanToRows plus a sort and ignore the key filter, so results never
+/// depend on the store type and the oracle always checks the filtered
+/// path.
 void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                     size_t num_vars, const std::vector<VarInfo>& vars,
                     int sort_slot, BlockPool* pool, BlockRun* out,

@@ -1,6 +1,8 @@
 #include "rdf/epoch.h"
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
 #include <utility>
 
 namespace rdftx {
@@ -12,29 +14,43 @@ bool MatchesConstants(const PatternSpec& spec, const Triple& t) {
          (spec.o == kInvalidTerm || spec.o == t.o);
 }
 
-}  // namespace
-
-DeltaChunk::DeltaChunk(std::vector<Delta> deltas,
-                       std::shared_ptr<const DeltaChunk> prev)
-    : deltas_(std::move(deltas)), prev_(std::move(prev)) {
-  total_ = deltas_.size() + (prev_ ? prev_->total() : 0);
-  last_lsn_ = !deltas_.empty() ? deltas_.back().lsn
-                               : (prev_ ? prev_->last_lsn() : 0);
+bool ByTripleLsn(const Delta& x, const Delta& y) {
+  return std::tie(x.triple, x.lsn) < std::tie(y.triple, y.lsn);
 }
 
-DeltaChunk::~DeltaChunk() {
-  // Hand-unroll the chain: destroying chunk N must not recursively
-  // destroy N-1, N-2, ... (tens of thousands of frames after a long
-  // uncheckpointed run). Detach the tail and release it link by link
-  // while we hold the only reference; a link some reader still shares
-  // stops the walk, and that reader's release resumes it later.
-  std::shared_ptr<const DeltaChunk> tail = std::move(prev_);
-  while (tail && tail.use_count() == 1) {
-    // Sole owner, so mutating the node we are about to free is safe.
-    auto* chunk = const_cast<DeltaChunk*>(tail.get());
-    std::shared_ptr<const DeltaChunk> next = std::move(chunk->prev_);
-    tail = std::move(next);
+}  // namespace
+
+DeltaChunk::DeltaChunk(std::vector<Delta> sorted,
+                       std::shared_ptr<const DeltaChunk> prev)
+    : deltas_(std::move(sorted)), prev_(std::move(prev)) {
+  total_ = deltas_.size() + (prev_ ? prev_->total() : 0);
+  last_lsn_ = prev_ ? prev_->last_lsn() : 0;
+  for (const Delta& d : deltas_) last_lsn_ = std::max(last_lsn_, d.lsn);
+}
+
+std::shared_ptr<const DeltaChunk> DeltaChunk::Push(
+    std::shared_ptr<const DeltaChunk> head, std::vector<Delta> batch) {
+  if (batch.empty()) return head;
+  std::sort(batch.begin(), batch.end(), ByTripleLsn);
+  while (head != nullptr && head->deltas_.size() < 2 * batch.size()) {
+    std::vector<Delta> merged;
+    merged.reserve(head->deltas_.size() + batch.size());
+    std::merge(head->deltas_.begin(), head->deltas_.end(), batch.begin(),
+               batch.end(), std::back_inserter(merged), ByTripleLsn);
+    batch = std::move(merged);
+    head = head->prev_;
   }
+  return std::shared_ptr<const DeltaChunk>(
+      new DeltaChunk(std::move(batch), std::move(head)));
+}
+
+Chronon OverlayPatch::CloseOf(const Triple& t) const {
+  const auto it = std::lower_bound(
+      closes.begin(), closes.end(), t,
+      [](const std::pair<Triple, Chronon>& c, const Triple& k) {
+        return c.first < k;
+      });
+  return it != closes.end() && it->first == t ? it->second : kChrononNow;
 }
 
 Epoch::Epoch(std::shared_ptr<const TemporalGraph> base,
@@ -46,20 +62,48 @@ Status Epoch::Load([[maybe_unused]] const std::vector<TemporalTriple>& triples) 
       "Epoch is a read view; write through LiveStore");
 }
 
-void Epoch::EnsureOverlayLocked() const {
-  if (overlay_built_) return;
-  // Chunks run newest -> oldest; events must land in LSN order.
-  std::vector<const DeltaChunk*> chain;
+OverlayPatch Epoch::Patch(const PatternSpec& spec) const {
+  // The matching deltas of every chunk, merged into (triple, LSN) order
+  // so each triple's events come out adjacent and oldest first.
+  std::vector<const Delta*> hits;
   for (const DeltaChunk* c = head_.get(); c != nullptr; c = c->prev().get()) {
-    chain.push_back(c);
-  }
-  std::reverse(chain.begin(), chain.end());
-  for (const DeltaChunk* c : chain) {
-    for (const Delta& d : c->deltas()) {
-      overlay_[d.triple].emplace_back(d.time, d.is_assert);
+    auto lo = c->deltas().begin();
+    auto hi = c->deltas().end();
+    if (spec.s != kInvalidTerm) {  // the subject's deltas are one range
+      lo = std::partition_point(
+          lo, hi, [&](const Delta& d) { return d.triple.s < spec.s; });
+      hi = std::partition_point(
+          lo, hi, [&](const Delta& d) { return d.triple.s == spec.s; });
     }
+    const size_t mid = hits.size();
+    for (auto it = lo; it != hi; ++it) {
+      if (MatchesConstants(spec, it->triple)) hits.push_back(&*it);
+    }
+    std::inplace_merge(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(mid),
+                       hits.end(), [](const Delta* x, const Delta* y) {
+                         return ByTripleLsn(*x, *y);
+                       });
   }
-  overlay_built_ = true;
+
+  OverlayPatch patch;
+  for (size_t i = 0; i < hits.size();) {
+    const Triple& t = hits[i]->triple;
+    size_t end = i + 1;
+    while (end < hits.size() && hits[end]->triple == t) ++end;
+    size_t k = i;
+    // A leading retract closes the run that is live in the base.
+    if (!hits[k]->is_assert) patch.closes.emplace_back(t, hits[k++]->time);
+    // The rest alternate assert/retract (writer-validated) in chronon
+    // order: each pair is one run, a trailing assert is open until now.
+    for (; k < end; k += 2) {
+      const Chronon stop = k + 1 < end ? hits[k + 1]->time : kChrononNow;
+      // rdftx-analyzer: allow(interval-soundness)
+      const Interval run(hits[k]->time, stop);
+      if (run.Overlaps(spec.time)) patch.runs.emplace_back(t, run);
+    }
+    i = end;
+  }
+  return patch;
 }
 
 void Epoch::ScanPattern(const PatternSpec& spec, const ScanCallback& visit,
@@ -68,112 +112,30 @@ void Epoch::ScanPattern(const PatternSpec& spec, const ScanCallback& visit,
     base_->ScanPattern(spec, visit, stats);
     return;
   }
-
-  // Phase 1 (no lock): scan the immutable base. Closed fragments are
-  // final — the writer never touches the past — and stream straight
-  // through. Fragments still open at the base clock ("live") are the
-  // only ones the overlay can affect (a retract closes them), so they
-  // are parked for phase 2.
-  std::vector<std::pair<Triple, Interval>> open_fragments;
+  const OverlayPatch patch = Patch(spec);
+  // Closed base fragments are final (the writer never touches the past);
+  // only fragments still open at the base clock can be closed.
   base_->ScanPattern(
       spec,
       [&](const Triple& t, const Interval& iv) {
-        if (iv.end == kChrononNow) {
-          open_fragments.emplace_back(t, iv);
-        } else {
+        if (iv.end != kChrononNow) {
           visit(t, iv);
+          return;
         }
+        // Writer validation orders every retract after the assert that
+        // opened the run, so the close cannot precede iv.start.
+        // rdftx-analyzer: allow(interval-soundness)
+        const Interval run(iv.start, patch.CloseOf(t));
+        if (run.Overlaps(spec.time)) visit(t, run);
       },
       stats);
-
-  // Phase 2 (overlay lock): merge committed deltas.
-  util::MutexLock lock(&mu_);
-  EnsureOverlayLocked();
-
-  for (const auto& [t, iv] : open_fragments) {
-    Interval run = iv;
-    const auto it = overlay_.find(t);
-    if (it != overlay_.end() && !it->second.empty() &&
-        !it->second.front().second) {
-      // Leading retract: it closes the run that was open in the base.
-      // Writer validation orders every retract after the assert that
-      // opened the run, so the close chronon cannot precede iv.start.
-      // rdftx-analyzer: allow(interval-soundness)
-      run = Interval(iv.start, it->second.front().first);
-    }
-    if (run.Overlaps(spec.time)) visit(t, run);
-  }
-
-  for (const auto& [t, events] : overlay_) {
-    if (!MatchesConstants(spec, t)) continue;
-    // Runs born in the overlay. A leading retract belongs to the base
-    // run handled above; after that, events alternate assert/retract
-    // (writer-validated), each pair one run, a trailing assert open
-    // until now.
-    size_t i = (!events.empty() && !events.front().second) ? 1 : 0;
-    bool open = false;
-    Chronon start = 0;
-    for (; i < events.size(); ++i) {
-      if (events[i].second) {
-        if (!open) {
-          start = events[i].first;
-          open = true;
-        }
-      } else if (open) {
-        // Events alternate in chronon order (writer-validated), so the
-        // closing retract is never earlier than the opening assert.
-        // rdftx-analyzer: allow(interval-soundness)
-        const Interval run(start, events[i].first);
-        if (run.Overlaps(spec.time)) visit(t, run);
-        open = false;
-      }
-    }
-    if (open) {
-      const Interval run(start, kChrononNow);
-      if (run.Overlaps(spec.time)) visit(t, run);
-    }
-  }
+  for (const auto& [t, run] : patch.runs) visit(t, run);
 }
 
 TemporalSet Epoch::Validity(const Triple& t) const {
-  const TemporalSet base_validity = base_->Validity(t);
-  std::vector<Interval> runs(base_validity.runs().begin(),
-                             base_validity.runs().end());
-  if (head_ != nullptr) {
-    util::MutexLock lock(&mu_);
-    EnsureOverlayLocked();
-    const auto it = overlay_.find(t);
-    if (it != overlay_.end()) {
-      const auto& events = it->second;
-      size_t i = 0;
-      if (!events.empty() && !events.front().second) {
-        // Leading retract closes the base-live run.
-        if (!runs.empty() && runs.back().end == kChrononNow) {
-          // Closing a base-live run: the retract postdates the base
-          // assert (writer-validated), and an equal chronon yields the
-          // empty interval popped right below.
-          // rdftx-analyzer: allow(interval-soundness)
-          runs.back() = Interval(runs.back().start, events.front().first);
-          if (runs.back().empty()) runs.pop_back();
-        }
-        i = 1;
-      }
-      bool open = false;
-      Chronon start = 0;
-      for (; i < events.size(); ++i) {
-        if (events[i].second) {
-          if (!open) {
-            start = events[i].first;
-            open = true;
-          }
-        } else if (open) {
-          runs.emplace_back(start, events[i].first);
-          open = false;
-        }
-      }
-      if (open) runs.emplace_back(start, kChrononNow);
-    }
-  }
+  std::vector<Interval> runs;
+  ScanPattern(PatternSpec{t.s, t.p, t.o, Interval::All()},
+              [&](const Triple&, const Interval& iv) { runs.push_back(iv); });
   return TemporalSet::FromIntervals(std::move(runs));
 }
 

@@ -11,18 +11,27 @@
 // left unbound), FILTER [NOT] EXISTS (also after an OPTIONAL), GROUP BY
 // aggregates, projections that collapse duplicate rows, and UNION.
 //
+// A live leg replays each history as time-ordered deltas through a
+// LiveStore and checks the same query families on its Epochs against a
+// NaiveStore holding the replayed prefix: an overlay-only epoch, the
+// epoch a checkpoint installs while writes landed during its fold, and
+// an epoch with a large backlog over the checkpoint base.
+//
 // Built as its own binary with the ctest label `differential`
 // (`ctest -L differential`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "baselines/naive_store.h"
+#include "core/live_store.h"
 #include "engine/executor.h"
 #include "rdf/temporal_graph.h"
 #include "util/rng.h"
@@ -55,8 +64,28 @@ std::string SortedFingerprint(const engine::ResultSet& rs) {
 
 enum class Gen { kWikipedia, kGovTrack };
 
-/// One generated history loaded into both stores, plus the per-subject
-/// fact lists the query sampler draws stars from.
+/// Per-subject fact lists holding at least two predicates, ordered by
+/// subject: the stars the query sampler draws from.
+using Stars = std::vector<std::vector<const TemporalTriple*>>;
+
+Stars StarsOf(const std::vector<TemporalTriple>& triples) {
+  std::unordered_map<TermId, std::vector<const TemporalTriple*>> by_s;
+  for (const TemporalTriple& tt : triples) by_s[tt.triple.s].push_back(&tt);
+  Stars stars;
+  for (auto& [s, facts] : by_s) {
+    std::set<TermId> preds;
+    for (const TemporalTriple* tt : facts) preds.insert(tt->triple.p);
+    if (preds.size() >= 2) stars.push_back(std::move(facts));
+  }
+  // Hash-map iteration order is not part of the seed.
+  std::sort(stars.begin(), stars.end(), [](const auto& a, const auto& b) {
+    return a[0]->triple.s < b[0]->triple.s;
+  });
+  return stars;
+}
+
+/// One generated history loaded into both stores, plus the stars of
+/// its facts.
 struct Fixture {
   explicit Fixture(Gen gen) {
     if (gen == Gen::kWikipedia) {
@@ -70,40 +99,31 @@ struct Fixture {
     }
     EXPECT_TRUE(graph.Load(data.triples).ok());
     EXPECT_TRUE(naive.Load(data.triples).ok());
-    std::unordered_map<TermId, std::vector<const TemporalTriple*>> by_s;
-    for (const TemporalTriple& tt : data.triples) {
-      by_s[tt.triple.s].push_back(&tt);
-    }
-    for (auto& [s, facts] : by_s) {
-      std::set<TermId> preds;
-      for (const TemporalTriple* tt : facts) preds.insert(tt->triple.p);
-      if (preds.size() >= 2) stars.push_back(std::move(facts));
-    }
-    // Hash-map iteration order is not part of the seed.
-    std::sort(stars.begin(), stars.end(),
-              [](const auto& a, const auto& b) {
-                return a[0]->triple.s < b[0]->triple.s;
-              });
+    stars = StarsOf(data.triples);
   }
 
   Dictionary dict;
   workload::Dataset data;
   TemporalGraph graph;
   NaiveStore naive;
-  std::vector<std::vector<const TemporalTriple*>> stars;
+  Stars stars;
 };
 
-/// Draws query text from a fixture. Every query is built around facts
-/// of one sampled subject, so most answers are non-empty.
+/// Draws query text from a fixture's terms and `stars` (the fixture's
+/// own by default). Every query is built around facts of one sampled
+/// subject, so most answers are non-empty.
 class QuerySampler {
  public:
-  QuerySampler(const Fixture& f, uint64_t seed) : f_(f), rng_(seed) {}
+  QuerySampler(const Fixture& f, uint64_t seed)
+      : QuerySampler(f, f.stars, seed) {}
+  QuerySampler(const Fixture& f, const Stars& stars, uint64_t seed)
+      : f_(f), stars_(stars), rng_(seed) {}
 
   /// Samples `k` facts of one subject with pairwise distinct
   /// predicates; the first fact anchors the FILTER window.
   std::vector<const TemporalTriple*> Star(size_t k) {
     for (;;) {
-      const auto& facts = f_.stars[rng_.Uniform(f_.stars.size())];
+      const auto& facts = stars_[rng_.Uniform(stars_.size())];
       std::vector<const TemporalTriple*> out = {
           facts[rng_.Uniform(facts.size())]};
       for (size_t tries = 0; out.size() < k && tries < 4 * facts.size();
@@ -272,7 +292,24 @@ class QuerySampler {
 
  private:
   const Fixture& f_;
+  const Stars& stars_;
   Rng rng_;
+};
+
+struct Family {
+  const char* name;
+  std::string (QuerySampler::*make)();
+  int count;
+};
+
+const Family kFamilies[] = {
+    {"star", &QuerySampler::StarJoin, 60},
+    {"multi-slot", &QuerySampler::MultiSlot, 15},
+    {"optional", &QuerySampler::Optional, 40},
+    {"exists", &QuerySampler::Exists, 40},
+    {"aggregate", &QuerySampler::Aggregate, 25},
+    {"projection", &QuerySampler::Projection, 25},
+    {"union", &QuerySampler::Union, 15},
 };
 
 class EngineDifferentialTest : public ::testing::TestWithParam<Gen> {};
@@ -284,22 +321,8 @@ TEST_P(EngineDifferentialTest, GraphMatchesNaiveOracle) {
   engine::QueryEngine oracle(&f.naive, &f.dict);
   QuerySampler sampler(f, /*seed=*/GetParam() == Gen::kWikipedia ? 11 : 12);
 
-  struct Family {
-    const char* name;
-    std::string (QuerySampler::*make)();
-    int count;
-  };
-  const Family families[] = {
-      {"star", &QuerySampler::StarJoin, 60},
-      {"multi-slot", &QuerySampler::MultiSlot, 15},
-      {"optional", &QuerySampler::Optional, 40},
-      {"exists", &QuerySampler::Exists, 40},
-      {"aggregate", &QuerySampler::Aggregate, 25},
-      {"projection", &QuerySampler::Projection, 25},
-      {"union", &QuerySampler::Union, 15},
-  };
   int total = 0, nonempty = 0;
-  for (const Family& fam : families) {
+  for (const Family& fam : kFamilies) {
     int fam_nonempty = 0;
     for (int i = 0; i < fam.count; ++i) {
       const std::string q = (sampler.*fam.make)();
@@ -320,6 +343,143 @@ TEST_P(EngineDifferentialTest, GraphMatchesNaiveOracle) {
   }
   EXPECT_GE(nonempty * 10, total * 6)
       << nonempty << " of " << total << " answers non-empty";
+}
+
+/// One delta of a history replayed through a LiveStore.
+struct Event {
+  Chronon at = 0;
+  bool is_assert = true;
+  Triple t;
+};
+
+/// The history as deltas in time order: per-triple validity coalesced,
+/// retracts before asserts at equal times.
+std::vector<Event> HistoryEvents(const workload::Dataset& d) {
+  std::map<Triple, TemporalSet> by_triple;
+  for (const TemporalTriple& tt : d.triples) {
+    if (!tt.iv.empty()) by_triple[tt.triple].Add(tt.iv);
+  }
+  std::vector<Event> evs;
+  for (const auto& [t, set] : by_triple) {
+    for (const Interval& run : set.runs()) {
+      evs.push_back({run.start, true, t});
+      if (run.end != kChrononNow) evs.push_back({run.end, false, t});
+    }
+  }
+  std::stable_sort(evs.begin(), evs.end(), [](const Event& x, const Event& y) {
+    return x.at != y.at ? x.at < y.at : x.is_assert < y.is_assert;
+  });
+  return evs;
+}
+
+/// The interval history the first `n` deltas denote (open runs end now).
+std::vector<TemporalTriple> IntervalsFrom(const std::vector<Event>& evs,
+                                          size_t n) {
+  std::map<Triple, Chronon> open;
+  std::vector<TemporalTriple> out;
+  for (size_t i = 0; i < n; ++i) {
+    const Event& e = evs[i];
+    if (e.is_assert) {
+      open[e.t] = e.at;
+    } else {
+      out.push_back({e.t, Interval(open[e.t], e.at)});
+      open.erase(e.t);
+    }
+  }
+  for (const auto& [t, start] : open) {
+    out.push_back({t, Interval(start, kChrononNow)});
+  }
+  return out;
+}
+
+TEST_P(EngineDifferentialTest, LiveEpochMatchesNaiveOracle) {
+  const Fixture f(GetParam());
+  const std::vector<Event> events = HistoryEvents(f.data);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       (GetParam() == Gen::kWikipedia ? "rdftx_differential_live_wiki"
+                                      : "rdftx_differential_live_gov"))
+          .string();
+  std::filesystem::remove_all(dir);
+  LiveStoreOptions options;
+  options.sync_writes = false;
+  auto opened = LiveStore::OpenOrRecover(dir, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LiveStore& store = **opened;
+  // Intern the fixture's terms in id order so its ids are the store's.
+  for (TermId id = 1; id <= f.dict.size(); ++id) {
+    auto got = store.InternTerm(f.dict.Decode(id));
+    ASSERT_TRUE(got.ok() && *got == id) << "term " << id;
+  }
+  size_t written = 0;
+  auto write_to = [&](size_t n) {
+    for (; written < n; ++written) {
+      const Event& e = events[written];
+      const Status st =
+          e.is_assert ? store.AssertId(e.t, e.at) : store.RetractId(e.t, e.at);
+      ASSERT_TRUE(st.ok()) << "delta " << written << ": " << st.ToString();
+    }
+  };
+  auto share = [&](int percent) { return events.size() * percent / 100; };
+
+  // Queries every family at the current epoch, a third of the sealed
+  // leg's counts, drawn from the facts of the replayed prefix.
+  uint64_t seed = GetParam() == Gen::kWikipedia ? 21 : 22;
+  auto check_epoch = [&](const char* label) {
+    const std::shared_ptr<const Epoch> epoch = store.Snapshot();
+    const std::vector<TemporalTriple> prefix = IntervalsFrom(events, written);
+    NaiveStore naive;
+    ASSERT_TRUE(naive.Load(prefix).ok());
+    const Stars stars = StarsOf(prefix);
+    ASSERT_FALSE(stars.empty()) << label;
+    engine::QueryEngine live(epoch.get(), &f.dict);
+    engine::QueryEngine oracle(&naive, &f.dict);
+    QuerySampler sampler(f, stars, seed++);
+    int total = 0, nonempty = 0;
+    for (const Family& fam : kFamilies) {
+      for (int i = 0; i < (fam.count + 2) / 3; ++i) {
+        const std::string q = (sampler.*fam.make)();
+        auto want = oracle.Execute(q);
+        ASSERT_TRUE(want.ok()) << q << "\n" << want.status().ToString();
+        auto got = live.Execute(q);
+        ASSERT_TRUE(got.ok()) << q << "\n" << got.status().ToString();
+        ASSERT_EQ(SortedFingerprint(*got), SortedFingerprint(*want))
+            << label << " epoch, " << fam.name << " divergence on\n" << q;
+        ++total;
+        if (!want->rows.empty()) ++nonempty;
+      }
+    }
+    std::printf("%s epoch (%zu deltas, %llu in the overlay): %d/%d non-empty\n",
+                label, written,
+                static_cast<unsigned long long>(epoch->delta_count()), nonempty,
+                total);
+    EXPECT_GE(nonempty * 2, total) << label;
+  };
+
+  // Overlay only: nothing folded yet, the epoch was just published.
+  write_to(share(25));
+  check_epoch("fresh-overlay");
+  if (HasFatalFailure()) return;
+
+  // A checkpoint at 50% while the deltas up to 55% land during its fold:
+  // the installed epoch keeps them as its backlog.
+  write_to(share(50));
+  store.SetCheckpointFaultHookForTest([&](CheckpointPhase at) {
+    if (at == CheckpointPhase::kAfterRotate) write_to(share(55));
+    return Status::OK();
+  });
+  ASSERT_TRUE(store.Checkpoint().ok());
+  store.SetCheckpointFaultHookForTest(nullptr);
+  ASSERT_EQ(written, share(55));
+  ASSERT_EQ(store.delta_backlog(), share(55) - share(50));
+  check_epoch("after-checkpoint");
+  if (HasFatalFailure()) return;
+
+  // A large backlog over the checkpoint base.
+  write_to(share(85));
+  check_epoch("mid-backlog");
+  opened->reset();
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, EngineDifferentialTest,

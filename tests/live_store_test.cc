@@ -1,15 +1,18 @@
 // LiveStore durability tests: oracle conformance of the epoch read
 // path, recovery across reopen, every-prefix torn-WAL truncation,
-// crash-mid-checkpoint convergence (fault injection at every phase),
+// crash-mid-checkpoint convergence (fault injection at every phase), a
+// checkpoint that leaves a backlog of writes made during its fold,
 // concurrent reader/writer prefix visibility, and the commit-mode
 // (group / non-group / no-sync) equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -284,6 +287,71 @@ TEST(LiveStoreTest, CheckpointFoldsLogAndCleansSegments) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectMatchesEvents(*(*reopened)->Snapshot(), events, /*seed=*/21,
                       /*queries=*/40);
+  fs::remove_all(dir);
+}
+
+// Writes that land while a checkpoint folds are published on top of the
+// captured chunks, and publishing merges the two kinds into one chunk.
+// The installed epoch must keep exactly the deltas the fold did not
+// cover, and later writes must validate against the new base.
+TEST(LiveStoreTest, CheckpointMidBacklogKeepsExactlyTheNewerDeltas) {
+  const std::string dir = TempDir("rdftx_live_mid_ckpt");
+  LiveStoreOptions options;
+  options.sync_writes = false;
+  Rng rng(48);
+  const auto events = RandomEvents(&rng, 140);
+  // 103 = 64 + 32 + 4 + 2 + 1 single-delta chunks; the first write
+  // during the fold merges the three newest with it.
+  const std::vector<Event> first(events.begin(), events.begin() + 103);
+  const std::vector<Event> during(events.begin() + 103, events.begin() + 120);
+  const std::vector<Event> after(events.begin() + 120, events.end());
+  auto store = LiveStore::OpenOrRecover(dir, options);
+  ASSERT_TRUE(store.ok());
+  InternUniverse(store->get());
+  ApplyEvents(store->get(), first);
+  uint64_t ckpt_lsn = 0;
+  bool merged_across = false;
+  (*store)->SetCheckpointFaultHookForTest([&](CheckpointPhase at) {
+    if (at != CheckpointPhase::kAfterRotate) return Status::OK();
+    ckpt_lsn = (*store)->last_durable_lsn();
+    ApplyEvents(store->get(), during);
+    for (const DeltaChunk* c = (*store)->Snapshot()->head().get();
+         c != nullptr; c = c->prev().get()) {
+      bool older = false, newer = false;
+      for (const Delta& d : c->deltas()) {
+        (d.lsn <= ckpt_lsn ? older : newer) = true;
+      }
+      merged_across |= older && newer;
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE((*store)->Checkpoint().ok());
+  EXPECT_EQ(ckpt_lsn, kMaxId + first.size());
+  EXPECT_TRUE(merged_across);
+
+  const std::shared_ptr<const Epoch> snap = (*store)->Snapshot();
+  std::vector<uint64_t> kept;
+  for (const DeltaChunk* c = snap->head().get(); c != nullptr;
+       c = c->prev().get()) {
+    for (const Delta& d : c->deltas()) kept.push_back(d.lsn);
+  }
+  std::sort(kept.begin(), kept.end());
+  std::vector<uint64_t> want(during.size());
+  std::iota(want.begin(), want.end(), ckpt_lsn + 1);
+  EXPECT_EQ(kept, want);
+  EXPECT_EQ((*store)->delta_backlog(), during.size());
+  const std::vector<Event> upto(events.begin(), events.begin() + 120);
+  ExpectMatchesEvents(*snap, upto, /*seed=*/25, /*queries=*/30);
+
+  (*store)->SetCheckpointFaultHookForTest(nullptr);
+  ApplyEvents(store->get(), after);
+  ExpectMatchesEvents(*(*store)->Snapshot(), events, /*seed=*/26,
+                      /*queries=*/30);
+  store->reset();
+  auto reopened = LiveStore::OpenOrRecover(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectMatchesEvents(*(*reopened)->Snapshot(), events, /*seed=*/27,
+                      /*queries=*/30);
   fs::remove_all(dir);
 }
 

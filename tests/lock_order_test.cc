@@ -70,13 +70,14 @@ TEST_F(LockOrderTest, HandOverHandReleaseIsSilent) {
 }
 
 TEST_F(LockOrderTest, DistinctInstancePairsDoNotAlias) {
-  // Two epochs each with their own mutex: locking e1 then e2 on one
-  // thread and e2' then e1' on another is only a cycle if the *same*
-  // instances invert — instance-level tracking must not conflate them.
-  Mutex e1("Epoch::mu_");
-  Mutex e2("Epoch::mu_");
-  Mutex e3("Epoch::mu_");
-  Mutex e4("Epoch::mu_");
+  // Four instances of one class, each with its own mutex: locking e1
+  // then e2 on one thread and e4 then e3 on another is only a cycle if
+  // the *same* instances invert — instance-level tracking must not
+  // conflate them.
+  Mutex e1("test::Instance::mu_");
+  Mutex e2("test::Instance::mu_");
+  Mutex e3("test::Instance::mu_");
+  Mutex e4("test::Instance::mu_");
   {
     MutexLock l1(&e1);
     MutexLock l2(&e2);

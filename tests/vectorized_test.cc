@@ -2,13 +2,16 @@
 // encoding, BlockPool/BlockHandle RAII, columnar leaf decode, the
 // sorted-run operators (sort, merge join, hash join) against the tuple
 // operators on randomized inputs, VectorizedScan against ScanToRows on
-// random graphs, and the executor's merge/hash/sort choices and join
-// counters against the NaiveStore oracle.
+// random graphs and over live Epochs (base graph plus overlay), and the
+// executor's merge/hash/sort choices and join counters against the
+// NaiveStore oracle.
 #include "engine/vectorized.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -19,6 +22,7 @@
 #include "engine/executor.h"
 #include "engine/operators.h"
 #include "mvbt/leaf_block.h"
+#include "rdf/epoch.h"
 #include "rdf/temporal_graph.h"
 #include "util/rng.h"
 
@@ -523,6 +527,279 @@ TEST(KeyFilterTest, CollidingKeyPassesTheScanButTheJoinStaysExact) {
   EXPECT_EQ(got->stats.key_filtered_fragments, 1u);
   EXPECT_EQ(want->stats.rows_scanned, 4u);
   EXPECT_EQ(want->stats.key_filtered_fragments, 0u);
+}
+
+// --- VectorizedScan over a live Epoch ---
+
+/// A random assert/retract history over a small universe. The first 60%
+/// of its events are the base graph of `epoch_` and the rest its
+/// overlay, published in batches of 1-16 deltas; `overlay_only_` holds
+/// the whole history as overlay over an empty base.
+class EpochScanTest : public ::testing::Test {
+ protected:
+  struct Event {
+    Chronon at;
+    bool is_assert;
+    Triple t;
+  };
+
+  void SetUp() override {
+    Rng rng(558);
+    std::map<Triple, bool> live;
+    Chronon at = 1;
+    for (int i = 0; i < 4000; ++i) {
+      const TermId s = rng.Uniform(40) + 1;
+      // Every tenth triple repeats its subject as object ({?x ?p ?x}).
+      const TermId o = rng.Uniform(10) == 0 ? s : rng.Uniform(60) + 1;
+      const Triple t{s, rng.Uniform(8) + 1, o};
+      live[t] = !live[t];
+      events_.push_back({at, live[t], t});
+      at += 1 + static_cast<Chronon>(rng.Uniform(2));
+    }
+    horizon_ = at;
+    const size_t split = events_.size() * 6 / 10;
+    auto base = std::make_shared<TemporalGraph>(
+        TemporalGraphOptions{.block_capacity = 64, .compress_leaves = true});
+    ASSERT_TRUE(base->Load(IntervalsFrom(split)).ok());
+    ASSERT_TRUE(naive_.Load(IntervalsFrom(events_.size())).ok());
+    epoch_ = std::make_unique<Epoch>(std::move(base),
+                                     Overlay(split, &rng), horizon_);
+    overlay_only_ = std::make_unique<Epoch>(
+        std::make_shared<TemporalGraph>(), Overlay(0, &rng), horizon_);
+  }
+
+  /// Events `from`.. as a chunk list published in random batches.
+  std::shared_ptr<const DeltaChunk> Overlay(size_t from, Rng* rng) const {
+    std::shared_ptr<const DeltaChunk> head;
+    for (size_t i = from; i < events_.size();) {
+      const size_t n =
+          std::min<size_t>(1 + rng->Uniform(16), events_.size() - i);
+      std::vector<Delta> batch;
+      for (size_t k = i; k < i + n; ++k) {
+        batch.push_back(
+            Delta{k + 1, events_[k].is_assert, events_[k].t, events_[k].at});
+      }
+      head = DeltaChunk::Push(head, std::move(batch));
+      i += n;
+    }
+    return head;
+  }
+
+  /// The interval history of the first `n` events (open runs end now).
+  std::vector<TemporalTriple> IntervalsFrom(size_t n) const {
+    std::map<Triple, Chronon> open;
+    std::vector<TemporalTriple> out;
+    for (size_t i = 0; i < n; ++i) {
+      const Event& e = events_[i];
+      if (e.is_assert) {
+        open[e.t] = e.at;
+      } else {
+        out.push_back({e.t, Interval(open[e.t], e.at)});
+        open.erase(e.t);
+      }
+    }
+    for (const auto& [t, start] : open) {
+      out.push_back({t, Interval(start, kChrononNow)});
+    }
+    return out;
+  }
+
+  Interval RandomWindow(Rng* rng) const {
+    const Chronon s = static_cast<Chronon>(rng->Uniform(horizon_));
+    return {s, s + 1 + static_cast<Chronon>(rng->Uniform(horizon_ / 3))};
+  }
+
+  std::vector<Event> events_;
+  Chronon horizon_ = 0;
+  std::unique_ptr<Epoch> epoch_;
+  std::unique_ptr<Epoch> overlay_only_;
+  NaiveStore naive_;
+};
+
+TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
+  Rng rng(559);
+  BlockPool pool;
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t mask = 0; mask < 8; ++mask) {
+      const Triple& t = events_[rng.Uniform(events_.size())].t;
+      CompiledPattern cp;
+      int slot = 0;
+      if (mask & 1) {
+        cp.spec.s = t.s;
+      } else {
+        cp.var_s = slot++;
+      }
+      if (mask & 2) {
+        cp.spec.p = t.p;
+      } else {
+        cp.var_p = slot++;
+      }
+      if (mask & 4) {
+        cp.spec.o = t.o;
+      } else {
+        cp.var_o = slot++;
+      }
+      cp.var_t = slot++;
+      cp.spec.time = RandomWindow(&rng);
+      const size_t num_vars = static_cast<size_t>(slot);
+      std::vector<VarInfo> vars;
+      for (int v = 0; v + 1 < slot; ++v) {
+        vars.push_back({std::string("k").append(std::to_string(v)), false,
+                        false});
+      }
+      vars.push_back({"t", true, false});
+
+      for (const Epoch* epoch : {epoch_.get(), overlay_only_.get()}) {
+        std::vector<Row> want, oracle;
+        ScanToRows(*epoch, cp, num_vars, vars, &want);
+        ScanToRows(naive_, cp, num_vars, vars, &oracle);
+        EXPECT_EQ(SortedKeys(want, vars), SortedKeys(oracle, vars));
+
+        ExecStats stats;
+        BlockRun run;
+        VectorizedScan(*epoch, cp, num_vars, vars, /*sort_slot=*/-1, &pool,
+                       &run, &stats);
+        EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
+                  SortedKeys(want, vars))
+            << "mask " << mask;
+        EXPECT_EQ(stats.rows_scanned, want.size());
+
+        // A requested ordering on a bound key slot is honored.
+        if (cp.var_o >= 0) {
+          BlockRun sorted_run;
+          VectorizedScan(*epoch, cp, num_vars, vars, cp.var_o, &pool,
+                         &sorted_run, nullptr);
+          EXPECT_EQ(sorted_run.sorted_by, cp.var_o);
+          for (size_t i = 1; i < sorted_run.size(); ++i) {
+            EXPECT_LE(sorted_run.term(i - 1, cp.var_o),
+                      sorted_run.term(i, cp.var_o));
+          }
+          EXPECT_EQ(SortedKeys(RunToRows(sorted_run, vars), vars),
+                    SortedKeys(want, vars));
+        }
+      }
+    }
+  }
+}
+
+TEST_F(EpochScanTest, KeyFilterDropsOverlayRowsAndCountsThem) {
+  Rng rng(560);
+  BlockPool pool;
+  const std::vector<VarInfo> vars = {
+      {"s", false, false}, {"o", false, false}, {"t", true, false}};
+  uint64_t overlay_dropped = 0;
+  for (int slot : {0, 1}) {
+    for (int round = 0; round < 4; ++round) {
+      CompiledPattern cp;
+      cp.var_s = 0;
+      cp.spec.p = rng.Uniform(8) + 1;
+      cp.var_o = 1;
+      cp.var_t = 2;
+      cp.spec.time = RandomWindow(&rng);
+      KeyFilter filter(slot);
+      for (int k = 0; k < 6; ++k) {
+        filter.Add(rng.Uniform(slot == 0 ? 40 : 60) + 1);
+      }
+
+      for (const Epoch* epoch : {epoch_.get(), overlay_only_.get()}) {
+        // The filter drops a row's fragments exactly when its key is
+        // not in the filter.
+        std::vector<Row> all, want;
+        ScanToRows(*epoch, cp, 3, vars, &all);
+        for (const Row& row : all) {
+          if (filter.MayContain(row.terms[static_cast<size_t>(slot)])) {
+            want.push_back(row);
+          }
+        }
+        ExecStats stats;
+        BlockRun got;
+        VectorizedScan(*epoch, cp, 3, vars, slot, &pool, &got, &stats,
+                       &filter);
+        EXPECT_EQ(SortedKeys(RunToRows(got, vars), vars),
+                  SortedKeys(want, vars));
+        EXPECT_EQ(got.sorted_by, slot);
+        for (size_t i = 1; i < got.size(); ++i) {
+          EXPECT_LE(got.term(i - 1, slot), got.term(i, slot));
+        }
+        EXPECT_EQ(stats.rows_scanned, want.size());
+        if (epoch != overlay_only_.get()) continue;
+        // Over an empty base every fragment is an overlay-born run.
+        uint64_t dropped = 0;
+        epoch->ScanPattern(cp.spec, [&](const Triple& t, const Interval&) {
+          dropped += !filter.MayContain(slot == 0 ? t.s : t.o);
+        });
+        EXPECT_EQ(stats.key_filtered_fragments, dropped);
+        overlay_dropped += dropped;
+      }
+    }
+  }
+  EXPECT_GT(overlay_dropped, 0u);
+}
+
+TEST_F(EpochScanTest, RepeatedVariablePatternOverAnEpoch) {
+  // {?x ?p ?x}: subject must equal object, in base and overlay rows.
+  CompiledPattern cp;
+  cp.var_s = 0;
+  cp.var_p = 1;
+  cp.var_o = 0;
+  cp.var_t = 2;
+  const std::vector<VarInfo> vars = {
+      {"x", false, false}, {"p", false, false}, {"t", true, false}};
+  BlockPool pool;
+  Rng rng(561);
+  for (const Interval window :
+       {Interval::All(), RandomWindow(&rng), RandomWindow(&rng)}) {
+    cp.spec.time = window;
+    for (const Epoch* epoch : {epoch_.get(), overlay_only_.get()}) {
+      std::vector<Row> want, oracle;
+      ScanToRows(*epoch, cp, 3, vars, &want);
+      ScanToRows(naive_, cp, 3, vars, &oracle);
+      EXPECT_EQ(SortedKeys(want, vars), SortedKeys(oracle, vars));
+      EXPECT_FALSE(want.empty()) << window.ToString();
+      BlockRun run;
+      VectorizedScan(*epoch, cp, 3, vars, -1, &pool, &run, nullptr);
+      EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
+                SortedKeys(want, vars));
+    }
+  }
+}
+
+TEST(EpochScanWindowTest, BaseRunClosedBeforeTheWindowIsDropped) {
+  // (1 1 1) is live in the base from 10 and retracted at 30 in the
+  // overlay; (1 2 2) stays live.
+  auto base = std::make_shared<TemporalGraph>();
+  ASSERT_TRUE(base->Load({{Triple{1, 1, 1}, {10, kChrononNow}},
+                          {Triple{1, 2, 2}, {5, kChrononNow}}})
+                  .ok());
+  const Epoch epoch(base,
+                    DeltaChunk::Push(nullptr, {Delta{1, false, {1, 1, 1}, 30}}),
+                    30);
+  CompiledPattern cp;
+  cp.spec.s = 1;
+  cp.var_p = 0;
+  cp.var_o = 1;
+  cp.var_t = 2;
+  const std::vector<VarInfo> vars = {
+      {"p", false, false}, {"o", false, false}, {"t", true, false}};
+  BlockPool pool;
+  auto scan = [&](Interval window) {
+    cp.spec.time = window;
+    BlockRun run;
+    VectorizedScan(epoch, cp, 3, vars, -1, &pool, &run, nullptr);
+    return RunToRows(run, vars);
+  };
+  const std::vector<Row> late = scan({40, 50});
+  ASSERT_EQ(late.size(), 1u);
+  EXPECT_EQ(late[0].terms[0], 2u);
+  EXPECT_EQ(late[0].times[2], TemporalSet(Interval(40, 50)));
+
+  std::vector<Row> meets = scan({25, 45});
+  ASSERT_EQ(meets.size(), 2u);
+  std::sort(meets.begin(), meets.end(), [](const Row& x, const Row& y) {
+    return x.terms[0] < y.terms[0];
+  });
+  EXPECT_EQ(meets[0].times[2], TemporalSet(Interval(25, 30)));
+  EXPECT_EQ(meets[1].times[2], TemporalSet(Interval(25, 45)));
 }
 
 // --- the executor's join choice, observed through ResultSet::stats ---
