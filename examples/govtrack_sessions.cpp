@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   auto parsed = sparqlt::Parse(
       "SELECT ?who ?party ?bill ?t { ?who voted_yes_on_category_0 ?bill ?t "
       ". ?who party ?party ?t . ?who member_of_house house ?t }");
-  if (parsed.ok() && db.query_optimizer() != nullptr) {
+  if (parsed.ok()) {
     auto cq = engine::Compile(*parsed, *db.dictionary());
     if (cq.ok()) {
       auto order = db.query_optimizer()->ChooseOrder(*cq);

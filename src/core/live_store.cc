@@ -204,7 +204,7 @@ Result<std::unique_ptr<LiveStore>> LiveStore::OpenOrRecover(
   store->durable_lsn_ = applied;
   store->base_lsn_ = applied;
 
-  if (options.background_checkpoints && options.checkpoint_after_deltas > 0) {
+  if (options.checkpoint_after_deltas > 0) {
     store->checkpointer_ =
         std::thread([s = store.get()] { s->BackgroundCheckpointLoop(); });
   }
@@ -257,11 +257,7 @@ bool LiveStore::IsLiveLocked(const Triple& t) {
   return live;
 }
 
-Status LiveStore::ValidateLocked(bool is_assert, const Triple& t, Chronon at) {
-  if (t.s == kInvalidTerm || t.p == kInvalidTerm || t.o == kInvalidTerm ||
-      t.s > dict_.size() || t.p > dict_.size() || t.o > dict_.size()) {
-    return Status::InvalidArgument("triple refers to unknown term ids");
-  }
+Status LiveStore::CheckTimeLocked(Chronon at) const {
   if (at >= kChrononNow) {
     return Status::InvalidArgument("event time must be a finite chronon");
   }
@@ -270,6 +266,14 @@ Status LiveStore::ValidateLocked(bool is_assert, const Triple& t, Chronon at) {
         "transaction time must be nondecreasing (store is at " +
         std::to_string(last_time_) + ", write is at " + std::to_string(at) +
         ")");
+  }
+  return Status::OK();
+}
+
+Status LiveStore::ValidateLocked(bool is_assert, const Triple& t) {
+  if (t.s == kInvalidTerm || t.p == kInvalidTerm || t.o == kInvalidTerm ||
+      t.s > dict_.size() || t.p > dict_.size() || t.o > dict_.size()) {
+    return Status::InvalidArgument("triple refers to unknown term ids");
   }
   if (is_assert == IsLiveLocked(t)) {
     return is_assert
@@ -298,19 +302,12 @@ Status LiveStore::Write(bool is_assert, const std::string_view* terms,
         t.s == kInvalidTerm || t.p == kInvalidTerm || t.o == kInvalidTerm;
   }
 
-  Status st;
-  if (any_new_term) {
-    // A triple containing a never-seen term cannot be live, so only the
-    // time bounds need checking for an assert; a retract is invalid.
-    if (!is_assert) {
-      st = Status::NotFound("retract of a triple that is not live");
-    } else if (at >= kChrononNow) {
-      st = Status::InvalidArgument("event time must be a finite chronon");
-    } else if (at < last_time_) {
-      st = Status::InvalidArgument("transaction time must be nondecreasing");
-    }
-  } else {
-    st = ValidateLocked(is_assert, t, at);
+  Status st = CheckTimeLocked(at);
+  if (st.ok() && !any_new_term) {
+    st = ValidateLocked(is_assert, t);
+  } else if (st.ok() && !is_assert) {
+    // A triple containing a never-seen term cannot be live.
+    st = Status::NotFound("retract of a triple that is not live");
   }
   if (!st.ok()) {
     mu_.Unlock();
@@ -481,7 +478,7 @@ uint64_t LiveStore::delta_backlog() const {
 // Checkpointing
 
 void LiveStore::MaybeSignalCheckpointLocked() {
-  if (options_.background_checkpoints && options_.checkpoint_after_deltas > 0 &&
+  if (options_.checkpoint_after_deltas > 0 &&
       (head_ ? head_->total() : 0) >= options_.checkpoint_after_deltas) {
     cv_.SignalAll();
   }

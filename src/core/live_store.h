@@ -47,13 +47,10 @@ struct LiveStoreOptions {
   /// writer lock across its own fsync (the classic non-grouped
   /// discipline, the bench baseline).
   bool group_commit = true;
-  /// Fold the log into a new checkpoint snapshot once this many deltas
-  /// accumulated since the last one. 0 disables automatic checkpoints
-  /// (Checkpoint() is always available).
+  /// Fold the log into a new checkpoint snapshot, on a background
+  /// thread, once this many deltas accumulated since the last one. 0
+  /// disables automatic checkpoints (Checkpoint() is always available).
   uint64_t checkpoint_after_deltas = 0;
-  /// Run automatic checkpoints on a background thread instead of never;
-  /// requires checkpoint_after_deltas > 0.
-  bool background_checkpoints = false;
 };
 
 /// Points during Checkpoint() where the test fault hook fires, in
@@ -138,9 +135,12 @@ class LiveStore {
   Status Write(bool is_assert, const std::string_view* terms, Triple t,
                Chronon at);
 
-  /// Time + liveness validation of one delta. REQUIRES(mu_).
-  Status ValidateLocked(bool is_assert, const Triple& t, Chronon at)
-      REQUIRES(mu_);
+  /// Rejects a non-finite or backdated write time; every write checks
+  /// this first. REQUIRES(mu_).
+  Status CheckTimeLocked(Chronon at) const REQUIRES(mu_);
+  /// Term-id and liveness validation of a delta over known terms.
+  /// REQUIRES(mu_).
+  Status ValidateLocked(bool is_assert, const Triple& t) REQUIRES(mu_);
   /// Current liveness of `t`: overlay map first, base graph fallback
   /// (memoized). REQUIRES(mu_).
   bool IsLiveLocked(const Triple& t) REQUIRES(mu_);

@@ -49,23 +49,19 @@ Status RdfTx::Finish() {
 }
 
 Status RdfTx::BuildDerivedState() {
-  if (options_.enable_optimizer) {
-    catalog_.Build(staged_);
-    // Raw-data size estimate for the histogram's 10% cap: five values
-    // per temporal triple.
-    const size_t raw_bytes = staged_.size() * sizeof(TemporalTriple);
-    histogram_ = std::make_unique<optimizer::TemporalHistogram>(
-        &catalog_, staged_, raw_bytes, options_.histogram);
-    optimizer_ = std::make_unique<optimizer::QueryOptimizer>(
-        &catalog_, histogram_.get());
-  }
+  catalog_.Build(staged_);
+  // Raw-data size estimate for the histogram's 10% cap: five values per
+  // temporal triple.
+  const size_t raw_bytes = staged_.size() * sizeof(TemporalTriple);
+  histogram_ = std::make_unique<optimizer::TemporalHistogram>(
+      &catalog_, staged_, raw_bytes, options_.histogram);
+  optimizer_ = std::make_unique<optimizer::QueryOptimizer>(&catalog_,
+                                                            histogram_.get());
   staged_.clear();
   staged_.shrink_to_fit();
   engine_ = std::make_unique<engine::QueryEngine>(
       &graph_, &dict_, engine::EngineOptions{.now = options_.now});
-  if (optimizer_ != nullptr) {
-    engine_->set_join_order_provider(optimizer_->AsProvider());
-  }
+  engine_->set_join_order_provider(optimizer_->AsProvider());
   finished_ = true;
   return Status::OK();
 }

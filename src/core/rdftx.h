@@ -31,9 +31,6 @@ namespace rdftx {
 struct RdfTxOptions {
   TemporalGraphOptions graph;
   optimizer::HistogramOptions histogram;
-  /// Install the cost-based join-order optimizer (paper §6). Off falls
-  /// back to the engine's greedy order.
-  bool enable_optimizer = true;
   /// "now" used by LENGTH over live facts; 0 = latest event in the data.
   Chronon now = 0;
 };

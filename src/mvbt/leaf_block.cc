@@ -321,10 +321,6 @@ bool LeafBlock::FindLive(const Key3& key, Entry* out, size_t* decoded) const {
   return found;
 }
 
-void LeafBlock::Visit(const std::function<bool(const Entry&)>& fn) const {
-  VisitWith([&fn](const Entry& e) { return fn(e); });
-}
-
 std::vector<Entry> LeafBlock::Decode() const {
   if (!compressed_) return plain_;
   std::vector<Entry> entries;

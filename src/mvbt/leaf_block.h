@@ -17,13 +17,11 @@
 // Visitation is devirtualized: VisitWith() is a template that decodes
 // the compressed stream entry-by-entry through an inline Cursor, so scan
 // callers pay no per-entry std::function dispatch and early exits stop
-// decoding immediately instead of materializing the block first (the
-// std::function Visit() overload remains as a thin boundary wrapper).
+// decoding immediately instead of materializing the block first.
 #ifndef RDFTX_MVBT_LEAF_BLOCK_H_
 #define RDFTX_MVBT_LEAF_BLOCK_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -284,9 +282,6 @@ class LeafBlock {
       if (!fn(e)) return;
     }
   }
-
-  /// Type-erased visitation for boundary callers; forwards to VisitWith.
-  void Visit(const std::function<bool(const Entry&)>& fn) const;
 
   /// Copies all entries out in append order.
   std::vector<Entry> Decode() const;

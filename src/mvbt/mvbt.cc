@@ -34,13 +34,17 @@ KeyRange UnionRange(const KeyRange& x, const KeyRange& y) {
 // approximating the cache's own list/map node cost.
 constexpr size_t kCacheEntryOverhead = 96;
 
+// Lock shards of the decoded-leaf cache, so concurrent readers of
+// different leaves rarely share a mutex.
+constexpr size_t kLeafCacheShards = 8;
+
 }  // namespace
 
 Mvbt::Mvbt(const MvbtOptions& options) : options_(options) {
   options_.block_capacity = std::max<size_t>(8, options_.block_capacity);
   if (options_.leaf_cache_bytes > 0) {
     leaf_cache_ = std::make_unique<LeafCache>(options_.leaf_cache_bytes,
-                                              options_.leaf_cache_shards);
+                                              kLeafCacheShards);
   }
   const size_t b = options_.block_capacity;
   weak_min_ = std::max<size_t>(2, b / 5);
@@ -793,7 +797,7 @@ Status Mvbt::ValidateNode(const Node* node, const KeyRange& range,
     }
     size_t live = 0;
     Status st = Status::OK();
-    node->block.Visit([&](const Entry& e) {
+    node->block.VisitWith([&](const Entry& e) {
       if (e.live()) ++live;
       if (!node->range.Contains(e.key)) {
         st = Status::Corruption("leaf entry key out of range");

@@ -53,8 +53,6 @@ struct MvbtOptions {
   /// Byte budget of the decoded-leaf cache, which holds decoded Entry
   /// vectors of hot dead compressed leaves. 0 disables the cache.
   size_t leaf_cache_bytes = 0;
-  /// Shard count of the decoded-leaf cache (clamped to a power of two).
-  size_t leaf_cache_shards = 8;
 };
 
 /// Structure-change and size counters, exposed for tests and benches.

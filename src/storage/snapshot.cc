@@ -294,7 +294,6 @@ Status ParseIndex(ByteReader r, uint32_t expected_order,
   opts.compress_leaves = meta.compress_leaves;
   opts.zone_maps = meta.zone_maps;
   opts.leaf_cache_bytes = cache_opts.leaf_cache_bytes;
-  opts.leaf_cache_shards = cache_opts.leaf_cache_shards;
   auto tree = std::make_unique<Mvbt>(opts);
   RDFTX_RETURN_IF_ERROR(tree->BeginRestore());
 

@@ -20,11 +20,6 @@ uint64_t Rng::Uniform(uint64_t n) {
   return Next() % n;
 }
 
-uint64_t Rng::UniformRange(uint64_t lo, uint64_t hi) {
-  assert(lo <= hi);
-  return lo + Uniform(hi - lo + 1);
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);
 }

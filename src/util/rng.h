@@ -21,9 +21,6 @@ class Rng {
   /// Uniform in [0, n); n must be > 0.
   uint64_t Uniform(uint64_t n);
 
-  /// Uniform in [lo, hi] inclusive.
-  uint64_t UniformRange(uint64_t lo, uint64_t hi);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

@@ -239,6 +239,29 @@ TEST(LiveStoreTest, RejectedWritesLeaveNoTrace) {
   fs::remove_all(dir);
 }
 
+TEST(LiveStoreTest, BackdatedWritesFailTheSameWithOrWithoutNewTerms) {
+  const std::string dir = TempDir("rdftx_live_backdated");
+  auto store = LiveStore::OpenOrRecover(dir);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Assert("alice", "knows", "bob", 20).ok());
+  ASSERT_TRUE((*store)->Retract("alice", "knows", "bob", 30).ok());
+
+  // Same backdated assert, over known terms and with a never-seen one.
+  const Status known = (*store)->Assert("alice", "knows", "bob", 10);
+  const Status fresh = (*store)->Assert("alice", "knows", "carol", 10);
+  EXPECT_EQ(known.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.code(), known.code());
+  EXPECT_EQ(fresh.message(), known.message());
+
+  // Time is checked before liveness, so a backdated retract of a
+  // never-live triple is a time error too.
+  const Status retract = (*store)->Retract("alice", "knows", "dave", 10);
+  EXPECT_EQ(retract.code(), known.code());
+  EXPECT_EQ(retract.message(), known.message());
+  EXPECT_EQ((*store)->LookupTerm("carol"), kInvalidTerm);
+  fs::remove_all(dir);
+}
+
 TEST(LiveStoreTest, CheckpointFoldsLogAndCleansSegments) {
   const std::string dir = TempDir("rdftx_live_ckpt");
   Rng rng(44);
@@ -605,7 +628,6 @@ TEST(LiveStoreTest, BackgroundCheckpointerFoldsTheBacklog) {
   const std::string dir = TempDir("rdftx_live_bg");
   LiveStoreOptions options;
   options.checkpoint_after_deltas = 32;
-  options.background_checkpoints = true;
   Rng rng(47);
   const auto events = RandomEvents(&rng, 160);
   {

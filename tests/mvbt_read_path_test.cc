@@ -247,8 +247,7 @@ TEST(MvbtReadPath, CacheBudgetIsEnforced) {
   // must hold regardless.
   Mvbt cached(MvbtOptions{.block_capacity = 8,
                           .compress_leaves = true,
-                          .leaf_cache_bytes = 2048,
-                          .leaf_cache_shards = 1});
+                          .leaf_cache_bytes = 2048});
   Mvbt uncached(MvbtOptions{.block_capacity = 8, .compress_leaves = true});
   Churn(&cached, &uncached, 31);
 
@@ -274,8 +273,7 @@ TEST(MvbtReadPath, ConcurrentCachedScansAreRaceFree) {
   // the assertions below check exact accounting, not a hit rate.)
   Mvbt tree(MvbtOptions{.block_capacity = 8,
                         .compress_leaves = true,
-                        .leaf_cache_bytes = 64u << 10,
-                        .leaf_cache_shards = 4});
+                        .leaf_cache_bytes = 64u << 10});
   Churn(&tree, nullptr, 37, 2500);
 
   const KeyRange all{kKeyMin, kKeyMax};

@@ -29,19 +29,6 @@ TEST(RdfTxTest, PaperDateFormatAccepted) {
   EXPECT_EQ(r->rows[0][0].time.Start(), ChrononFromYmd(2008, 6, 16));
 }
 
-TEST(RdfTxTest, OptimizerCanBeDisabled) {
-  RdfTxOptions options;
-  options.enable_optimizer = false;
-  RdfTx db(options);
-  ASSERT_TRUE(db.Add("a", "p", "x", "2010-01-01", "now").ok());
-  ASSERT_TRUE(db.Add("a", "q", "y", "2010-01-01", "now").ok());
-  ASSERT_TRUE(db.Finish().ok());
-  EXPECT_EQ(db.query_optimizer(), nullptr);
-  auto r = db.Query("SELECT ?o1 ?o2 { a p ?o1 ?t . a q ?o2 ?t }");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows.size(), 1u);
-}
-
 TEST(RdfTxTest, ParseErrorsSurfaceFromQuery) {
   RdfTx db;
   ASSERT_TRUE(db.Finish().ok());

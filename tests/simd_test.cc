@@ -1,4 +1,4 @@
-// Tests for util/simd.h: the active backend (avx2/sse2/neon/scalar)
+// Tests for util/simd.h: the active backend (sse2, or scalar off x86)
 // must agree with the simd::scalar reference on randomized inputs,
 // including lengths that are not multiples of the vector width so the
 // remainder-tail lanes are exercised.
@@ -14,7 +14,7 @@ namespace rdftx::simd {
 namespace {
 
 // Lengths chosen to hit empty input, sub-vector, exact multiples of
-// every lane width in use (2/4/8), and ragged tails across word
+// every lane width in use (2/4), and ragged tails across word
 // boundaries of the 64-bit mask.
 constexpr size_t kLengths[] = {0,  1,  2,  3,  4,   5,   7,   8,   9,
                                15, 16, 17, 31, 63,  64,  65,  100, 127,
@@ -53,8 +53,14 @@ void ExpectMasksEqual(const MaskBuf& got, const MaskBuf& want, size_t n,
 }
 
 TEST(SimdTest, BackendIsNamed) {
-  // Smoke: the dispatch picked something.
-  EXPECT_STRNE(kBackend, "");
+  // Every x86-64 build must pick SSE2: a broken #if would fall back to
+  // the scalar loops silently, and those cost about a quarter of
+  // live-ingest query p50.
+#if defined(__x86_64__) || defined(_M_X64)
+  EXPECT_STREQ(kBackend, "sse2");
+#else
+  EXPECT_STREQ(kBackend, "scalar");
+#endif
 }
 
 TEST(SimdTest, OverlapMaskMatchesScalar) {
@@ -134,29 +140,6 @@ TEST(SimdTest, AndColEqMask64MatchesScalar) {
   }
 }
 
-TEST(SimdTest, AndRangeMask64MatchesScalar) {
-  Rng rng(45);
-  for (size_t n : kLengths) {
-    for (int iter = 0; iter < 8; ++iter) {
-      auto col = RandomU64(&rng, n, 1000);
-      // Mix in values with the top bit set: unsigned-compare trap.
-      for (auto& v : col) {
-        if (rng.Bernoulli(0.25)) v |= 0x8000000000000000ull;
-      }
-      uint64_t lo = rng.Next();
-      uint64_t hi = rng.Next();
-      if (lo > hi) std::swap(lo, hi);
-      MaskBuf got(n), want(n);
-      for (size_t w = 0; w < MaskWords(n); ++w) {
-        got.words[w] = want.words[w] = rng.Next();
-      }
-      AndRangeMask64(col.data(), n, lo, hi, got.data());
-      scalar::AndRangeMask64(col.data(), n, lo, hi, want.data());
-      ExpectMasksEqual(got, want, n, "AndRangeMask64");
-    }
-  }
-}
-
 TEST(SimdTest, MaskToSelectionMatchesScalar) {
   Rng rng(46);
   for (size_t n : kLengths) {
@@ -207,7 +190,7 @@ TEST(SimdTest, Gather64MatchesScalar) {
     std::vector<uint64_t> got(n + 1, 0xCAFEBABEull);
     std::vector<uint64_t> want(n + 1, 0xCAFEBABEull);
     Gather64(src.data(), sel.data(), n, got.data());
-    scalar::Gather64(src.data(), sel.data(), n, want.data());
+    for (size_t i = 0; i < n; ++i) want[i] = src[sel[i]];
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "i=" << i << " n=" << n;
     }
@@ -224,7 +207,7 @@ TEST(SimdTest, Gather32MatchesScalar) {
     std::vector<uint32_t> got(n + 1, 0xCAFEBABEu);
     std::vector<uint32_t> want(n + 1, 0xCAFEBABEu);
     Gather32(src.data(), sel.data(), n, got.data());
-    scalar::Gather32(src.data(), sel.data(), n, want.data());
+    for (size_t i = 0; i < n; ++i) want[i] = src[sel[i]];
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "i=" << i << " n=" << n;
     }
