@@ -8,9 +8,15 @@
 // With k patterns there are k! left-deep orders; we enumerate all of
 // them up to 4 patterns and sample 48 random orders beyond that (the
 // paper's testbed enumerated all plans; sampling preserves the spread).
+// choose_share is optimization / (optimization + chosen plan) time.
+//
+// Every order must succeed and return the chosen order's rows (compared
+// as sorted row fingerprints); the bench exits 1 otherwise.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "workload/query_gen.h"
@@ -29,7 +35,9 @@ int main() {
 
   PrintSeriesHeader("Fig 10(a): optimizer effectiveness in Wikipedia",
                     {"patterns", "best_plan_ms", "worst_plan_ms",
-                     "rdftx_plan_ms", "optimization_ms", "plans_tried"});
+                     "rdftx_plan_ms", "optimization_ms", "choose_share",
+                     "plans_tried"});
+  int failures = 0;
   for (int size = 3; size <= 7; ++size) {
     double best_sum = 0, worst_sum = 0, chosen_sum = 0, opt_sum = 0;
     int plans_tried = 0;
@@ -45,20 +53,32 @@ int main() {
                         chosen = bundle->optimizer->ChooseOrder(*cq);
                       }) *
                       1000.0;
-      auto time_plan = [&](const std::vector<int>& order) {
-        // One warm-up + two measured runs. Plan validity is covered by the
-        // engine tests; a failure here just times an early return.
-        // status-ignored: timing harness, correctness checked elsewhere.
-        eng.ExecutePlan(*parsed, order).IgnoreError();
+      // One checked warm-up run, then two measured runs. `rows` gets
+      // the warm-up's canonical rows; false when the plan fails.
+      auto time_plan = [&](const std::vector<int>& order,
+                           std::vector<std::string>* rows, double* ms) {
+        auto warm = eng.ExecutePlan(*parsed, order);
+        if (!warm.ok()) {
+          std::fprintf(stderr, "PLAN FAILED: %s\n%s\n",
+                       warm.status().ToString().c_str(), text.c_str());
+          return false;
+        }
+        *rows = CanonicalRows(*warm);
         double s = TimeSeconds([&] {
-          // status-ignored: same measured plan as the warm-up above.
+          // status-ignored: the warm-up above checked this plan.
           eng.ExecutePlan(*parsed, order).IgnoreError();
-          // status-ignored: same measured plan as the warm-up above.
+          // status-ignored: the warm-up above checked this plan.
           eng.ExecutePlan(*parsed, order).IgnoreError();
         });
-        return s * 1000.0 / 2.0;
+        *ms = s * 1000.0 / 2.0;
+        return true;
       };
-      double chosen_ms = time_plan(chosen);
+      std::vector<std::string> chosen_rows;
+      double chosen_ms = 0.0;
+      if (!time_plan(chosen, &chosen_rows, &chosen_ms)) {
+        ++failures;
+        continue;
+      }
 
       // Alternative orders.
       std::vector<std::vector<int>> orders;
@@ -80,7 +100,19 @@ int main() {
       }
       double best = chosen_ms, worst = chosen_ms;
       for (const auto& order : orders) {
-        double ms = time_plan(order);
+        std::vector<std::string> rows;
+        double ms = 0.0;
+        if (!time_plan(order, &rows, &ms)) {
+          ++failures;
+          continue;
+        }
+        if (rows != chosen_rows) {
+          std::fprintf(stderr,
+                       "ROW MISMATCH: %zu rows vs %zu for the chosen order\n"
+                       "%s\n",
+                       rows.size(), chosen_rows.size(), text.c_str());
+          ++failures;
+        }
         best = std::min(best, ms);
         worst = std::max(worst, ms);
         ++plans_tried;
@@ -94,7 +126,12 @@ int main() {
     if (k == 0) continue;
     PrintSeriesRow({std::to_string(size), Fmt(best_sum / k),
                     Fmt(worst_sum / k), Fmt(chosen_sum / k),
-                    Fmt(opt_sum / k), std::to_string(plans_tried)});
+                    Fmt(opt_sum / k), Fmt(opt_sum / (opt_sum + chosen_sum)),
+                    std::to_string(plans_tried)});
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "%d plan failures or row mismatches\n", failures);
+    return 1;
   }
   return 0;
 }

@@ -336,56 +336,45 @@ void Cmvsbt::Seal() {
               return a.ts < b.ts;
             });
   entries_.shrink_to_fit();
-  leaves_ = 1;
-  while (leaves_ < entries_.size()) leaves_ *= 2;
-  max_span_end_.assign(2 * leaves_, 0);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    max_span_end_[leaves_ + i] = SpanEnd(entries_[i]);
-  }
-  for (size_t j = leaves_ - 1; j >= 1; --j) {
-    max_span_end_[j] =
-        std::max(max_span_end_[2 * j], max_span_end_[2 * j + 1]);
-  }
 }
 
-double Cmvsbt::QueryExact(uint64_t k, Chronon t) const {
+void Cmvsbt::QueryExact(std::span<const uint64_t> keys, Chronon t,
+                        std::span<double> out) const {
   assert(sealed_);
+  assert(out.size() == keys.size());
+  assert(std::is_sorted(keys.begin(), keys.end()));
   // Only entries with ks <= k <= SpanEnd can make Query(k, t) and
   // Query(k - 1, t) differ; every other entry adds the same to both.
-  // They lie in the ks-sorted prefix [0, limit) and are found by
-  // descending the max-SpanEnd tree, pruning subtrees that end below k.
-  const size_t limit = static_cast<size_t>(
-      std::upper_bound(entries_.begin(), entries_.end(), k,
-                       [](uint64_t key, const Entry& e) {
-                         return key < e.ks;
-                       }) -
-      entries_.begin());
-  struct Node {
-    size_t id, first, width;  // tree node covering [first, first+width)
+  // Of those, entries not alive at t add exactly 0.0 to both. The sweep
+  // keeps the rest in `active`, in entries_ order: an entry joins when
+  // the keys reach its ks and leaves once they pass its SpanEnd.
+  struct Active {
+    const Entry* e;
+    uint64_t span_end;
   };
-  Node stack[64];  // depth-first: at most one pending sibling per level
-  size_t depth = 0;
-  stack[depth++] = Node{1, 0, leaves_};
-  double hi = 0.0, lo = 0.0;
-  while (depth > 0) {
-    const Node n = stack[--depth];
-    if (n.first >= limit || max_span_end_[n.id] < k) continue;
-    if (n.width == 1) {
-      const Entry& e = entries_[n.first];
-      hi += Contribution(e, k, t);
-      if (k > 0) lo += Contribution(e, k - 1, t);
-      continue;
+  std::vector<Active> active;
+  size_t next = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t k = keys[i];
+    for (; next < entries_.size() && entries_[next].ks <= k; ++next) {
+      const Entry& e = entries_[next];
+      if (t < e.ts || t >= e.te) continue;
+      const uint64_t span_end = SpanEnd(e);
+      if (span_end >= k) active.push_back({&e, span_end});
     }
-    const size_t half = n.width / 2;
-    stack[depth++] = Node{2 * n.id + 1, n.first + half, half};
-    stack[depth++] = Node{2 * n.id, n.first, half};
+    std::erase_if(active, [k](const Active& a) { return a.span_end < k; });
+    double hi = 0.0, lo = 0.0;
+    for (const Active& a : active) {
+      hi += Contribution(*a.e, k, t);
+      if (k > 0) lo += Contribution(*a.e, k - 1, t);
+    }
+    out[i] = std::max(0.0, hi - lo);
   }
-  return std::max(0.0, hi - lo);
 }
 
 size_t Cmvsbt::MemoryUsage() const {
   return (entries_.capacity() + live_.capacity()) * sizeof(Entry) +
-         max_span_end_.capacity() * sizeof(uint64_t) + sizeof(*this);
+         sizeof(*this);
 }
 
 }  // namespace rdftx::mvsbt

@@ -14,14 +14,14 @@
 // Like MVSBT, points must arrive in nondecreasing time order, which the
 // transaction-time setting guarantees.
 //
-// Once every point is in, Seal() freezes the tree and indexes the
-// rectangles by the key span over which each can change a prefix count,
-// so an exact-key query visits only the few rectangles that can tell
-// key k apart from key k-1 instead of the whole tree.
+// Once every point is in, Seal() freezes the tree and sorts the
+// rectangles by key, so exact-key queries for a batch of ascending keys
+// are answered together in one sweep over the rectangles.
 #ifndef RDFTX_MVSBT_CMVSBT_H_
 #define RDFTX_MVSBT_CMVSBT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/date.h"
@@ -47,7 +47,7 @@ class Cmvsbt {
   /// into a sealed tree is an error (aborts).
   void Insert(uint64_t key, Chronon t);
 
-  /// Ends insertion and builds the point-query index QueryExact needs.
+  /// Ends insertion and sorts the rectangles by key for QueryExact.
   /// Call exactly once, after the last Insert.
   void Seal();
 
@@ -55,9 +55,13 @@ class Cmvsbt {
   /// scan over every rectangle; the reference QueryExact must agree with.
   double Query(uint64_t k, Chronon t) const;
 
-  /// Estimated number of points with key == k and time <= t
-  /// (Query(k, t) - Query(k - 1, t), clamped to >= 0). Requires Seal().
-  double QueryExact(uint64_t k, Chronon t) const;
+  /// For every i, out[i] = estimated number of points with key ==
+  /// keys[i] and time <= t (Query(k, t) - Query(k - 1, t), clamped to
+  /// >= 0). `keys` must be ascending (repeats allowed) and `out` as long
+  /// as `keys`. One sweep over the rectangles answers the whole batch.
+  /// Requires Seal().
+  void QueryExact(std::span<const uint64_t> keys, Chronon t,
+                  std::span<double> out) const;
 
   size_t entry_count() const { return entries_.size() + live_.size(); }
   size_t point_count() const { return points_; }
@@ -98,14 +102,12 @@ class Cmvsbt {
   Chronon last_time_ = 0;
   // Before Seal(): frozen entries in any order, and the live column
   // tiling sorted by ks. After Seal(): every entry in entries_, sorted
-  // by ks, and live_ empty.
+  // by (ks, ts), and live_ empty.
   std::vector<Entry> entries_;
   std::vector<Entry> live_;
   bool sealed_ = false;
-  // Max-SpanEnd segment tree over the sealed entries_: leaf i (at
-  // leaves_ + i) holds SpanEnd(entries_[i]), node j the max of 2j, 2j+1.
-  size_t leaves_ = 0;
-  std::vector<uint64_t> max_span_end_;
+
+  friend class CmvsbtPeer;  // tests read rectangle time bounds
 };
 
 }  // namespace rdftx::mvsbt

@@ -17,16 +17,24 @@ void BulkInsert(mvsbt::Cmvsbt* tree, std::vector<Point>* points) {
   for (const Point& p : *points) tree->Insert(p.key, p.t);
 }
 
-// Records alive somewhere in [t1, t2) = started by t2-1 minus ended at
-// or before t1 (§6.3 query reduction).
-double RangeCount(const mvsbt::Cmvsbt& starts, const mvsbt::Cmvsbt& ends,
-                  uint64_t key, const Interval& window) {
-  if (window.empty()) return 0.0;
+// out[i] = records of key keys[i] alive somewhere in [t1, t2) = started
+// by t2-1 minus ended at or before t1 (§6.3 query reduction). `keys`
+// ascending; one sweep per tree.
+void RangeCounts(const mvsbt::Cmvsbt& starts, const mvsbt::Cmvsbt& ends,
+                 std::span<const uint64_t> keys, const Interval& window,
+                 std::span<double> out) {
+  if (window.empty()) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
   const Chronon border =
       window.end == kChrononNow ? kChrononMax : window.end - 1;
-  double started = starts.QueryExact(key, border);
-  double ended = window.start == 0 ? 0.0 : ends.QueryExact(key, window.start);
-  return std::max(0.0, started - ended);
+  starts.QueryExact(keys, border, out);
+  std::vector<double> ended(keys.size(), 0.0);
+  if (window.start != 0) ends.QueryExact(keys, window.start, ended);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = std::max(0.0, out[i] - ended[i]);
+  }
 }
 
 mvsbt::CmvsbtOptions TreeOptions(const HistogramOptions& options,
@@ -76,6 +84,11 @@ TemporalHistogram::TemporalHistogram(
   occ_keys_.erase(std::unique(occ_keys_.begin(), occ_keys_.end()),
                   occ_keys_.end());
   occ_keys_.shrink_to_fit();
+  occ_first_.assign(catalog_->set_count() + 1, 0);
+  for (const auto& [cs, p] : occ_keys_) ++occ_first_[cs + 1];
+  for (size_t cs = 1; cs < occ_first_.size(); ++cs) {
+    occ_first_[cs] += occ_first_[cs - 1];
+  }
   for (const TemporalTriple& tt : triples) {
     CharSetId cs = catalog_->SetOf(tt.triple.s);
     if (cs == kNoCharSet) continue;
@@ -107,37 +120,59 @@ TemporalHistogram::TemporalHistogram(
 }
 
 uint64_t TemporalHistogram::DenseOccKey(CharSetId cs, TermId p) const {
-  const std::pair<CharSetId, TermId> composite(cs, p);
-  auto it = std::lower_bound(occ_keys_.begin(), occ_keys_.end(), composite);
-  if (it == occ_keys_.end() || *it != composite) return ~0ull;
+  if (static_cast<size_t>(cs) + 1 >= occ_first_.size()) return ~0ull;
+  const auto first = occ_keys_.begin() + occ_first_[cs];
+  const auto last = occ_keys_.begin() + occ_first_[cs + 1];
+  auto it = std::lower_bound(
+      first, last, p, [](const std::pair<CharSetId, TermId>& composite,
+                         TermId pred) { return composite.second < pred; });
+  if (it == last || it->second != p) return ~0ull;
   return static_cast<uint64_t>(it - occ_keys_.begin());
 }
 
-double TemporalHistogram::EstimateOccurrences(CharSetId cs, TermId p,
-                                              const Interval& window) const {
-  uint64_t key = DenseOccKey(cs, p);
-  if (key == ~0ull) return 0.0;
-  return RangeCount(occ_starts_, occ_ends_, key, window);
+void TemporalHistogram::EstimateOccurrences(std::span<const CharSetId> sets,
+                                            TermId p, const Interval& window,
+                                            std::span<double> out) const {
+  // Dense keys ascend with the set id for a fixed predicate; a set that
+  // never held `p` has no key and estimates 0.
+  std::vector<uint64_t> keys;
+  std::vector<size_t> slots;
+  keys.reserve(sets.size());
+  slots.reserve(sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    const uint64_t key = DenseOccKey(sets[i], p);
+    out[i] = 0.0;
+    if (key == ~0ull) continue;
+    keys.push_back(key);
+    slots.push_back(i);
+  }
+  std::vector<double> counts(keys.size());
+  RangeCounts(occ_starts_, occ_ends_, keys, window, counts);
+  for (size_t j = 0; j < slots.size(); ++j) out[slots[j]] = counts[j];
 }
 
-double TemporalHistogram::EstimateSubjects(CharSetId cs,
-                                           const Interval& window) const {
-  return RangeCount(subj_starts_, subj_ends_, cs, window);
+void TemporalHistogram::EstimateSubjects(std::span<const CharSetId> sets,
+                                         const Interval& window,
+                                         std::span<double> out) const {
+  const std::vector<uint64_t> keys(sets.begin(), sets.end());
+  RangeCounts(subj_starts_, subj_ends_, keys, window, out);
 }
 
 double TemporalHistogram::EstimatePredicateTriples(
     TermId p, const Interval& window) const {
+  const std::vector<CharSetId>& sets = catalog_->SetsWithPredicate(p);
+  std::vector<double> occurrences(sets.size());
+  EstimateOccurrences(sets, p, window, occurrences);
   double total = 0.0;
-  for (CharSetId cs : catalog_->SetsWithPredicate(p)) {
-    total += EstimateOccurrences(cs, p, window);
-  }
+  for (double n : occurrences) total += n;
   return total;
 }
 
 size_t TemporalHistogram::MemoryUsage() const {
   return subj_starts_.MemoryUsage() + subj_ends_.MemoryUsage() +
          occ_starts_.MemoryUsage() + occ_ends_.MemoryUsage() +
-         occ_keys_.capacity() * sizeof(occ_keys_[0]);
+         occ_keys_.capacity() * sizeof(occ_keys_[0]) +
+         occ_first_.capacity() * sizeof(occ_first_[0]);
 }
 
 }  // namespace rdftx::optimizer

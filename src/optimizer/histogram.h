@@ -7,6 +7,7 @@
 #ifndef RDFTX_OPTIMIZER_HISTOGRAM_H_
 #define RDFTX_OPTIMIZER_HISTOGRAM_H_
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,13 +36,18 @@ class TemporalHistogram {
                     const std::vector<TemporalTriple>& triples,
                     size_t raw_bytes, HistogramOptions options = {});
 
-  /// Estimated occurrences of predicate `p` in characteristic set `cs`
-  /// on triples alive somewhere in `window`.
-  double EstimateOccurrences(CharSetId cs, TermId p,
-                             const Interval& window) const;
+  /// out[i] = estimated occurrences of predicate `p` in characteristic
+  /// set sets[i] on triples alive somewhere in `window`. `sets` must be
+  /// ascending and `out` as long as `sets`. One sweep of each tree of
+  /// the start/end pair answers the whole batch.
+  void EstimateOccurrences(std::span<const CharSetId> sets, TermId p,
+                           const Interval& window,
+                           std::span<double> out) const;
 
-  /// Estimated number of distinct subjects of `cs` alive in `window`.
-  double EstimateSubjects(CharSetId cs, const Interval& window) const;
+  /// out[i] = estimated number of distinct subjects of sets[i] alive in
+  /// `window`. Same batch contract as EstimateOccurrences.
+  void EstimateSubjects(std::span<const CharSetId> sets,
+                        const Interval& window, std::span<double> out) const;
 
   /// Estimated triples with predicate `p` alive in `window` (summed over
   /// every characteristic set containing `p`).
@@ -62,6 +68,9 @@ class TemporalHistogram {
   Chronon horizon_ = 0;  // substitute for `now` on live records
   // Every (cs, p) composite seen, sorted; an index is the dense key.
   std::vector<std::pair<CharSetId, TermId>> occ_keys_;
+  // occ_keys_[occ_first_[cs], occ_first_[cs + 1]) are the composites of
+  // set cs.
+  std::vector<uint32_t> occ_first_;
 };
 
 }  // namespace rdftx::optimizer

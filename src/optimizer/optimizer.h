@@ -39,10 +39,15 @@ class QueryOptimizer {
   engine::JoinOrderProvider AsProvider() const;
 
  private:
+  /// Every histogram count one call's estimates read (optimizer.cc).
+  struct Table;
+
+  /// EstimatePattern, reading counts from `table`.
+  double PatternCard(const engine::CompiledPattern& cp, Table* table) const;
   /// EstimateSubsetCard given every pattern's EstimatePattern in `scan`
-  /// (only the entries in `mask` are read).
+  /// (only the entries in `mask` are read) and counts from `table`.
   double SubsetCard(const engine::CompiledQuery& cq, uint32_t mask,
-                    const std::vector<double>& scan) const;
+                    const std::vector<double>& scan, Table* table) const;
   double DistinctOfVar(const engine::CompiledPattern& cp, int slot) const;
   double JoinSelectivity(const engine::CompiledQuery& cq, uint32_t mask,
                          int next) const;

@@ -3,12 +3,35 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
 
 namespace rdftx::mvsbt {
+
+// Reads the sealed rectangles' time ranges, so tests can query at the
+// times where a rectangle starts or stops being alive.
+class CmvsbtPeer {
+ public:
+  static std::vector<std::pair<Chronon, Chronon>> TimeRanges(
+      const Cmvsbt& tree) {
+    std::vector<std::pair<Chronon, Chronon>> out;
+    for (const Cmvsbt::Entry& e : tree.entries_) out.emplace_back(e.ts, e.te);
+    return out;
+  }
+};
+
 namespace {
+
+// QueryExact for a batch of one key.
+double ExactOne(const Cmvsbt& tree, uint64_t k, Chronon t) {
+  double out = 0.0;
+  tree.QueryExact(std::span(&k, 1), t, std::span(&out, 1));
+  return out;
+}
 
 struct Pt {
   uint64_t key;
@@ -147,8 +170,8 @@ TEST(CmvsbtTest, QueryExactDifferencing) {
   tree.Insert(5, 2);
   tree.Insert(7, 3);
   tree.Seal();
-  double a = tree.QueryExact(5, 10);
-  double b = tree.QueryExact(7, 10);
+  double a = ExactOne(tree, 5, 10);
+  double b = ExactOne(tree, 7, 10);
   EXPECT_GE(a, 0.0);
   EXPECT_GE(b, 0.0);
   EXPECT_NEAR(tree.Query(UINT64_MAX, 10), 3.0, 1e-9);
@@ -157,35 +180,57 @@ TEST(CmvsbtTest, QueryExactDifferencing) {
   EXPECT_LT(tree.Query(2, 10), 1.5);
 }
 
-// The sealed index must visit exactly the rectangles that matter: its
+// The sealed sweep must sum exactly the rectangles that matter: its
 // QueryExact equals differencing the linear Query, everywhere.
-class CmvsbtSealedTest : public ::testing::TestWithParam<uint32_t> {};
+class CmvsbtSealedTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  static constexpr uint64_t kKeys = 300;
+
+  // Inserts the same points into a size-capped tree (small enough that
+  // both Compact and CompactLive run) and an uncapped one, then seals
+  // both. Returns the insert times; `last` gets the final one.
+  std::vector<Chronon> Build(Rng* rng, Cmvsbt* capped, Cmvsbt* uncapped,
+                             Chronon* last) {
+    auto insert = [&](uint64_t key, Chronon at) {
+      capped->Insert(key, at);
+      uncapped->Insert(key, at);
+    };
+    std::vector<Chronon> times;
+    Chronon t = 1;
+    for (int i = 0; i < 6000; ++i) {
+      t += static_cast<Chronon>(rng->Uniform(3));
+      // A skewed key mix: hot keys split columns down to single keys.
+      insert(rng->Uniform(4) == 0 ? rng->Uniform(8) : rng->Uniform(kKeys),
+             t);
+      times.push_back(t);
+    }
+    // A same-timestamp burst across the key range.
+    t += 5;
+    for (uint64_t k = 0; k < kKeys; k += 3) insert(k, t);
+    times.push_back(t);
+    capped->Seal();
+    uncapped->Seal();
+    *last = t;
+    return times;
+  }
+
+  static double LinearExact(const Cmvsbt& tree, uint64_t k, Chronon t) {
+    return std::max(
+        0.0, tree.Query(k, t) - (k == 0 ? 0.0 : tree.Query(k - 1, t)));
+  }
+
+  // Keys past the largest inserted key.
+  static constexpr uint64_t kPastEnd[] = {kKeys * 1000, UINT64_MAX - 1,
+                                          UINT64_MAX};
+};
 
 TEST_P(CmvsbtSealedTest, QueryExactMatchesLinearDifference) {
   const uint32_t cm = GetParam();
-  constexpr uint64_t kKeys = 300;
   Rng rng(40 + cm);
-  // A small budget makes both Compact (frozen) and CompactLive (live
-  // columns) run during the inserts.
   Cmvsbt tree(CmvsbtOptions{.cm = cm, .max_entries = 64});
   Cmvsbt uncapped(CmvsbtOptions{.cm = cm});
-  auto insert = [&](uint64_t key, Chronon at) {
-    tree.Insert(key, at);
-    uncapped.Insert(key, at);
-  };
-  std::vector<Chronon> times;
-  Chronon t = 1;
-  for (int i = 0; i < 6000; ++i) {
-    t += static_cast<Chronon>(rng.Uniform(3));
-    // A skewed key mix: hot keys split columns down to single keys.
-    insert(rng.Uniform(4) == 0 ? rng.Uniform(8) : rng.Uniform(kKeys), t);
-    times.push_back(t);
-  }
-  // A same-timestamp burst across the key range.
-  t += 5;
-  for (uint64_t k = 0; k < kKeys; k += 3) insert(k, t);
-  times.push_back(t);
-  tree.Seal();
+  Chronon t = 0;
+  const std::vector<Chronon> times = Build(&rng, &tree, &uncapped, &t);
   ASSERT_LT(tree.entry_count(), uncapped.entry_count());
   const double total = static_cast<double>(tree.point_count());
   const double tol = 1e-9 * std::max(1.0, total);
@@ -201,13 +246,63 @@ TEST_P(CmvsbtSealedTest, QueryExactMatchesLinearDifference) {
   // plus keys past the largest inserted key.
   std::vector<uint64_t> keys;
   for (uint64_t k = 0; k <= kKeys + 2; ++k) keys.push_back(k);
-  keys.insert(keys.end(), {kKeys * 1000, UINT64_MAX - 1, UINT64_MAX});
+  keys.insert(keys.end(), std::begin(kPastEnd), std::end(kPastEnd));
   for (Chronon qt : query_times) {
     for (uint64_t k : keys) {
-      const double want = std::max(
-          0.0, tree.Query(k, qt) - (k == 0 ? 0.0 : tree.Query(k - 1, qt)));
-      ASSERT_NEAR(tree.QueryExact(k, qt), want, tol)
+      ASSERT_NEAR(ExactOne(tree, k, qt), LinearExact(tree, k, qt), tol)
           << "cm=" << cm << " k=" << k << " t=" << qt;
+    }
+  }
+}
+
+// A batch answers each key exactly as its one-key batch does, at the
+// times where sampled rectangles start, end, and are last alive.
+TEST_P(CmvsbtSealedTest, BatchEqualsOneKeyBatches) {
+  const uint32_t cm = GetParam();
+  Rng rng(70 + cm);
+  Cmvsbt capped(CmvsbtOptions{.cm = cm, .max_entries = 64});
+  Cmvsbt uncapped(CmvsbtOptions{.cm = cm});
+  Chronon last = 0;
+  Build(&rng, &capped, &uncapped, &last);
+  const double tol = 1e-9 * static_cast<double>(capped.point_count());
+
+  // Ascending batches: every key of the domain plus the keys past it,
+  // and random draws with repeats, each holding key 0 and a key past
+  // the last rectangle.
+  std::vector<std::vector<uint64_t>> batches(1);
+  for (uint64_t k = 0; k <= kKeys + 2; ++k) batches[0].push_back(k);
+  batches[0].insert(batches[0].end(), std::begin(kPastEnd),
+                    std::end(kPastEnd));
+  for (int b = 0; b < 3; ++b) {
+    std::vector<uint64_t> batch = {0, kPastEnd[b]};
+    for (int i = 0; i < 40; ++i) {
+      const uint64_t k = rng.Uniform(kKeys + 3);
+      batch.push_back(k);
+      if (i % 4 == 0) batch.push_back(k);  // a repeat
+    }
+    std::sort(batch.begin(), batch.end());
+    batches.push_back(std::move(batch));
+  }
+
+  for (const Cmvsbt* tree : {&capped, &uncapped}) {
+    const auto ranges = CmvsbtPeer::TimeRanges(*tree);
+    std::vector<Chronon> query_times = {0, last, kChrononMax};
+    for (int i = 0; i < 12; ++i) {
+      const auto& [ts, te] = ranges[rng.Uniform(ranges.size())];
+      query_times.insert(query_times.end(), {ts, te - 1, te});
+    }
+    for (Chronon qt : query_times) {
+      for (const std::vector<uint64_t>& batch : batches) {
+        std::vector<double> out(batch.size(), -1.0);
+        tree->QueryExact(batch, qt, out);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const uint64_t k = batch[i];
+          ASSERT_EQ(out[i], ExactOne(*tree, k, qt))
+              << "cm=" << cm << " k=" << k << " t=" << qt;
+          ASSERT_NEAR(out[i], LinearExact(*tree, k, qt), tol)
+              << "cm=" << cm << " k=" << k << " t=" << qt;
+        }
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 // concurrently without locks: its histogram is immutable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
@@ -149,7 +150,7 @@ TEST(EngineConcurrencyTest, SharedOptimizerPlansMatchSerial) {
       &catalog, data.triples, data.triples.size() * sizeof(TemporalTriple));
   const optimizer::QueryOptimizer shared(&catalog, &histogram);
 
-  // Mixed 1-5 pattern queries: selections, joins, complex 3-5.
+  // Mixed 1-7 pattern queries: selections, joins, complex 3-7.
   Rng rng(21);
   std::vector<std::string> texts =
       workload::MakeSelectionQueries(data, dict, 6, &rng);
@@ -157,22 +158,41 @@ TEST(EngineConcurrencyTest, SharedOptimizerPlansMatchSerial) {
     texts.push_back(std::move(q));
   }
   for (auto& [size, qs] :
-       workload::MakeComplexQueries(data, dict, 3, 5, 3, &rng)) {
+       workload::MakeComplexQueries(data, dict, 3, 7, 3, &rng)) {
     texts.insert(texts.end(), qs.begin(), qs.end());
   }
   std::vector<sparqlt::Query> parsed;  // compiled queries point into these
   parsed.reserve(texts.size());
   std::vector<CompiledQuery> queries;
-  std::vector<std::vector<int>> expected;
+  // Serial answers: the order, each pattern's estimate, and the
+  // estimate of the whole query.
+  struct Serial {
+    std::vector<int> order;
+    std::vector<double> patterns;
+    double full = 0.0;
+  };
+  std::vector<Serial> expected;
+  auto estimate = [&shared](const CompiledQuery& cq) {
+    Serial out{shared.ChooseOrder(cq), {}, 0.0};
+    for (const auto& cp : cq.patterns) {
+      out.patterns.push_back(shared.EstimatePattern(cp));
+    }
+    const uint32_t full = (1u << cq.patterns.size()) - 1;
+    out.full = shared.EstimateSubsetCard(cq, full);
+    return out;
+  };
   for (const std::string& text : texts) {
     auto q = sparqlt::Parse(text);
     ASSERT_TRUE(q.ok()) << text;
     parsed.push_back(std::move(q).value());
     auto cq = Compile(parsed.back(), dict);
     ASSERT_TRUE(cq.ok()) << text;
-    expected.push_back(shared.ChooseOrder(*cq));
+    expected.push_back(estimate(*cq));
     queries.push_back(std::move(cq).value());
   }
+  ASSERT_TRUE(std::any_of(queries.begin(), queries.end(), [](const auto& cq) {
+    return cq.patterns.size() == 7;
+  }));
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -181,7 +201,11 @@ TEST(EngineConcurrencyTest, SharedOptimizerPlansMatchSerial) {
     threads.emplace_back([&, tid] {
       for (int i = 0; i < kQueriesPerThread; ++i) {
         const size_t qi = (tid + i) % queries.size();
-        if (shared.ChooseOrder(queries[qi]) != expected[qi]) {
+        const Serial got = estimate(queries[qi]);
+        // Exact comparison: the same table fill on every thread.
+        if (got.order != expected[qi].order ||
+            got.patterns != expected[qi].patterns ||
+            got.full != expected[qi].full) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "core/rdftx.h"
 #include "rdf/temporal_graph.h"
@@ -31,23 +32,27 @@ class OptimizerFixture : public ::testing::Test {
       Chronon t = t0;
       for (int v = 0; v < 6; ++v) {
         Chronon end = t + 100 + static_cast<Chronon>(rng.Uniform(200));
-        ASSERT_TRUE(db_.Add(subject, "common", term("c", rng.Uniform(50)),
-                            Interval(t, end))
-                        .ok());
+        AddFact(subject, "common", term("c", rng.Uniform(50)),
+                Interval(t, end));
         t = end;
       }
       // Entities also carry a "name" fact (static).
-      ASSERT_TRUE(db_.Add(subject, "name", term("n", s),
-                          Interval(t0, kChrononNow))
-                      .ok());
+      AddFact(subject, "name", term("n", s), Interval(t0, kChrononNow));
       // Only a few entities have the "rare" predicate.
       if (s < 5) {
-        ASSERT_TRUE(db_.Add(subject, "rare", term("r", s),
-                            Interval(t0 + 50, t0 + 400))
-                        .ok());
+        AddFact(subject, "rare", term("r", s), Interval(t0 + 50, t0 + 400));
       }
     }
     ASSERT_TRUE(db_.Finish().ok());
+  }
+
+  // Adds a fact to db_ and records it, encoded, in triples_.
+  void AddFact(const std::string& s, const std::string& p,
+               const std::string& o, Interval iv) {
+    ASSERT_TRUE(db_.Add(s, p, o, iv).ok());
+    Dictionary* dict = db_.dictionary();
+    triples_.push_back(
+        {{dict->Intern(s), dict->Intern(p), dict->Intern(o)}, iv});
   }
 
   Result<CompiledQuery> CompileText(const std::string& text) {
@@ -59,6 +64,7 @@ class OptimizerFixture : public ::testing::Test {
 
   RdfTx db_;
   sparqlt::Query query_;
+  std::vector<TemporalTriple> triples_;
 };
 
 TEST_F(OptimizerFixture, SinglePatternCardinalities) {
@@ -114,6 +120,24 @@ TEST_F(OptimizerFixture, StarJoinUsesCharacteristicSets) {
   EXPECT_GT(est, 1.0);
 }
 
+// The star formula counts in the intersection of its patterns' windows,
+// even when one call also needs a predicate under its own wider window.
+TEST_F(OptimizerFixture, StarCountsInTheIntersectedWindow) {
+  const QueryOptimizer* opt = db_.query_optimizer();
+  auto star = [&](const std::string& filter) {
+    auto cq = CompileText("SELECT ?s { ?s common ?o1 ?t1 . ?s rare ?o2 ?t2 " +
+                          filter + " }");
+    EXPECT_TRUE(cq.ok()) << cq.status().ToString();
+    return opt->EstimateSubsetCard(*cq, 0b11);
+  };
+  const double one = star(". FILTER(?t1 >= 2011-03-01)");
+  const double both =
+      star(". FILTER(?t1 >= 2011-03-01 && ?t2 >= 2011-03-01)");
+  const double all = star("");
+  EXPECT_EQ(one, both);
+  EXPECT_NE(one, all);
+}
+
 TEST_F(OptimizerFixture, ChoosesSelectivePatternFirst) {
   const QueryOptimizer* opt = db_.query_optimizer();
   auto cq = CompileText(
@@ -164,6 +188,45 @@ TEST_F(OptimizerFixture, OptimizedQueryReturnsSameResults) {
   };
   EXPECT_EQ(canon(*with_opt), canon(*without));
   EXPECT_FALSE(with_opt->rows.empty());
+}
+
+// The optimizer's histogram, rebuilt from the fixture's facts: a batch
+// of sets answers each set exactly as its one-set batch does.
+TEST_F(OptimizerFixture, HistogramBatchesEqualOneSetBatches) {
+  CharSetCatalog catalog;
+  catalog.Build(triples_);
+  TemporalHistogram hist(&catalog, triples_,
+                         triples_.size() * sizeof(TemporalTriple));
+  std::vector<CharSetId> sets(catalog.set_count());
+  for (CharSetId cs = 0; cs < sets.size(); ++cs) sets[cs] = cs;
+  std::vector<TermId> preds;
+  for (const char* name : {"common", "name", "rare"}) {
+    preds.push_back(db_.dictionary()->Intern(name));
+  }
+  const Chronon t0 = ChrononFromYmd(2010, 1, 1);
+  for (const Interval& window :
+       {Interval::All(), Interval(t0 + 60, t0 + 300),
+        Interval(t0 + 500, kChrononNow)}) {
+    std::vector<double> subjects(sets.size());
+    hist.EstimateSubjects(sets, window, subjects);
+    for (size_t i = 0; i < sets.size(); ++i) {
+      double one = -1.0;
+      hist.EstimateSubjects(std::span(&sets[i], 1), window,
+                            std::span(&one, 1));
+      EXPECT_EQ(subjects[i], one) << "set " << sets[i];
+    }
+    for (TermId p : preds) {
+      std::vector<double> occurrences(sets.size());
+      hist.EstimateOccurrences(sets, p, window, occurrences);
+      for (size_t i = 0; i < sets.size(); ++i) {
+        double one = -1.0;
+        hist.EstimateOccurrences(std::span(&sets[i], 1), p, window,
+                                 std::span(&one, 1));
+        EXPECT_EQ(occurrences[i], one) << "set " << sets[i] << " p " << p;
+      }
+    }
+  }
+  EXPECT_GT(hist.EstimatePredicateTriples(preds[0], Interval::All()), 0.0);
 }
 
 TEST(HistogramTest, SizeCapIsEnforced) {
@@ -263,10 +326,15 @@ TEST(HistogramTest, TimeVaryingSubjectAndOccurrenceCounts) {
   TemporalHistogram hist(&catalog, triples, 1 << 20,
                          HistogramOptions{.cm = 4});
   CharSetId cs = catalog.SetOf(1);
-  double early = hist.EstimateSubjects(cs, Interval(0, 100));
-  double late = hist.EstimateSubjects(cs, Interval(200, 300));
-  double gap = hist.EstimateSubjects(cs, Interval(120, 180));
-  double all = hist.EstimateSubjects(cs, Interval::All());
+  auto subjects = [&](const Interval& window) {
+    double out = 0.0;
+    hist.EstimateSubjects(std::span(&cs, 1), window, std::span(&out, 1));
+    return out;
+  };
+  double early = subjects(Interval(0, 100));
+  double late = subjects(Interval(200, 300));
+  double gap = subjects(Interval(120, 180));
+  double all = subjects(Interval::All());
   EXPECT_NEAR(early, 50.0, 15.0);
   EXPECT_NEAR(late, 50.0, 15.0);
   EXPECT_LT(gap, 15.0);

@@ -109,8 +109,13 @@ TEST(ColumnarEntriesTest, DecodeColumnarMatchesDecode) {
   for (bool compress : {false, true}) {
     mvbt::LeafBlock block;
     std::vector<mvbt::Entry> entries;
+    // LeafBlock::Append requires nondecreasing start times.
+    std::vector<Chronon> starts;
     for (int i = 0; i < 200; ++i) {
-      const Chronon s = static_cast<Chronon>(rng.Uniform(1000));
+      starts.push_back(static_cast<Chronon>(rng.Uniform(1000)));
+    }
+    std::sort(starts.begin(), starts.end());
+    for (Chronon s : starts) {
       mvbt::Entry e{{rng.Uniform(50) + 1, rng.Uniform(20) + 1,
                      rng.Uniform(100) + 1},
                     s, s + 1 + static_cast<Chronon>(rng.Uniform(500))};
