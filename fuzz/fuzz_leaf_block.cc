@@ -82,27 +82,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         shadow.push_back(e);
         break;
       }
-      case 3: {  // close a live entry picked from the shadow
+      case 3: {  // close a live slot picked from the shadow
         std::vector<size_t> live;
         for (size_t i = 0; i < shadow.size(); ++i) {
           if (shadow[i].live()) live.push_back(i);
         }
-        Chronon te = t + in.U8() % 3;
-        Key3 key = live.empty()
-                       ? Key3{in.U8(), in.U8(), in.U8()}
-                       : shadow[live[in.Pick(live.size())]].key;
-        const bool got = block.CloseEntry(key, te);
-        // Shadow semantics: close the live entry with this key, if any.
-        bool want = false;
-        for (Entry& e : shadow) {
-          if (e.live() && e.key == key) {
-            e.end = te;
-            want = true;
-            break;
-          }
-        }
-        RDFTX_FUZZ_CHECK(got == want, "CloseEntry: block=%d shadow=%d",
-                         got ? 1 : 0, want ? 1 : 0);
+        if (live.empty()) break;
+        const size_t slot = live[in.Pick(live.size())];
+        const Chronon te = t + in.U8() % 3;
+        block.CloseAt(slot, te);
+        shadow[slot].end = te;
         t = te;
         break;
       }
@@ -128,24 +117,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         std::erase_if(shadow, [](const Entry& e) { return e.start == e.end; });
         break;
       }
-      case 6: {  // FindLive cross-check on an arbitrary key
-        Key3 key = shadow.empty()
-                       ? Key3{in.U8(), in.U8(), in.U8()}
-                       : shadow[in.Pick(shadow.size())].key;
-        Entry found;
-        const bool got = block.FindLive(key, &found);
-        const Entry* want = nullptr;
-        for (const Entry& e : shadow) {
-          if (e.live() && e.key == key) {
-            want = &e;
-            break;
-          }
-        }
-        RDFTX_FUZZ_CHECK(got == (want != nullptr), "FindLive: block=%d",
-                         got ? 1 : 0);
-        if (want != nullptr) {
-          RDFTX_FUZZ_CHECK(found == *want, "FindLive returned wrong entry");
-        }
+      case 6: {  // EntryAt cross-check on an arbitrary slot
+        if (shadow.empty()) break;
+        const size_t slot = in.Pick(shadow.size());
+        RDFTX_FUZZ_CHECK(block.EntryAt(slot) == shadow[slot],
+                         "EntryAt(%zu) differs from the shadow", slot);
         break;
       }
       case 7: {  // flip representation

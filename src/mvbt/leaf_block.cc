@@ -68,7 +68,7 @@ KeyDelta PickDelta(uint64_t value, uint64_t neighbor, uint64_t base) {
 
 // Encodes one entry against explicit references and appends its bytes to
 // `out`. The encoding depends only on (e, prev, base, ref_te, first) —
-// the property CloseEntry's byte splice relies on: re-encoding entry i
+// the property CloseAt's byte splice relies on: re-encoding entry i
 // with a new end version leaves every later entry's bytes unchanged,
 // because their key/start deltas reference entry i's key and start (not
 // its end) and their te deltas reference entry 0's ref_te.
@@ -188,47 +188,21 @@ void LeafBlock::DecodeInto(std::vector<Entry>* out) const {
   assert(cur.byte_pos() == bytes_.size());
 }
 
-bool LeafBlock::CloseEntry(const Key3& key, Chronon te, size_t* decoded) {
-  if (!compressed_) {
-    if (decoded != nullptr) *decoded = 0;  // plain blocks decode nothing
-    // Scan from the back: the live entry for a key is unique and recent
-    // inserts cluster at the end.
-    for (auto it = plain_.rbegin(); it != plain_.rend(); ++it) {
-      if (it->live() && it->key == key) {
-        it->end = te;
-        return true;
-      }
-    }
-    return false;
-  }
-  // The live entry for a key is unique per block, so the first live match
-  // of a forward streaming scan is the entry to close; the decode stops
-  // there instead of materializing the block.
+Entry LeafBlock::EntryAt(size_t i) const {
+  assert(i < count_);
+  if (!compressed_) return plain_[i];
   Cursor cur(*this);
-  Entry prev{Key3{}, 0, 0};
-  Entry base{Key3{}, 0, 0};
-  Chronon ref_te = 0;
   Entry e;
-  size_t i = 0;
-  size_t entry_begin = 0;
-  bool found = false;
-  while (true) {
-    entry_begin = cur.byte_pos();
-    if (!cur.Next(&e)) break;
-    if (i == 0) {
-      base = e;
-      ref_te = base.end == kChrononNow ? base.start : base.end;
-    }
-    if (e.live() && e.key == key) {
-      found = true;
-      break;
-    }
-    prev = e;
-    ++i;
-  }
-  if (!found) {
-    if (decoded != nullptr) *decoded = cur.decoded();
-    return false;
+  for (size_t k = 0; k <= i; ++k) cur.Next(&e);
+  return e;
+}
+
+void LeafBlock::CloseAt(size_t i, Chronon te) {
+  assert(i < count_);
+  if (!compressed_) {
+    assert(plain_[i].live());
+    plain_[i].end = te;
+    return;
   }
   if (i == 0) {
     // Entry 0 is the block base: its end version is the te-delta reference
@@ -237,15 +211,25 @@ bool LeafBlock::CloseEntry(const Key3& key, Chronon te, size_t* decoded) {
     DecodeInto(&entries);
     entries[0].end = te;
     ReencodeAll(entries);
-    if (decoded != nullptr) *decoded = count_;
-    return true;
+    return;
   }
+  Cursor cur(*this);
+  Entry prev;
+  Entry e;
+  size_t entry_begin = 0;
+  for (size_t k = 0; k <= i; ++k) {
+    prev = e;
+    entry_begin = cur.byte_pos();
+    cur.Next(&e);
+  }
+  assert(e.live());
   // Splice: only entry i's bytes change (see EncodeEntryBytes), so the
   // suffix after it is reused verbatim.
   Entry closed = e;
   closed.end = te;
   std::vector<uint8_t> enc;
-  EncodeEntryBytes(closed, prev, base, ref_te, /*first=*/false, &enc, nullptr);
+  EncodeEntryBytes(closed, prev, base_, RefTe(), /*first=*/false, &enc,
+                   nullptr);
   const size_t entry_end = cur.byte_pos();
   std::vector<uint8_t> nb;
   nb.reserve(bytes_.size() - (entry_end - entry_begin) + enc.size());
@@ -256,8 +240,6 @@ bool LeafBlock::CloseEntry(const Key3& key, Chronon te, size_t* decoded) {
             bytes_.end());
   bytes_ = std::move(nb);
   if (i == count_ - 1) checkpoint_.last = closed;
-  if (decoded != nullptr) *decoded = cur.decoded();
-  return true;
 }
 
 void LeafBlock::CapLiveEntries(Chronon t, std::vector<Key3>* extracted) {
@@ -294,31 +276,6 @@ void LeafBlock::PurgeEmptyEntries() {
     return;
   }
   ReencodeAll(entries);
-}
-
-bool LeafBlock::FindLive(const Key3& key, Entry* out, size_t* decoded) const {
-  if (!compressed_) {
-    if (decoded != nullptr) *decoded = 0;  // plain blocks decode nothing
-    for (const Entry& e : plain_) {
-      if (e.live() && e.key == key) {
-        *out = e;
-        return true;
-      }
-    }
-    return false;
-  }
-  Cursor cur(*this);
-  Entry e;
-  bool found = false;
-  while (cur.Next(&e)) {
-    if (e.live() && e.key == key) {
-      *out = e;
-      found = true;
-      break;
-    }
-  }
-  if (decoded != nullptr) *decoded = cur.decoded();
-  return found;
 }
 
 std::vector<Entry> LeafBlock::Decode() const {

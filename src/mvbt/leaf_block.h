@@ -9,10 +9,12 @@
 // Entries are appended in nondecreasing start-version order, which the
 // MVBT guarantees (transaction-time updates). A checkpoint — the byte
 // offset and decoded values of the last entry — lets appends run without
-// rescanning the block (§4.2.2). Closing an entry (deletion) decodes up
-// to the matched entry and splices its re-encoded bytes in place; only a
-// close of the block base (entry 0) re-encodes the whole block, because
-// the base's end version is the te-delta reference of every later entry.
+// rescanning the block (§4.2.2). The block never searches by key: the
+// MVBT's live-leaf directory knows which slot holds a live key, so point
+// access is by slot. Closing slot i (deletion) decodes up to it and
+// splices its re-encoded bytes in place; only a close of the block base
+// (entry 0) re-encodes the whole block, because the base's end version is
+// the te-delta reference of every later entry.
 //
 // Visitation is devirtualized: VisitWith() is a template that decodes
 // the compressed stream entry-by-entry through an inline Cursor, so scan
@@ -157,12 +159,15 @@ class LeafBlock {
   /// Appends an entry; `e.start` must be >= the last appended start.
   void Append(const Entry& e);
 
-  /// Sets the end version of the live entry with `key` to `te`.
-  /// Returns false if no live entry with that key exists. On compressed
-  /// blocks the scan stops at the match and splices the re-encoded entry
-  /// into the byte stream; `decoded` (optional) receives the number of
-  /// entries decoded, which tests use to assert the early exit.
-  bool CloseEntry(const Key3& key, Chronon te, size_t* decoded = nullptr);
+  /// The entry in slot `i` (append order); `i < count()`. Compressed
+  /// blocks decode slots 0..i through a Cursor.
+  Entry EntryAt(size_t i) const;
+
+  /// Sets the end version of the live entry in slot `i` to `te`. On
+  /// compressed blocks slots 0..i are decoded and slot i's re-encoded
+  /// bytes are spliced into the stream; closing slot 0 re-encodes the
+  /// whole block.
+  void CloseAt(size_t i, Chronon te);
 
   /// Version-split support: caps every live entry at `t` in this block and
   /// appends the capped entries' keys to `extracted`. Single pass.
@@ -171,11 +176,6 @@ class LeafBlock {
   /// Drops entries with empty intervals (start == end); used by the
   /// same-version in-place reorganization.
   void PurgeEmptyEntries();
-
-  /// Returns the live entry with `key` via `out`; false on miss. Stops
-  /// decoding at the match (live entries are unique per key). `decoded`
-  /// (optional) receives the number of entries decoded.
-  bool FindLive(const Key3& key, Entry* out, size_t* decoded = nullptr) const;
 
   /// Streaming decoder over the compressed byte stream. Decodes one
   /// entry per Next() with no allocation, so early exits never pay for

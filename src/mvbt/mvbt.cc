@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+
+#include "util/simd.h"
 
 namespace rdftx::mvbt {
 namespace {
@@ -56,6 +59,7 @@ Mvbt::Mvbt(const MvbtOptions& options) : options_(options) {
   roots_.push_back(RootEntry{0, kChrononNow, root});
   live_root_ = root;
   stats_.roots = 1;
+  IndexLiveLeaf(root);
 }
 
 Mvbt::Node* Mvbt::NewNode(bool is_leaf, Chronon created,
@@ -73,24 +77,50 @@ Mvbt::Node* Mvbt::NewNode(bool is_leaf, Chronon created,
   return n;
 }
 
-Mvbt::Node* Mvbt::DescendLive(const Key3& key) const {
-  Node* n = live_root_;
-  while (!n->is_leaf) {
-    Node* next = nullptr;
-    Key3 best{};
-    bool found = false;
-    for (const IndexEntry& e : n->entries) {
-      if (!e.live() || e.min_key > key) continue;
-      if (!found || e.min_key >= best) {
-        best = e.min_key;
-        next = e.child;
-        found = true;
-      }
-    }
-    assert(found && "live routing entries must partition the key space");
-    n = next;
+uint16_t Mvbt::KeyFingerprint(const Key3& key) {
+  // Multiplication carries low-bit differences (neighbouring term ids)
+  // into the top bits, which are the ones kept.
+  uint64_t h = key.a * 0x9E3779B97F4A7C15ull;
+  h = (h ^ key.b) * 0xC2B2AE3D27D4EB4Full;
+  h = (h ^ key.c) * 0x165667B19E3779F9ull;
+  const auto fp = static_cast<uint16_t>(h >> 48);
+  return fp == 0 ? 1 : fp;
+}
+
+Mvbt::LiveLeafMap::iterator Mvbt::LiveLeafOf(const Key3& key) {
+  auto it = live_leaves_.upper_bound(key);
+  assert(it != live_leaves_.begin() && "live leaves partition the key space");
+  return std::prev(it);
+}
+
+Mvbt::LiveLeafMap::const_iterator Mvbt::LiveLeafOf(const Key3& key) const {
+  auto it = live_leaves_.upper_bound(key);
+  assert(it != live_leaves_.begin() && "live leaves partition the key space");
+  return std::prev(it);
+}
+
+size_t Mvbt::FindLiveSlot(const LiveLeaf& leaf, const Key3& key) {
+  // Closed slots hold fingerprint 0, which no key hashes to, so a hit
+  // whose slot holds `key` is the key's live entry (unique per leaf).
+  const uint16_t fp = KeyFingerprint(key);
+  const uint16_t* fps = leaf.fingerprints.data();
+  const size_t n = leaf.fingerprints.size();
+  for (size_t i = simd::FindEq16(fps, n, fp, 0); i < n;
+       i = simd::FindEq16(fps, n, fp, i + 1)) {
+    if (leaf.node->block.EntryAt(i).key == key) return i;
   }
-  return n;
+  return kNoSlot;
+}
+
+void Mvbt::IndexLiveLeaf(Node* leaf) {
+  LiveLeaf& ll = live_leaves_[leaf->range.lo];
+  ll.node = leaf;
+  ll.fingerprints.clear();
+  ll.fingerprints.reserve(options_.block_capacity + 1);
+  leaf->block.VisitWith([&](const Entry& e) {
+    ll.fingerprints.push_back(e.live() ? KeyFingerprint(e.key) : 0);
+    return true;
+  });
 }
 
 Status Mvbt::Insert(const Key3& key, Chronon t) {
@@ -101,12 +131,13 @@ Status Mvbt::Insert(const Key3& key, Chronon t) {
     return Status::InvalidArgument("version beyond temporal domain");
   }
   last_time_ = t;
-  Node* leaf = DescendLive(key);
-  Entry existing;
-  if (leaf->block.FindLive(key, &existing)) {
+  const auto it = LiveLeafOf(key);
+  if (FindLiveSlot(it->second, key) != kNoSlot) {
     return Status::AlreadyExists("key is live: " + key.ToString());
   }
+  Node* leaf = it->second.node;
   leaf->block.Append(Entry{key, t, kChrononNow});
+  it->second.fingerprints.push_back(KeyFingerprint(key));
   ++leaf->live_count;
   ++live_size_;
   if (leaf->block.count() > options_.block_capacity) {
@@ -119,11 +150,18 @@ Status Mvbt::Erase(const Key3& key, Chronon t) {
   if (t < last_time_) {
     return Status::InvalidArgument("versions must be nondecreasing");
   }
+  if (t > kChrononMax) {
+    return Status::InvalidArgument("version beyond temporal domain");
+  }
   last_time_ = t;
-  Node* leaf = DescendLive(key);
-  if (!leaf->block.CloseEntry(key, t)) {
+  const auto it = LiveLeafOf(key);
+  const size_t slot = FindLiveSlot(it->second, key);
+  if (slot == kNoSlot) {
     return Status::NotFound("key not live: " + key.ToString());
   }
+  Node* leaf = it->second.node;
+  leaf->block.CloseAt(slot, t);
+  it->second.fingerprints[slot] = 0;
   --leaf->live_count;
   --live_size_;
   if (leaf != live_root_ && leaf->live_count < weak_min_) {
@@ -178,6 +216,7 @@ void Mvbt::MaybeCompressDeadLeaf(Node* leaf) {
 
 void Mvbt::RestructureLeaf(Node* leaf, Chronon t, bool try_merge) {
   ++stats_.version_splits;
+  live_leaves_.erase(leaf->range.lo);
   std::vector<Key3> keys;
   leaf->block.CapLiveEntries(t, &keys);
   leaf->live_count = 0;
@@ -195,6 +234,7 @@ void Mvbt::RestructureLeaf(Node* leaf, Chronon t, bool try_merge) {
     strong_exempt = sib == nullptr || sib->live_count < weak_min_;
     if (sib != nullptr) {
       ++stats_.merges;
+      live_leaves_.erase(sib->range.lo);
       sib->block.CapLiveEntries(t, &keys);
       sib->live_count = 0;
       sib->dead = t;
@@ -229,6 +269,7 @@ void Mvbt::RestructureLeaf(Node* leaf, Chronon t, bool try_merge) {
     n->strong_exempt = strong_exempt;
     AttachBacklinks(n, leaf);
     if (sib != nullptr) AttachBacklinks(n, sib);
+    IndexLiveLeaf(n);
   }
 
   if (leaf->parent == nullptr) {
@@ -313,6 +354,7 @@ void Mvbt::InPlaceSplitLeaf(Node* leaf, Chronon t) {
     // new composition but exempt it from the strong condition bounds.
     leaf->created_live = leaf->live_count;
     leaf->strong_exempt = true;
+    IndexLiveLeaf(leaf);  // the purge moved the slots
     return;
   }
 
@@ -344,6 +386,8 @@ void Mvbt::InPlaceSplitLeaf(Node* leaf, Chronon t) {
   sib->created_live = sib->live_count;
   leaf->strong_exempt = false;
   sib->strong_exempt = false;
+  IndexLiveLeaf(leaf);
+  IndexLiveLeaf(sib);
 
   if (leaf->parent == nullptr) {
     // A root split at creation version: hoist a fresh inner root above
@@ -621,10 +665,10 @@ util::CacheCounters Mvbt::leaf_cache_counters() const {
 }
 
 bool Mvbt::FindLive(const Key3& key, Chronon* start) const {
-  Node* leaf = DescendLive(key);
-  Entry e;
-  if (!leaf->block.FindLive(key, &e)) return false;
-  *start = e.start;
+  const auto it = LiveLeafOf(key);
+  const size_t slot = FindLiveSlot(it->second, key);
+  if (slot == kNoSlot) return false;
+  *start = it->second.node->block.EntryAt(slot).start;
   return true;
 }
 
@@ -665,6 +709,7 @@ Status Mvbt::BeginRestore() {
   }
   arena_.clear();
   roots_.clear();
+  live_leaves_.clear();
   live_root_ = nullptr;
   stats_ = MvbtStats{};
   return Status::OK();
@@ -715,6 +760,11 @@ Status Mvbt::FinishRestore(const std::vector<SnapshotRoot>& roots,
   }
   if (live != live_size_) {
     return Status::Corruption("restored live size disagrees with leaves");
+  }
+  // Validate() below rejects a directory that differs from the leaves
+  // of the live tree (e.g. an alive leaf the live tree cannot reach).
+  for (Node& n : arena_) {
+    if (n.is_leaf && n.alive()) IndexLiveLeaf(&n);
   }
   RDFTX_RETURN_IF_ERROR(CheckChildGraphAcyclic());
   return Validate();
@@ -908,7 +958,46 @@ Status Mvbt::Validate() const {
       RDFTX_RETURN_IF_ERROR(ValidateNode(&n, n.range));
     }
   }
-  return ValidateNode(live_root_, live_root_->range);
+  RDFTX_RETURN_IF_ERROR(ValidateNode(live_root_, live_root_->range));
+  return ValidateLiveLeaves();
+}
+
+Status Mvbt::ValidateLiveLeaves() const {
+  // ValidateNode has checked that the live routers tile every live inner
+  // node, so this walk reaches each live leaf exactly once.
+  size_t leaves = 0;
+  std::vector<const Node*> stack{live_root_};
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    if (!n->is_leaf) {
+      for (const IndexEntry& e : n->entries) {
+        if (e.live()) stack.push_back(e.child);
+      }
+      continue;
+    }
+    ++leaves;
+    const auto it = live_leaves_.find(n->range.lo);
+    if (it == live_leaves_.end() || it->second.node != n) {
+      return Status::Corruption("live leaf missing from live-leaf directory");
+    }
+    const std::vector<uint16_t>& fps = it->second.fingerprints;
+    if (fps.size() != n->block.count()) {
+      return Status::Corruption("live-leaf fingerprint count mismatch");
+    }
+    size_t slot = 0;
+    bool match = true;
+    n->block.VisitWith([&](const Entry& e) {
+      match = fps[slot++] == (e.live() ? KeyFingerprint(e.key) : 0);
+      return match;
+    });
+    if (!match) return Status::Corruption("live-leaf fingerprint mismatch");
+  }
+  if (leaves != live_leaves_.size()) {
+    return Status::Corruption(
+        "live-leaf directory holds a leaf outside the live tree");
+  }
+  return Status::OK();
 }
 
 }  // namespace rdftx::mvbt

@@ -19,12 +19,18 @@
 // Leaf nodes carry backward links to their temporal predecessors, which
 // the link-based range-interval scan of van den Bercken & Seeger (VLDB
 // 1996) follows from the query rectangle's right border (paper §5.2.1).
+//
+// Updates do not descend the live tree. A live-leaf directory, ordered by
+// each live leaf's range.lo, finds the leaf covering a key in O(log n),
+// and a 16-bit fingerprint per leaf slot finds the key's live slot,
+// reading only the slots whose fingerprint matches (see DESIGN.md §4).
 #ifndef RDFTX_MVBT_MVBT_H_
 #define RDFTX_MVBT_MVBT_H_
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -75,10 +81,12 @@ class Mvbt {
   Mvbt& operator=(const Mvbt&) = delete;
 
   /// Inserts `key` as live at version `t`. Versions must be
-  /// nondecreasing. Fails with AlreadyExists if `key` is live.
+  /// nondecreasing and within the temporal domain. Fails with
+  /// AlreadyExists if `key` is live.
   Status Insert(const Key3& key, Chronon t);
 
   /// Logically deletes `key` at version `t` (sets its end version).
+  /// Versions must be nondecreasing and within the temporal domain.
   /// Fails with NotFound if `key` is not live.
   Status Erase(const Key3& key, Chronon t);
 
@@ -155,8 +163,15 @@ class Mvbt {
   /// Returns the number of leaves compressed.
   size_t CompressAllLeaves(CompressionStats* stats = nullptr);
 
-  /// Structural invariant check for tests.
+  /// Structural invariant check for tests. Also checks that the
+  /// live-leaf directory holds exactly the live leaves and that every
+  /// fingerprint matches its slot.
   Status Validate() const;
+
+  /// The live-leaf directory's fingerprint of a live slot holding `key`;
+  /// never 0, which marks a closed slot. Public so tests can construct
+  /// colliding keys.
+  static uint16_t KeyFingerprint(const Key3& key);
 
   const MvbtStats& stats() const { return stats_; }
   const MvbtOptions& options() const { return options_; }
@@ -318,8 +333,26 @@ class Mvbt {
     Node* node = nullptr;
   };
 
+  /// A live leaf and one fingerprint per block slot: KeyFingerprint of
+  /// the slot's key while its entry is live, 0 once it is closed.
+  struct LiveLeaf {
+    Node* node = nullptr;
+    std::vector<uint16_t> fingerprints;
+  };
+  using LiveLeafMap = std::map<Key3, LiveLeaf>;
+
+  static constexpr size_t kNoSlot = SIZE_MAX;
+
   Node* NewNode(bool is_leaf, Chronon created, const KeyRange& range);
-  Node* DescendLive(const Key3& key) const;
+
+  // Live-leaf directory.
+  LiveLeafMap::iterator LiveLeafOf(const Key3& key);
+  LiveLeafMap::const_iterator LiveLeafOf(const Key3& key) const;
+  /// Slot of the live entry with `key` in `leaf`, or kNoSlot.
+  static size_t FindLiveSlot(const LiveLeaf& leaf, const Key3& key);
+  /// (Re)indexes a live leaf under its range.lo from its block.
+  void IndexLiveLeaf(Node* leaf);
+  Status ValidateLiveLeaves() const;
   const Node* FindRoot(Chronon t) const;
 
   // Structure changes.
@@ -389,6 +422,10 @@ class Mvbt {
   Chronon last_time_ = 0;
   size_t live_size_ = 0;
   MvbtStats stats_;
+  // The live leaves keyed by range.lo; they partition the key space.
+  // Changed only by Insert/Erase (fingerprints), RestructureLeaf and
+  // InPlaceSplitLeaf (leaves), and the restore hooks (rebuild).
+  LiveLeafMap live_leaves_;
   // Decoded-leaf cache (null when leaf_cache_bytes == 0). Keyed by node
   // identity: arena nodes never move or die before the tree, and only
   // dead leaves — immutable by construction — are ever inserted, so no

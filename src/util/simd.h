@@ -1,5 +1,7 @@
 // SIMD primitives of the vectorized execution layer: dense bitmask
-// filters over columnar data, selection-vector compaction, and gathers.
+// filters over columnar data, selection-vector compaction, and gathers;
+// plus the 16-bit equality probe of the MVBT live-leaf directory's
+// fingerprint scan (FindEq16).
 //
 // There is one vector backend, SSE2 (4 x u32 lanes; u64 equality is
 // built from 32-bit compares), because SSE2 is the x86-64 baseline and
@@ -94,6 +96,14 @@ inline size_t MaskToSelection(const uint64_t* mask, size_t n, uint32_t* sel) {
   return out;
 }
 
+/// Index of the first i in [from, n) with v[i] == x, or n.
+inline size_t FindEq16(const uint16_t* v, size_t n, uint16_t x, size_t from) {
+  for (size_t i = from; i < n; ++i) {
+    if (v[i] == x) return i;
+  }
+  return n;
+}
+
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -175,10 +185,30 @@ inline void AndColEqMask64(const uint64_t* x, const uint64_t* y, size_t n,
   }
 }
 
+/// Eight 16-bit lanes per compare. Each MVBT update probes up to 193
+/// fingerprints; against the scalar loop this cut perfbench wiki-mix
+/// `setup_s` from 1.61 to 1.40 s (medians of 6 alternating pairs, 6/6
+/// lower; -O2, shared 4-vCPU x86-64 Xeon host).
+inline size_t FindEq16(const uint16_t* v, size_t n, uint16_t x, size_t from) {
+  const __m128i vx = _mm_set1_epi16(static_cast<int16_t>(x));
+  size_t i = from;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i w = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
+    const uint32_t bits = static_cast<uint32_t>(
+        _mm_movemask_epi8(_mm_cmpeq_epi16(w, vx)));
+    if (bits != 0) return i + static_cast<size_t>(__builtin_ctz(bits)) / 2;
+  }
+  for (; i < n; ++i) {
+    if (v[i] == x) return i;
+  }
+  return n;
+}
+
 #else
 
 using scalar::AndColEqMask64;
 using scalar::AndEqMask64;
+using scalar::FindEq16;
 using scalar::OverlapMask;
 
 #endif

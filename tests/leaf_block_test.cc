@@ -49,28 +49,31 @@ TEST(LeafBlockTest, AppendAfterCompress) {
   EXPECT_EQ(block.Decode(), entries);
 }
 
-TEST(LeafBlockTest, CloseEntryPlainAndCompressed) {
+TEST(LeafBlockTest, CloseAtPlainAndCompressed) {
   for (bool compress : {false, true}) {
     LeafBlock block;
     for (const Entry& e : MakeEntries()) block.Append(e);
     if (compress) block.Compress();
-    EXPECT_TRUE(block.CloseEntry({10, 20, 31}, 300));
-    EXPECT_FALSE(block.CloseEntry({10, 20, 31}, 300));  // no longer live
-    EXPECT_FALSE(block.CloseEntry({99, 0, 0}, 300));    // absent
-    auto decoded = block.Decode();
-    EXPECT_EQ(decoded[1].end, 300u);
-    EXPECT_EQ(decoded.size(), 5u);
+    block.CloseAt(1, 300);
+    block.CloseAt(3, 310);
+    std::vector<Entry> expected = MakeEntries();
+    expected[1].end = 300;
+    expected[3].end = 310;
+    EXPECT_EQ(block.Decode(), expected) << "compressed=" << compress;
   }
 }
 
-TEST(LeafBlockTest, FindLive) {
-  LeafBlock block;
-  for (const Entry& e : MakeEntries()) block.Append(e);
-  Entry out;
-  EXPECT_TRUE(block.FindLive({11, 0, 0}, &out));
-  EXPECT_EQ(out.start, 110u);
-  EXPECT_FALSE(block.FindLive({10, 20, 30}, &out));  // closed
-  EXPECT_FALSE(block.FindLive({1, 1, 1}, &out));     // absent
+TEST(LeafBlockTest, EntryAtPlainAndCompressed) {
+  for (bool compress : {false, true}) {
+    LeafBlock block;
+    for (const Entry& e : MakeEntries()) block.Append(e);
+    if (compress) block.Compress();
+    const std::vector<Entry> entries = MakeEntries();
+    for (size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(block.EntryAt(i), entries[i])
+          << "slot " << i << " compressed=" << compress;
+    }
+  }
 }
 
 TEST(LeafBlockTest, CapLiveEntries) {

@@ -1,5 +1,5 @@
-// Read-path overhaul coverage: bounded decode work on point lookups
-// (FindLive/CloseEntry early exit), zone-map pruning equivalence against
+// Read-path overhaul coverage: slot access on compressed leaves
+// (EntryAt/CloseAt splice), zone-map pruning equivalence against
 // an unpruned tree, decoded-leaf cache correctness + counters (including
 // under concurrency, for the TSan build), and the invariant verifier's
 // zone-map leg catching seeded corruption.
@@ -23,8 +23,8 @@ namespace rdftx::mvbt {
 namespace {
 
 // ---------------------------------------------------------------------
-// LeafBlock early exit: the decoded counters bound the work of point
-// operations on compressed blocks.
+// LeafBlock slot access on compressed blocks: EntryAt decodes up to its
+// slot, CloseAt splices one entry's bytes (or re-encodes from the base).
 
 LeafBlock MakeCompressedBlock(size_t n) {
   LeafBlock b;
@@ -35,36 +35,40 @@ LeafBlock MakeCompressedBlock(size_t n) {
   return b;
 }
 
-TEST(LeafBlockReadPath, FindLiveStopsAtFirstMatch) {
+TEST(LeafBlockReadPath, EntryAtMatchesDecode) {
   LeafBlock b = MakeCompressedBlock(64);
-  Entry e;
-  size_t decoded = 0;
-  ASSERT_TRUE(b.FindLive(Key3{5, 0, 0}, &e, &decoded));
-  EXPECT_EQ(e.start, 5u);
-  // Entries 0..5 decoded, nothing past the match.
-  EXPECT_EQ(decoded, 6u);
-
-  decoded = 0;
-  EXPECT_FALSE(b.FindLive(Key3{999, 0, 0}, &e, &decoded));
-  EXPECT_EQ(decoded, 64u);  // miss pays the full block, as expected
+  const std::vector<Entry> all = b.Decode();
+  for (size_t i : {size_t{0}, size_t{5}, size_t{63}}) {
+    EXPECT_EQ(b.EntryAt(i), all[i]) << "slot " << i;
+  }
 }
 
-TEST(LeafBlockReadPath, CloseEntrySplicesWithBoundedDecode) {
+TEST(LeafBlockReadPath, CloseAtSplicesAndReencodesBase) {
   LeafBlock b = MakeCompressedBlock(64);
   std::vector<Entry> expected = b.Decode();
 
-  size_t decoded = 0;
-  ASSERT_TRUE(b.CloseEntry(Key3{5, 0, 0}, 100, &decoded));
-  EXPECT_EQ(decoded, 6u);  // early exit: splice, not a full re-encode
+  // A splice leaves every byte outside slot 5 in place.
+  const std::vector<uint8_t> before = b.compressed_bytes();
+  LeafBlock::Cursor cur(b);
+  Entry e;
+  for (int i = 0; i < 5; ++i) cur.Next(&e);
+  const auto slot_begin = static_cast<std::ptrdiff_t>(cur.byte_pos());
+  cur.Next(&e);
+  const auto tail =
+      static_cast<std::ptrdiff_t>(before.size() - cur.byte_pos());
+  b.CloseAt(5, 100);
   expected[5].end = 100;
   EXPECT_EQ(b.Decode(), expected);
+  const std::vector<uint8_t>& after = b.compressed_bytes();
+  ASSERT_GT(after.size(), before.size());  // a closed entry stores its te
+  EXPECT_TRUE(std::equal(before.begin(), before.begin() + slot_begin,
+                         after.begin()));
+  EXPECT_TRUE(std::equal(before.end() - tail, before.end(),
+                         after.end() - tail));
 
-  // Closing the block base (entry 0) is the documented slow path: its
-  // end version is the te-delta reference of every later entry, so the
-  // whole block re-encodes.
-  decoded = 0;
-  ASSERT_TRUE(b.CloseEntry(Key3{0, 0, 0}, 100, &decoded));
-  EXPECT_EQ(decoded, 64u);
+  // Closing the block base (entry 0) re-encodes the whole block: its end
+  // version is the te-delta reference of every later entry.
+  b.CloseAt(0, 100);
   expected[0].end = 100;
   EXPECT_EQ(b.Decode(), expected);
 }
@@ -72,7 +76,7 @@ TEST(LeafBlockReadPath, CloseEntrySplicesWithBoundedDecode) {
 TEST(LeafBlockReadPath, CloseLastEntryKeepsAppendCheckpoint) {
   LeafBlock b = MakeCompressedBlock(8);
   std::vector<Entry> expected = b.Decode();
-  ASSERT_TRUE(b.CloseEntry(Key3{7, 0, 0}, 50));
+  b.CloseAt(7, 50);
   expected[7].end = 50;
   // The append fast path uses the checkpointed last entry as its delta
   // base; a splice of that entry must refresh it.
@@ -102,10 +106,12 @@ TEST(LeafBlockReadPath, SpliceMatchesFullReencode) {
     spliced.Compress();
     const size_t at = rng.Uniform(entries.size());
     const Chronon te = t + 10;
-    ASSERT_EQ(spliced.CloseEntry(entries[at].key, te, nullptr),
-              reference.CloseEntry(entries[at].key, te, nullptr));
+    spliced.CloseAt(at, te);
+    reference.CloseAt(at, te);
     reference.Compress();
     EXPECT_EQ(spliced.Decode(), reference.Decode()) << "round " << round;
+    EXPECT_EQ(spliced.compressed_bytes(), reference.compressed_bytes())
+        << "round " << round;
   }
 }
 

@@ -140,6 +140,25 @@ TEST(SimdTest, AndColEqMask64MatchesScalar) {
   }
 }
 
+TEST(SimdTest, FindEq16MatchesScalar) {
+  Rng rng(59);
+  for (size_t n : kLengths) {
+    for (int iter = 0; iter < 8; ++iter) {
+      std::vector<uint16_t> v(n);
+      for (uint16_t& x : v) x = static_cast<uint16_t>(rng.Uniform(16));
+      const uint16_t x = static_cast<uint16_t>(rng.Uniform(16));
+      // Walk every match from every start, as the fingerprint scan does.
+      for (size_t from = 0; from <= n; ++from) {
+        ASSERT_EQ(FindEq16(v.data(), n, x, from),
+                  scalar::FindEq16(v.data(), n, x, from))
+            << "n=" << n << " from=" << from;
+      }
+    }
+  }
+  const std::vector<uint16_t> none(37, 0xFFFF);
+  EXPECT_EQ(FindEq16(none.data(), none.size(), 0x7FFF, 0), none.size());
+}
+
 TEST(SimdTest, MaskToSelectionMatchesScalar) {
   Rng rng(46);
   for (size_t n : kLengths) {

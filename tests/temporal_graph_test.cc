@@ -106,6 +106,27 @@ TEST(TemporalGraphTest, AssertRetractOnline) {
   EXPECT_EQ(v.runs()[0], Interval(100, 150));
 }
 
+TEST(TemporalGraphTest, RetractAtNowIsRejected) {
+  // `now` is not a version: a retraction there must fail before any
+  // index changes, leaving the clock and every live entry untouched.
+  TemporalGraph g;
+  ASSERT_TRUE(g.Assert({1, 2, 3}, 100).ok());
+  EXPECT_EQ(g.Retract({1, 2, 3}, kChrononNow).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.live_size(), 1u);
+  EXPECT_EQ(g.last_time(), 100u);
+  TemporalSet v = g.Validity({1, 2, 3});
+  ASSERT_EQ(v.runs().size(), 1u);
+  EXPECT_EQ(v.runs()[0], Interval(100, kChrononNow));
+  Status st = analysis::ValidateTemporalGraph(g);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  // Later updates still work.
+  EXPECT_TRUE(g.Assert({4, 5, 6}, 101).ok());
+  EXPECT_TRUE(g.Retract({1, 2, 3}, kChrononMax).ok());
+  st = analysis::ValidateTemporalGraph(g);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 TEST(TemporalGraphTest, AllIndicesPassDeepValidation) {
   // The four index MVBTs must satisfy the full invariant catalog after a
   // loaded-then-updated history (invariant-checked builds additionally
