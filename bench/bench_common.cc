@@ -82,7 +82,7 @@ namespace {
 // triple count, and a fingerprint of the graph options + snapshot
 // format version — datasets are pure functions of their seed, so a
 // sweep's sizes never collide, but the same tag IS built under
-// different options (block-capacity / compression / zone-map sweeps in
+// different options (block-capacity / compression sweeps in
 // the fig10b and ablation benches), and without the fingerprint one
 // configuration's cache would silently serve another's. Lets repeated
 // fig9/fig8 runs skip the dominant setup cost.
@@ -97,7 +97,6 @@ std::unique_ptr<TemporalGraph> BuildMvbtStore(const TemporalGraphOptions& opts,
     fp.U32(storage::kFormatVersion);
     fp.U64(opts.block_capacity);
     fp.U8(opts.compress_leaves ? 1 : 0);
-    fp.U8(opts.zone_maps ? 1 : 0);
     const uint64_t fingerprint = util::XxHash64(
         fp.buffer().data(), fp.buffer().size(), storage::kChecksumSeed);
     char fp_hex[17];

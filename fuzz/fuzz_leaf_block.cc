@@ -6,6 +6,7 @@
 // whose deltas don't fit the compact paths.
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fuzz_util.h"
@@ -90,7 +91,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         if (live.empty()) break;
         const size_t slot = live[in.Pick(live.size())];
         const Chronon te = t + in.U8() % 3;
-        block.CloseAt(slot, te);
+        LeafBlock::SlotWalk walk(block);
+        block.CloseAt(walk.Seek(slot), te);
         shadow[slot].end = te;
         t = te;
         break;
@@ -117,11 +119,19 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         std::erase_if(shadow, [](const Entry& e) { return e.start == e.end; });
         break;
       }
-      case 6: {  // EntryAt cross-check on an arbitrary slot
+      case 6: {  // SlotWalk cross-check on two ascending arbitrary slots
         if (shadow.empty()) break;
-        const size_t slot = in.Pick(shadow.size());
-        RDFTX_FUZZ_CHECK(block.EntryAt(slot) == shadow[slot],
-                         "EntryAt(%zu) differs from the shadow", slot);
+        size_t first = in.Pick(shadow.size());
+        size_t second = in.Pick(shadow.size());
+        if (second < first) std::swap(first, second);
+        LeafBlock::SlotWalk walk(block);
+        RDFTX_FUZZ_CHECK(walk.Seek(first).entry == shadow[first],
+                         "SlotWalk slot %zu differs from the shadow", first);
+        if (second > first) {
+          RDFTX_FUZZ_CHECK(walk.Seek(second).entry == shadow[second],
+                           "SlotWalk slot %zu differs from the shadow",
+                           second);
+        }
         break;
       }
       case 7: {  // flip representation

@@ -15,7 +15,6 @@ using mvbt::Entry;
 using mvbt::Key3;
 using mvbt::KeyRange;
 using mvbt::LeafBlock;
-using mvbt::LeafZoneMap;
 using mvbt::Mvbt;
 
 std::string Where(const Mvbt::Node& n) {
@@ -88,28 +87,6 @@ Status CheckNode(const Mvbt& tree, const Mvbt::Node& n,
                         std::to_string(tree.weak_min()) + ", created=" +
                         std::to_string(n.created_live) + ")",
                     n);
-      }
-    }
-    if (opts.check_zone_maps) {
-      const LeafZoneMap& zm = n.zone_map;
-      if (zm.valid && n.alive()) {
-        return Fail("zone map on a live leaf (contents still change)", n);
-      }
-      if (!zm.valid && !n.alive() && tree.options().zone_maps) {
-        return Fail("dead leaf of a zone-mapped tree missing its zone map",
-                    n);
-      }
-      if (zm.valid) {
-        const LeafZoneMap expect = n.block.ComputeZoneMap();
-        const bool counts_ok = zm.entry_count == expect.entry_count &&
-                               zm.live_count == expect.live_count;
-        const bool bounds_ok =
-            zm.entry_count == 0 ||
-            (zm.min_key == expect.min_key && zm.max_key == expect.max_key &&
-             zm.min_start == expect.min_start && zm.max_end == expect.max_end);
-        if (!counts_ok || !bounds_ok) {
-          return Fail("zone map disagrees with decoded leaf contents", n);
-        }
       }
     }
     if (opts.check_roundtrip) {

@@ -33,10 +33,6 @@ struct ValidateOptions {
   /// Validity fragments of one logical record must be emitted exactly
   /// once and be pairwise non-overlapping (paper §2.2/§3 coalescing).
   bool check_fragments = true;
-  /// Zone maps: every dead leaf of a zone-mapped tree carries a valid
-  /// summary that matches its decoded entries exactly (otherwise pruning
-  /// could silently drop results); live leaves must not carry one.
-  bool check_zone_maps = true;
 };
 
 /// Walks every root in the forest and every arena node, checking:

@@ -291,8 +291,7 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
 
   ScanStats scan;
   std::vector<const mvbt::Mvbt::Node*> leaves;
-  tree.CollectRegionLeaves(range, window, &leaves, &scan,
-                           tree.options().zone_maps);
+  tree.CollectRegionLeaves(range, window, &leaves);
 
   // The triple component (0 s, 1 p, 2 o) the key filter tests; -1 when
   // there is no filter or this pattern does not bind its slot.

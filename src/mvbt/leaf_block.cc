@@ -188,16 +188,8 @@ void LeafBlock::DecodeInto(std::vector<Entry>* out) const {
   assert(cur.byte_pos() == bytes_.size());
 }
 
-Entry LeafBlock::EntryAt(size_t i) const {
-  assert(i < count_);
-  if (!compressed_) return plain_[i];
-  Cursor cur(*this);
-  Entry e;
-  for (size_t k = 0; k <= i; ++k) cur.Next(&e);
-  return e;
-}
-
-void LeafBlock::CloseAt(size_t i, Chronon te) {
+void LeafBlock::CloseAt(const Slot& slot, Chronon te) {
+  const size_t i = slot.index;
   assert(i < count_);
   if (!compressed_) {
     assert(plain_[i].live());
@@ -213,30 +205,20 @@ void LeafBlock::CloseAt(size_t i, Chronon te) {
     ReencodeAll(entries);
     return;
   }
-  Cursor cur(*this);
-  Entry prev;
-  Entry e;
-  size_t entry_begin = 0;
-  for (size_t k = 0; k <= i; ++k) {
-    prev = e;
-    entry_begin = cur.byte_pos();
-    cur.Next(&e);
-  }
-  assert(e.live());
+  assert(slot.entry.live());
   // Splice: only entry i's bytes change (see EncodeEntryBytes), so the
   // suffix after it is reused verbatim.
-  Entry closed = e;
+  Entry closed = slot.entry;
   closed.end = te;
   std::vector<uint8_t> enc;
-  EncodeEntryBytes(closed, prev, base_, RefTe(), /*first=*/false, &enc,
+  EncodeEntryBytes(closed, slot.prev, base_, RefTe(), /*first=*/false, &enc,
                    nullptr);
-  const size_t entry_end = cur.byte_pos();
   std::vector<uint8_t> nb;
-  nb.reserve(bytes_.size() - (entry_end - entry_begin) + enc.size());
+  nb.reserve(bytes_.size() - (slot.end - slot.begin) + enc.size());
   nb.insert(nb.end(), bytes_.begin(),
-            bytes_.begin() + static_cast<ptrdiff_t>(entry_begin));
+            bytes_.begin() + static_cast<ptrdiff_t>(slot.begin));
   nb.insert(nb.end(), enc.begin(), enc.end());
-  nb.insert(nb.end(), bytes_.begin() + static_cast<ptrdiff_t>(entry_end),
+  nb.insert(nb.end(), bytes_.begin() + static_cast<ptrdiff_t>(slot.end),
             bytes_.end());
   bytes_ = std::move(nb);
   if (i == count_ - 1) checkpoint_.last = closed;
@@ -291,46 +273,6 @@ void LeafBlock::DecodeColumnar(ColumnarEntries* out) const {
     out->PushBack(e);
     return true;
   });
-}
-
-namespace {
-
-void AccumulateZone(const Entry& e, LeafZoneMap* zm, bool* first) {
-  if (*first) {
-    zm->min_key = e.key;
-    zm->max_key = e.key;
-    zm->min_start = e.start;
-    zm->max_end = e.end;
-    *first = false;
-  } else {
-    if (e.key < zm->min_key) zm->min_key = e.key;
-    if (zm->max_key < e.key) zm->max_key = e.key;
-    if (e.start < zm->min_start) zm->min_start = e.start;
-    if (zm->max_end < e.end) zm->max_end = e.end;
-  }
-  ++zm->entry_count;
-  if (e.live()) ++zm->live_count;
-}
-
-}  // namespace
-
-LeafZoneMap LeafBlock::ComputeZoneMap() const {
-  LeafZoneMap zm;
-  zm.valid = true;
-  bool first = true;
-  VisitWith([&](const Entry& e) {
-    AccumulateZone(e, &zm, &first);
-    return true;
-  });
-  return zm;
-}
-
-LeafZoneMap LeafBlock::ComputeZoneMap(const std::vector<Entry>& entries) {
-  LeafZoneMap zm;
-  zm.valid = true;
-  bool first = true;
-  for (const Entry& e : entries) AccumulateZone(e, &zm, &first);
-  return zm;
 }
 
 Status LeafBlock::CheckStream(const uint8_t* bytes, size_t size, size_t count,
@@ -491,8 +433,7 @@ Status LeafBlock::CheckStream(const uint8_t* bytes, size_t size, size_t count,
 }
 
 Result<LeafBlock> LeafBlock::FromCompressedBytes(std::vector<uint8_t> bytes,
-                                                 size_t count,
-                                                 std::vector<Entry>* decoded) {
+                                                 size_t count) {
   // Every encoded entry consumes at least one byte, so a count larger
   // than the stream is corrupt; checking first keeps the reserve below
   // from turning a hostile count into a giant allocation.
@@ -512,7 +453,6 @@ Result<LeafBlock> LeafBlock::FromCompressedBytes(std::vector<uint8_t> bytes,
     b.checkpoint_.last = entries.back();
     b.checkpoint_.valid = true;
   }
-  if (decoded != nullptr) *decoded = std::move(entries);
   return b;
 }
 

@@ -10,11 +10,12 @@
 // MVBT guarantees (transaction-time updates). A checkpoint — the byte
 // offset and decoded values of the last entry — lets appends run without
 // rescanning the block (§4.2.2). The block never searches by key: the
-// MVBT's live-leaf directory knows which slot holds a live key, so point
-// access is by slot. Closing slot i (deletion) decodes up to it and
-// splices its re-encoded bytes in place; only a close of the block base
-// (entry 0) re-encodes the whole block, because the base's end version is
-// the te-delta reference of every later entry.
+// MVBT's live-leaf directory picks the candidate slots of a live key, and
+// a SlotWalk decodes forward through them once. Closing the slot the walk
+// confirmed (deletion) splices its re-encoded bytes in place with no
+// further decoding; only a close of the block base (entry 0) re-encodes
+// the whole block, because the base's end version is the te-delta
+// reference of every later entry.
 //
 // Visitation is devirtualized: VisitWith() is a template that decodes
 // the compressed stream entry-by-entry through an inline Cursor, so scan
@@ -23,6 +24,7 @@
 #ifndef RDFTX_MVBT_LEAF_BLOCK_H_
 #define RDFTX_MVBT_LEAF_BLOCK_H_
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -112,42 +114,6 @@ struct CompressionStats {
   uint64_t te_live = 0;
 };
 
-/// Per-leaf summary recorded when a leaf dies (dead leaves are
-/// immutable, so the summary never goes stale). The read path skips
-/// decoding a leaf whose zone map proves that no entry can intersect the
-/// query rectangle.
-struct LeafZoneMap {
-  Key3 min_key;
-  Key3 max_key;
-  /// Smallest entry start version.
-  Chronon min_start = 0;
-  /// One past the largest entry end (kChrononNow if any entry is live).
-  Chronon max_end = 0;
-  uint64_t entry_count = 0;
-  uint64_t live_count = 0;
-  /// False until the summary is built; an invalid zone map never prunes.
-  bool valid = false;
-
-  /// True unless the summary proves no entry intersects (range, time).
-  bool MayIntersect(const KeyRange& range, const Interval& time) const {
-    if (!valid) return true;
-    if (entry_count == 0) return false;
-    if (max_key < range.lo || range.hi < min_key) return false;
-    // min_start <= max_end by zone-map construction (it spans at least
-    // one non-inverted entry when entry_count > 0).
-    // rdftx-analyzer: allow(interval-soundness)
-    return Interval(min_start, max_end).Overlaps(time);
-  }
-
-  /// True unless the summary proves no entry is alive at `t` in `range`.
-  bool MayContain(const KeyRange& range, Chronon t) const {
-    if (!valid) return true;
-    if (entry_count == 0) return false;
-    if (max_key < range.lo || range.hi < min_key) return false;
-    return t >= min_start && t < max_end;
-  }
-};
-
 /// Entry storage of a single MVBT leaf.
 class LeafBlock {
  public:
@@ -159,15 +125,24 @@ class LeafBlock {
   /// Appends an entry; `e.start` must be >= the last appended start.
   void Append(const Entry& e);
 
-  /// The entry in slot `i` (append order); `i < count()`. Compressed
-  /// blocks decode slots 0..i through a Cursor.
-  Entry EntryAt(size_t i) const;
+  class SlotWalk;
 
-  /// Sets the end version of the live entry in slot `i` to `te`. On
-  /// compressed blocks slots 0..i are decoded and slot i's re-encoded
-  /// bytes are spliced into the stream; closing slot 0 re-encodes the
-  /// whole block.
-  void CloseAt(size_t i, Chronon te);
+  /// A slot reached by a SlotWalk: its index and entry, plus what a close
+  /// needs to splice it — the byte range of its encoding and the entry
+  /// before it (its delta reference). Valid until the block changes.
+  struct Slot {
+    size_t index = 0;
+    Entry entry;
+    Entry prev{Key3{}, 0, 0};
+    size_t begin = 0;
+    size_t end = 0;
+  };
+
+  /// Sets the end version of the live entry at `slot` to `te`. `slot`
+  /// must come from a SlotWalk over this block with no change since. On
+  /// compressed blocks slot's re-encoded bytes are spliced into the
+  /// stream; closing slot 0 re-encodes the whole block.
+  void CloseAt(const Slot& slot, Chronon te);
 
   /// Version-split support: caps every live entry at `t` in this block and
   /// appends the capped entries' keys to `extracted`. Single pass.
@@ -264,6 +239,35 @@ class LeafBlock {
     Chronon ref_te_ = 0;
   };
 
+  /// Forward walk to ascending slots: a compressed block decodes each
+  /// slot at most once over all Seek() calls, so confirming several
+  /// candidate slots and then closing one costs a single pass.
+  class SlotWalk {
+   public:
+    explicit SlotWalk(const LeafBlock& block) : block_(block), cur_(block) {}
+
+    /// Slot `i`; `i < count()` and greater than any slot sought before.
+    const Slot& Seek(size_t i) {
+      assert(i < block_.count_);
+      slot_.index = i;
+      if (!block_.compressed_) {
+        slot_.entry = block_.plain_[i];
+        return slot_;
+      }
+      while (cur_.decoded() < i) cur_.Next(&slot_.entry);
+      if (i > 0) slot_.prev = slot_.entry;
+      slot_.begin = cur_.byte_pos();
+      cur_.Next(&slot_.entry);
+      slot_.end = cur_.byte_pos();
+      return slot_;
+    }
+
+   private:
+    const LeafBlock& block_;
+    Cursor cur_;
+    Slot slot_;
+  };
+
   /// Visits every entry in append order with a devirtualized callable;
   /// return false to stop. Compressed blocks decode through a streaming
   /// Cursor — no scratch buffer, and stopping early stops the decode.
@@ -290,15 +294,6 @@ class LeafBlock {
   /// streaming pass for compressed blocks, a transpose for plain ones.
   void DecodeColumnar(ColumnarEntries* out) const;
 
-  /// Builds the per-leaf summary of the current entries. Meant to be
-  /// taken when the owning leaf dies (the block is immutable after).
-  LeafZoneMap ComputeZoneMap() const;
-
-  /// Same summary over an already-decoded entry vector, so callers that
-  /// hold the entries (e.g. the snapshot loader, which just validated
-  /// the stream) don't pay a second decode pass.
-  static LeafZoneMap ComputeZoneMap(const std::vector<Entry>& entries);
-
   // --- snapshot persistence hooks (storage/snapshot.cc) ---
 
   /// Raw delta-encoded byte stream of a compressed block. Snapshots
@@ -315,11 +310,8 @@ class LeafBlock {
   /// versions must be nondecreasing, and every decoded chronon must lie
   /// in the temporal domain. Returns Corruption otherwise — a hostile or
   /// damaged stream can never reach the unchecked fast-path Cursor.
-  /// `decoded` (may be null) receives the validated entries, saving the
-  /// caller a separate decode of the freshly built block.
-  static Result<LeafBlock> FromCompressedBytes(
-      std::vector<uint8_t> bytes, size_t count,
-      std::vector<Entry>* decoded = nullptr);
+  static Result<LeafBlock> FromCompressedBytes(std::vector<uint8_t> bytes,
+                                               size_t count);
 
   /// Reconstructs a plain block from snapshot entries (validating the
   /// nondecreasing-start append invariant).

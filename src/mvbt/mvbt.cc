@@ -99,17 +99,21 @@ Mvbt::LiveLeafMap::const_iterator Mvbt::LiveLeafOf(const Key3& key) const {
   return std::prev(it);
 }
 
-size_t Mvbt::FindLiveSlot(const LiveLeaf& leaf, const Key3& key) {
+std::optional<LeafBlock::Slot> Mvbt::FindLiveSlot(const LiveLeaf& leaf,
+                                                   const Key3& key) {
   // Closed slots hold fingerprint 0, which no key hashes to, so a hit
   // whose slot holds `key` is the key's live entry (unique per leaf).
+  // Hits come in ascending slot order, so one walk confirms them all.
   const uint16_t fp = KeyFingerprint(key);
   const uint16_t* fps = leaf.fingerprints.data();
   const size_t n = leaf.fingerprints.size();
+  LeafBlock::SlotWalk walk(leaf.node->block);
   for (size_t i = simd::FindEq16(fps, n, fp, 0); i < n;
        i = simd::FindEq16(fps, n, fp, i + 1)) {
-    if (leaf.node->block.EntryAt(i).key == key) return i;
+    const LeafBlock::Slot& slot = walk.Seek(i);
+    if (slot.entry.key == key) return slot;
   }
-  return kNoSlot;
+  return std::nullopt;
 }
 
 void Mvbt::IndexLiveLeaf(Node* leaf) {
@@ -132,7 +136,7 @@ Status Mvbt::Insert(const Key3& key, Chronon t) {
   }
   last_time_ = t;
   const auto it = LiveLeafOf(key);
-  if (FindLiveSlot(it->second, key) != kNoSlot) {
+  if (FindLiveSlot(it->second, key).has_value()) {
     return Status::AlreadyExists("key is live: " + key.ToString());
   }
   Node* leaf = it->second.node;
@@ -155,13 +159,13 @@ Status Mvbt::Erase(const Key3& key, Chronon t) {
   }
   last_time_ = t;
   const auto it = LiveLeafOf(key);
-  const size_t slot = FindLiveSlot(it->second, key);
-  if (slot == kNoSlot) {
+  const std::optional<LeafBlock::Slot> slot = FindLiveSlot(it->second, key);
+  if (!slot.has_value()) {
     return Status::NotFound("key not live: " + key.ToString());
   }
   Node* leaf = it->second.node;
-  leaf->block.CloseAt(slot, t);
-  it->second.fingerprints[slot] = 0;
+  leaf->block.CloseAt(*slot, t);
+  it->second.fingerprints[slot->index] = 0;
   --leaf->live_count;
   --live_size_;
   if (leaf != live_root_ && leaf->live_count < weak_min_) {
@@ -208,9 +212,6 @@ void Mvbt::MaybeCompressDeadLeaf(Node* leaf) {
   if (options_.compress_leaves && !leaf->block.compressed()) {
     leaf->block.Compress();
   }
-  // The summary stays correct forever: the leaf just died and dead
-  // leaves are immutable.
-  if (options_.zone_maps) leaf->zone_map = leaf->block.ComputeZoneMap();
   leaf->backlinks.shrink_to_fit();  // dead leaves are immutable
 }
 
@@ -577,12 +578,6 @@ void Mvbt::CollectBorderLeaves(const KeyRange& range, Chronon border,
 
 void Mvbt::CollectRegionLeaves(const KeyRange& range, const Interval& time,
                                std::vector<const Node*>* out) const {
-  CollectRegionLeaves(range, time, out, nullptr, /*prune=*/false);
-}
-
-void Mvbt::CollectRegionLeaves(const KeyRange& range, const Interval& time,
-                               std::vector<const Node*>* out, ScanStats* stats,
-                               bool prune) const {
   if (time.empty() || range.lo > range.hi) return;
   const Chronon border =
       time.end == kChrononNow ? kChrononMax : time.end - 1;
@@ -593,13 +588,7 @@ void Mvbt::CollectRegionLeaves(const KeyRange& range, const Interval& time,
     const Node* n = stack.back();
     stack.pop_back();
     if (!visited.insert(n).second) continue;
-    // Pruning skips only the emission: backlinks of a pruned leaf are
-    // still followed, so the link chain to earlier leaves stays intact.
-    if (prune && !n->zone_map.MayIntersect(range, time)) {
-      if (stats != nullptr) ++stats->leaves_pruned;
-    } else {
-      out->push_back(n);
-    }
+    out->push_back(n);
     for (const Node* pred : n->backlinks) {
       if (!visited.contains(pred) && pred->lifespan().Overlaps(time) &&
           pred->range.Overlaps(range)) {
@@ -666,9 +655,9 @@ util::CacheCounters Mvbt::leaf_cache_counters() const {
 
 bool Mvbt::FindLive(const Key3& key, Chronon* start) const {
   const auto it = LiveLeafOf(key);
-  const size_t slot = FindLiveSlot(it->second, key);
-  if (slot == kNoSlot) return false;
-  *start = it->second.node->block.EntryAt(slot).start;
+  const std::optional<LeafBlock::Slot> slot = FindLiveSlot(it->second, key);
+  if (!slot.has_value()) return false;
+  *start = slot->entry.start;
   return true;
 }
 
@@ -686,16 +675,9 @@ size_t Mvbt::MemoryUsage() const {
 size_t Mvbt::CompressAllLeaves(CompressionStats* stats) {
   size_t compressed = 0;
   for (Node& n : arena_) {
-    if (!n.is_leaf) continue;
-    if (!n.block.compressed()) {
+    if (n.is_leaf && !n.block.compressed()) {
       n.block.Compress(stats);
       ++compressed;
-    }
-    // Backfill summaries for leaves that died before zone maps were on
-    // (or when this tree was built with compress_leaves=false). Live
-    // leaves never get one: their contents still change.
-    if (options_.zone_maps && !n.alive() && !n.zone_map.valid) {
-      n.zone_map = n.block.ComputeZoneMap();
     }
   }
   return compressed;

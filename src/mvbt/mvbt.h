@@ -32,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mvbt/key.h"
@@ -51,11 +52,6 @@ struct MvbtOptions {
   /// (dead leaves are immutable) and CompressAllLeaves() compresses the
   /// live ones too. When false the tree is the "standard MVBT" baseline.
   bool compress_leaves = false;
-  /// When true, a zone map (min/max key, interval hull, entry counts) is
-  /// recorded for each leaf when it dies, and queries skip leaves whose
-  /// zone map proves no entry can intersect the query rectangle. Pruning
-  /// never changes results — it only avoids decoding.
-  bool zone_maps = true;
   /// Byte budget of the decoded-leaf cache, which holds decoded Entry
   /// vectors of hot dead compressed leaves. 0 disables the cache.
   size_t leaf_cache_bytes = 0;
@@ -96,15 +92,14 @@ class Mvbt {
   /// the caller. Uses the backward-link range-interval scan.
   ///
   /// This is the devirtualized scan: `visit(key, interval)` is a direct
-  /// call, zone maps skip leaves that cannot intersect the rectangle,
-  /// and hot dead compressed leaves are served from the decoded-leaf
-  /// cache. Per-query counters land in `stats` when non-null.
+  /// call, and hot dead compressed leaves are served from the
+  /// decoded-leaf cache. Per-query counters land in `stats` when
+  /// non-null.
   template <typename Visitor>
   void QueryRangeT(const KeyRange& range, const Interval& time,
                    Visitor&& visit, ScanStats* stats = nullptr) const {
     std::vector<const Node*> leaves;
-    CollectRegionLeaves(range, time, &leaves, stats,
-                        /*prune=*/options_.zone_maps);
+    CollectRegionLeaves(range, time, &leaves);
     for (const Node* n : leaves) {
       ScanLeaf(*n, stats, [&](const Entry& e) {
         if (range.Contains(e.key) && e.interval().Overlaps(time)) {
@@ -123,10 +118,6 @@ class Mvbt {
     std::vector<const Node*> leaves;
     CollectBorderLeaves(range, t, &leaves);
     for (const Node* leaf : leaves) {
-      if (options_.zone_maps && !leaf->zone_map.MayContain(range, t)) {
-        if (stats != nullptr) ++stats->leaves_pruned;
-        continue;
-      }
       ScanLeaf(*leaf, stats, [&](const Entry& e) {
         if (range.Contains(e.key) && e.interval().Contains(t)) visit(e.key);
         return true;
@@ -207,10 +198,6 @@ class Mvbt {
     // Leaf state.
     LeafBlock block;
     std::vector<Node*> backlinks;  // temporal predecessors
-    // Built when the leaf dies (MvbtOptions::zone_maps); invalid on live
-    // leaves, whose contents still change. An invalid zone map never
-    // prunes.
-    LeafZoneMap zone_map;
 
     // Inner state.
     std::vector<IndexEntry> entries;
@@ -239,18 +226,10 @@ class Mvbt {
 
   /// Collects every leaf whose (key range x lifespan) rectangle
   /// intersects the query region, via the border search plus the
-  /// backward-link walk (steps (i)+(ii) of §5.2.1). The unpruned set,
-  /// used by the structural validator and the synchronized join.
+  /// backward-link walk (steps (i)+(ii) of §5.2.1). Used by the scans,
+  /// the structural validator and the synchronized join.
   void CollectRegionLeaves(const KeyRange& range, const Interval& time,
                            std::vector<const Node*>* out) const;
-
-  /// As above, but when `prune` is set, leaves whose zone map proves no
-  /// entry can intersect (range, time) are skipped at emission —
-  /// backlinks are still traversed through them, so the link chain walk
-  /// is unaffected. `stats` (optional) receives the pruned-leaf count.
-  void CollectRegionLeaves(const KeyRange& range, const Interval& time,
-                           std::vector<const Node*>* out, ScanStats* stats,
-                           bool prune) const;
 
   /// Columnar image of a leaf's entries for the vectorized scan
   /// (engine/vectorized.cc). Dead compressed leaves come from the
@@ -341,15 +320,15 @@ class Mvbt {
   };
   using LiveLeafMap = std::map<Key3, LiveLeaf>;
 
-  static constexpr size_t kNoSlot = SIZE_MAX;
-
   Node* NewNode(bool is_leaf, Chronon created, const KeyRange& range);
 
   // Live-leaf directory.
   LiveLeafMap::iterator LiveLeafOf(const Key3& key);
   LiveLeafMap::const_iterator LiveLeafOf(const Key3& key) const;
-  /// Slot of the live entry with `key` in `leaf`, or kNoSlot.
-  static size_t FindLiveSlot(const LiveLeaf& leaf, const Key3& key);
+  /// Slot of the live entry with `key` in `leaf`, if any, found in one
+  /// forward walk over the slots whose fingerprint matches.
+  static std::optional<LeafBlock::Slot> FindLiveSlot(const LiveLeaf& leaf,
+                                                     const Key3& key);
   /// (Re)indexes a live leaf under its range.lo from its block.
   void IndexLiveLeaf(Node* leaf);
   Status ValidateLiveLeaves() const;

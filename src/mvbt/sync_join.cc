@@ -106,16 +106,9 @@ void SynchronizedJoin(
 
   // Step (i): leaves of each tree intersecting its own query region,
   // restricted to the shared time window (pairs can only match there).
-  // Zone-map pruning is sound here because every output row's interval
-  // lies inside `shared`, which is exactly the window the summaries are
-  // tested against.
-  ScanStats prune_stats;
   std::vector<const Node*> leaves_a, leaves_b;
-  a.CollectRegionLeaves(ra, ta.Intersect(shared), &leaves_a, &prune_stats,
-                        a.options().zone_maps);
-  b.CollectRegionLeaves(rb, tb.Intersect(shared), &leaves_b, &prune_stats,
-                        b.options().zone_maps);
-  if (stats != nullptr) stats->leaves_pruned += prune_stats.leaves_pruned;
+  a.CollectRegionLeaves(ra, ta.Intersect(shared), &leaves_a);
+  b.CollectRegionLeaves(rb, tb.Intersect(shared), &leaves_b);
   if (leaves_a.empty() || leaves_b.empty()) return;
 
   // Sweep over node lifespans to enumerate exactly the overlapping

@@ -40,8 +40,6 @@ struct SyncJoinStats {
   /// Distinct leaves decoded (one record cache per call).
   uint64_t cache_misses = 0;
   uint64_t output_rows = 0;
-  /// Leaves excluded from pair enumeration by their zone maps.
-  uint64_t leaves_pruned = 0;
 };
 
 /// Runs the synchronized join between region (ra, ta) of tree `a` and

@@ -28,7 +28,6 @@ TemporalGraph::TemporalGraph(const TemporalGraphOptions& options)
     : options_(options) {
   mvbt::MvbtOptions mo{.block_capacity = options_.block_capacity,
                        .compress_leaves = options_.compress_leaves,
-                       .zone_maps = options_.zone_maps,
                        .leaf_cache_bytes = options_.leaf_cache_bytes};
   for (auto& idx : indices_) idx = std::make_unique<mvbt::Mvbt>(mo);
 }
@@ -240,7 +239,6 @@ Status TemporalGraph::InstallRestoredIndices(
   // Keep the option block truthful about what is now installed.
   options_.block_capacity = indices_[0]->options().block_capacity;
   options_.compress_leaves = indices_[0]->options().compress_leaves;
-  options_.zone_maps = indices_[0]->options().zone_maps;
 #ifdef RDFTX_CHECK_INVARIANTS
   RDFTX_RETURN_IF_ERROR(analysis::ValidateTemporalGraph(*this));
 #endif

@@ -31,9 +31,6 @@ struct TemporalGraphOptions {
   /// Delta-compress leaves (the full RDF-TX configuration). Off gives
   /// the "standard MVBT" baseline of §7.2.
   bool compress_leaves = true;
-  /// Per-leaf zone maps: queries skip dead leaves whose summary proves
-  /// no entry can match (never changes results).
-  bool zone_maps = true;
   /// Decoded-leaf cache budget per MVBT index (the store holds four), in
   /// bytes; 0 disables. Hot dead compressed leaves are then decoded once
   /// and served from the cache.
@@ -96,8 +93,8 @@ class TemporalGraph : public TemporalStore {
   /// Restores this graph (and `dict`, when non-null) from a snapshot
   /// file. The graph must be freshly constructed and never updated; its
   /// leaf-cache settings are kept, while block capacity and the
-  /// compression/zone-map flags come from the snapshot. Corruption of
-  /// any kind surfaces as a Status error naming the failing section.
+  /// compression flag come from the snapshot. Corruption of any kind
+  /// surfaces as a Status error naming the failing section.
   Status LoadSnapshot(const std::string& path, Dictionary* dict = nullptr);
 
   /// Restore hook for the snapshot loader: swaps in four fully rebuilt

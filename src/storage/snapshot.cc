@@ -71,7 +71,6 @@ std::vector<uint8_t> SerializeGraphMeta(const TemporalGraph& graph) {
   ByteWriter w;
   w.U64(opts.block_capacity);
   w.U8(opts.compress_leaves ? 1 : 0);
-  w.U8(opts.zone_maps ? 1 : 0);
   w.U32(graph.last_time());
   w.U64(graph.live_size());
   w.U32(4);  // index count, fixed in format version 1
@@ -138,15 +137,6 @@ std::vector<uint8_t> SerializeIndex(const Mvbt& tree, uint32_t order) {
       }
       w.U64(n->backlinks.size());
       for (const Mvbt::Node* b : n->backlinks) w.U64(ids.at(b));
-      w.U8(n->zone_map.valid ? 1 : 0);
-      if (n->zone_map.valid) {
-        WriteKey(&w, n->zone_map.min_key);
-        WriteKey(&w, n->zone_map.max_key);
-        w.U32(n->zone_map.min_start);
-        w.U32(n->zone_map.max_end);
-        w.U64(n->zone_map.entry_count);
-        w.U64(n->zone_map.live_count);
-      }
     } else {
       w.U64(n->entries.size());
       for (const Mvbt::IndexEntry& e : n->entries) {
@@ -216,7 +206,6 @@ Status ParseDictionary(ByteReader r, Dictionary* dict) {
 struct GraphMeta {
   uint64_t block_capacity = 0;
   bool compress_leaves = false;
-  bool zone_maps = false;
   Chronon last_time = 0;
   uint64_t live_size = 0;
 };
@@ -227,7 +216,6 @@ Status ParseGraphMeta(ByteReader r, GraphMeta* meta) {
     return r.Corrupt("block capacity out of range");
   }
   RDFTX_RETURN_IF_ERROR(ReadBool(&r, "compress_leaves", &meta->compress_leaves));
-  RDFTX_RETURN_IF_ERROR(ReadBool(&r, "zone_maps", &meta->zone_maps));
   RDFTX_RETURN_IF_ERROR(r.U32(&meta->last_time));
   RDFTX_RETURN_IF_ERROR(r.U64(&meta->live_size));
   uint32_t index_count = 0;
@@ -292,7 +280,6 @@ Status ParseIndex(ByteReader r, uint32_t expected_order,
   MvbtOptions opts;
   opts.block_capacity = meta.block_capacity;
   opts.compress_leaves = meta.compress_leaves;
-  opts.zone_maps = meta.zone_maps;
   opts.leaf_cache_bytes = cache_opts.leaf_cache_bytes;
   auto tree = std::make_unique<Mvbt>(opts);
   RDFTX_RETURN_IF_ERROR(tree->BeginRestore());
@@ -326,22 +313,20 @@ Status ParseIndex(ByteReader r, uint32_t expected_order,
       RDFTX_RETURN_IF_ERROR(ReadBool(&r, "compressed", &compressed));
       uint64_t count = 0;
       RDFTX_RETURN_IF_ERROR(r.U64(&count));
-      // Entries of this leaf, kept around for the zone-map cross-check
-      // below so it never has to decode the block a second time.
-      std::vector<Entry> entries;
       if (compressed) {
         uint64_t nbytes = 0;
         RDFTX_RETURN_IF_ERROR(r.U64(&nbytes));
         const uint8_t* p = nullptr;
         RDFTX_RETURN_IF_ERROR(r.Bytes(&p, nbytes));
         Result<LeafBlock> block =
-            LeafBlock::FromCompressedBytes({p, p + nbytes}, count, &entries);
+            LeafBlock::FromCompressedBytes({p, p + nbytes}, count);
         if (!block.ok()) return r.Corrupt(block.status().message());
         n->block = std::move(block).value();
       } else {
         if (count > r.remaining() / 32) {
           return r.Corrupt("leaf entry count exceeds payload");
         }
+        std::vector<Entry> entries;
         entries.reserve(count);
         for (uint64_t i = 0; i < count; ++i) {
           Entry e;
@@ -350,7 +335,7 @@ Status ParseIndex(ByteReader r, uint32_t expected_order,
           RDFTX_RETURN_IF_ERROR(r.U32(&e.end));
           entries.push_back(e);
         }
-        Result<LeafBlock> block = LeafBlock::FromEntries(entries);
+        Result<LeafBlock> block = LeafBlock::FromEntries(std::move(entries));
         if (!block.ok()) return r.Corrupt(block.status().message());
         n->block = std::move(block).value();
       }
@@ -364,36 +349,6 @@ Status ParseIndex(ByteReader r, uint32_t expected_order,
         uint64_t b = 0;
         RDFTX_RETURN_IF_ERROR(r.U64(&b));
         wire.backlinks.push_back(b);
-      }
-      bool zone_valid = false;
-      RDFTX_RETURN_IF_ERROR(ReadBool(&r, "zone_map", &zone_valid));
-      if (zone_valid) {
-        // Zone maps are only ever built for dead leaves of a
-        // zone-mapped tree; a crafted one on a live leaf could prune
-        // entries that still change.
-        if (!meta.zone_maps || n->alive()) {
-          return r.Corrupt("zone map on a live leaf");
-        }
-        RDFTX_RETURN_IF_ERROR(ReadKey(&r, &n->zone_map.min_key));
-        RDFTX_RETURN_IF_ERROR(ReadKey(&r, &n->zone_map.max_key));
-        RDFTX_RETURN_IF_ERROR(r.U32(&n->zone_map.min_start));
-        RDFTX_RETURN_IF_ERROR(r.U32(&n->zone_map.max_end));
-        RDFTX_RETURN_IF_ERROR(r.U64(&n->zone_map.entry_count));
-        RDFTX_RETURN_IF_ERROR(r.U64(&n->zone_map.live_count));
-        n->zone_map.valid = true;
-        // A zone map is derived data, and the one field a crafted file
-        // could use to make queries silently *drop* results (wrong
-        // pruning). Recompute it from the just-validated entries and
-        // require an exact match.
-        const mvbt::LeafZoneMap expect = LeafBlock::ComputeZoneMap(entries);
-        if (expect.min_key != n->zone_map.min_key ||
-            expect.max_key != n->zone_map.max_key ||
-            expect.min_start != n->zone_map.min_start ||
-            expect.max_end != n->zone_map.max_end ||
-            expect.entry_count != n->zone_map.entry_count ||
-            expect.live_count != n->zone_map.live_count) {
-          return r.Corrupt("zone map does not match leaf contents");
-        }
       }
     } else {
       uint64_t entry_count = 0;
@@ -523,10 +478,12 @@ Status ReadSnapshotFromBuffer(const uint8_t* data, size_t size,
   RDFTX_RETURN_IF_ERROR(header.U32(&version));
   RDFTX_RETURN_IF_ERROR(header.U32(&section_count));
   RDFTX_RETURN_IF_ERROR(header.U64(&table_hash));
-  if (version == 0 || version > kFormatVersion) {
-    return Status::NotSupported("snapshot format version " +
-                                std::to_string(version) +
-                                " is newer than this build supports");
+  // Each version has its own layout, so no other one can be parsed.
+  if (version != kFormatVersion) {
+    return Status::NotSupported(
+        "snapshot format version " + std::to_string(version) +
+        " is not supported (this build reads version " +
+        std::to_string(kFormatVersion) + ")");
   }
   if (section_count > (size - kHeaderBytes) / kTableEntryBytes) {
     return Status::Corruption("section table truncated");

@@ -1,7 +1,7 @@
 // On-disk snapshot persistence for the RDF-TX store: serializes the
 // dictionary, the four MVBT indices (inner nodes, leaf blocks in their
-// existing delta-encoded byte form, backlinks and zone maps as node-id
-// references), and graph metadata into a single checksummed file.
+// existing delta-encoded byte form, backlinks as node-id references),
+// and graph metadata into a single checksummed file.
 // Loading memory-maps the file (with a buffered fallback), validates
 // every section checksum eagerly, and reconstructs the node graph from
 // the id table — any corruption surfaces as a Status error naming the

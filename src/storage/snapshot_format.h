@@ -27,7 +27,8 @@
 namespace rdftx::storage {
 
 inline constexpr uint8_t kMagic[8] = {'R', 'T', 'X', 'S', 'N', 'A', 'P', '1'};
-inline constexpr uint32_t kFormatVersion = 1;
+/// Version 2 dropped the per-leaf zone maps that version 1 carried.
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr size_t kHeaderBytes = 24;
 inline constexpr size_t kTableEntryBytes = 32;
 /// Seed for every XXH64 in the file, so a snapshot hash never collides

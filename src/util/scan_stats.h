@@ -4,7 +4,7 @@
 // counters need no synchronization (the same design as engine::ExecStats).
 // Decode work is counted in entries decoded from compressed bytes: plain
 // blocks and cache hits contribute nothing, which is exactly what the
-// zone-map / cache ablations measure.
+// cache ablation measures.
 #ifndef RDFTX_UTIL_SCAN_STATS_H_
 #define RDFTX_UTIL_SCAN_STATS_H_
 
@@ -16,7 +16,8 @@ namespace rdftx {
 struct ScanStats {
   /// Leaves whose entries were actually scanned.
   uint64_t leaves_visited = 0;
-  /// Leaves skipped because their zone map proved no entry can match.
+  /// Always 0: the scan skips no leaf it reaches. Kept because the
+  /// frozen perfbench harness reads it (perfbench/src/query_trace.cc:247).
   uint64_t leaves_pruned = 0;
   /// Entries decoded from compressed leaf bytes (cache hits and plain
   /// blocks decode nothing).

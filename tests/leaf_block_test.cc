@@ -54,8 +54,14 @@ TEST(LeafBlockTest, CloseAtPlainAndCompressed) {
     LeafBlock block;
     for (const Entry& e : MakeEntries()) block.Append(e);
     if (compress) block.Compress();
-    block.CloseAt(1, 300);
-    block.CloseAt(3, 310);
+    {
+      // One walk reaches both slots; the second close walks afresh
+      // because the first one changed the block.
+      LeafBlock::SlotWalk walk(block);
+      block.CloseAt(walk.Seek(1), 300);
+    }
+    LeafBlock::SlotWalk walk(block);
+    block.CloseAt(walk.Seek(3), 310);
     std::vector<Entry> expected = MakeEntries();
     expected[1].end = 300;
     expected[3].end = 310;
@@ -63,14 +69,22 @@ TEST(LeafBlockTest, CloseAtPlainAndCompressed) {
   }
 }
 
-TEST(LeafBlockTest, EntryAtPlainAndCompressed) {
+TEST(LeafBlockTest, SlotWalkPlainAndCompressed) {
   for (bool compress : {false, true}) {
     LeafBlock block;
     for (const Entry& e : MakeEntries()) block.Append(e);
     if (compress) block.Compress();
     const std::vector<Entry> entries = MakeEntries();
+    LeafBlock::SlotWalk every(block);
     for (size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(block.EntryAt(i), entries[i])
+      EXPECT_EQ(every.Seek(i).entry, entries[i])
+          << "slot " << i << " compressed=" << compress;
+    }
+    LeafBlock::SlotWalk sparse(block);
+    for (size_t i : {size_t{1}, size_t{4}}) {
+      const LeafBlock::Slot& slot = sparse.Seek(i);
+      EXPECT_EQ(slot.index, i);
+      EXPECT_EQ(slot.entry, entries[i])
           << "slot " << i << " compressed=" << compress;
     }
   }

@@ -1,18 +1,14 @@
-// Read-path overhaul coverage: slot access on compressed leaves
-// (EntryAt/CloseAt splice), zone-map pruning equivalence against
-// an unpruned tree, decoded-leaf cache correctness + counters (including
-// under concurrency, for the TSan build), and the invariant verifier's
-// zone-map leg catching seeded corruption.
+// Read-path coverage: slot access on compressed leaves (SlotWalk and the
+// CloseAt splice), and decoded-leaf cache correctness + counters
+// (including under concurrency, for the TSan build).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
-#include "analysis/invariants.h"
 #include "engine/executor.h"
 #include "mvbt/leaf_block.h"
 #include "mvbt/mvbt.h"
@@ -23,8 +19,9 @@ namespace rdftx::mvbt {
 namespace {
 
 // ---------------------------------------------------------------------
-// LeafBlock slot access on compressed blocks: EntryAt decodes up to its
-// slot, CloseAt splices one entry's bytes (or re-encodes from the base).
+// LeafBlock slot access on compressed blocks: a SlotWalk decodes forward
+// to its slots, CloseAt splices one entry's bytes (or re-encodes from the
+// base).
 
 LeafBlock MakeCompressedBlock(size_t n) {
   LeafBlock b;
@@ -35,11 +32,30 @@ LeafBlock MakeCompressedBlock(size_t n) {
   return b;
 }
 
-TEST(LeafBlockReadPath, EntryAtMatchesDecode) {
+// Closes slot `i` the way Mvbt::Erase does: through a walk to it.
+void CloseSlot(LeafBlock* b, size_t i, Chronon te) {
+  LeafBlock::SlotWalk walk(*b);
+  b->CloseAt(walk.Seek(i), te);
+}
+
+TEST(LeafBlockReadPath, SlotWalkMatchesDecode) {
   LeafBlock b = MakeCompressedBlock(64);
   const std::vector<Entry> all = b.Decode();
-  for (size_t i : {size_t{0}, size_t{5}, size_t{63}}) {
-    EXPECT_EQ(b.EntryAt(i), all[i]) << "slot " << i;
+  LeafBlock::SlotWalk walk(b);
+  LeafBlock::Cursor cur(b);
+  Entry e;
+  for (size_t i : {size_t{0}, size_t{5}, size_t{6}, size_t{63}}) {
+    while (cur.decoded() < i) cur.Next(&e);
+    const size_t begin = cur.byte_pos();
+    cur.Next(&e);
+    const LeafBlock::Slot& slot = walk.Seek(i);
+    EXPECT_EQ(slot.index, i);
+    EXPECT_EQ(slot.entry, all[i]) << "slot " << i;
+    if (i > 0) {
+      EXPECT_EQ(slot.prev, all[i - 1]) << "slot " << i;
+    }
+    EXPECT_EQ(slot.begin, begin) << "slot " << i;
+    EXPECT_EQ(slot.end, cur.byte_pos()) << "slot " << i;
   }
 }
 
@@ -56,7 +72,7 @@ TEST(LeafBlockReadPath, CloseAtSplicesAndReencodesBase) {
   cur.Next(&e);
   const auto tail =
       static_cast<std::ptrdiff_t>(before.size() - cur.byte_pos());
-  b.CloseAt(5, 100);
+  CloseSlot(&b, 5, 100);
   expected[5].end = 100;
   EXPECT_EQ(b.Decode(), expected);
   const std::vector<uint8_t>& after = b.compressed_bytes();
@@ -68,7 +84,7 @@ TEST(LeafBlockReadPath, CloseAtSplicesAndReencodesBase) {
 
   // Closing the block base (entry 0) re-encodes the whole block: its end
   // version is the te-delta reference of every later entry.
-  b.CloseAt(0, 100);
+  CloseSlot(&b, 0, 100);
   expected[0].end = 100;
   EXPECT_EQ(b.Decode(), expected);
 }
@@ -76,7 +92,7 @@ TEST(LeafBlockReadPath, CloseAtSplicesAndReencodesBase) {
 TEST(LeafBlockReadPath, CloseLastEntryKeepsAppendCheckpoint) {
   LeafBlock b = MakeCompressedBlock(8);
   std::vector<Entry> expected = b.Decode();
-  b.CloseAt(7, 50);
+  CloseSlot(&b, 7, 50);
   expected[7].end = 50;
   // The append fast path uses the checkpointed last entry as its delta
   // base; a splice of that entry must refresh it.
@@ -106,8 +122,8 @@ TEST(LeafBlockReadPath, SpliceMatchesFullReencode) {
     spliced.Compress();
     const size_t at = rng.Uniform(entries.size());
     const Chronon te = t + 10;
-    spliced.CloseAt(at, te);
-    reference.CloseAt(at, te);
+    CloseSlot(&spliced, at, te);
+    CloseSlot(&reference, at, te);
     reference.Compress();
     EXPECT_EQ(spliced.Decode(), reference.Decode()) << "round " << round;
     EXPECT_EQ(spliced.compressed_bytes(), reference.compressed_bytes())
@@ -118,7 +134,7 @@ TEST(LeafBlockReadPath, SpliceMatchesFullReencode) {
 // ---------------------------------------------------------------------
 // Tree-level properties. Churn mirrors the invariant tests: a small key
 // universe over a small block capacity yields a multi-root forest with
-// many dead (compressed, zone-mapped) leaves.
+// many dead compressed leaves.
 
 void Churn(Mvbt* a, Mvbt* b, uint64_t seed, int ops = 4000) {
   Rng rng(seed);
@@ -146,22 +162,6 @@ void Churn(Mvbt* a, Mvbt* b, uint64_t seed, int ops = 4000) {
   if (b != nullptr) b->CompressAllLeaves();
 }
 
-TEST(MvbtReadPath, ZoneMapsOnDeadLeavesOnly) {
-  Mvbt tree(MvbtOptions{.block_capacity = 8, .compress_leaves = true});
-  Churn(&tree, nullptr, 3);
-  size_t dead_leaves = 0;
-  tree.ForEachNode([&](const Mvbt::Node& n) {
-    if (!n.is_leaf) return;
-    if (n.alive()) {
-      EXPECT_FALSE(n.zone_map.valid) << "zone map on a live leaf";
-    } else {
-      ++dead_leaves;
-      EXPECT_TRUE(n.zone_map.valid) << "dead leaf missing its zone map";
-    }
-  });
-  ASSERT_GT(dead_leaves, 0u) << "churn produced no dead leaves";
-}
-
 using Fragment = std::tuple<Key3, Chronon, Chronon>;
 
 std::vector<Fragment> RangeFragments(const Mvbt& tree, const KeyRange& range,
@@ -175,43 +175,6 @@ std::vector<Fragment> RangeFragments(const Mvbt& tree, const KeyRange& range,
       stats);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-TEST(MvbtReadPath, ZoneMapPruningNeverChangesResults) {
-  Mvbt pruned(MvbtOptions{
-      .block_capacity = 8, .compress_leaves = true, .zone_maps = true});
-  Mvbt unpruned(MvbtOptions{
-      .block_capacity = 8, .compress_leaves = true, .zone_maps = false});
-  Churn(&pruned, &unpruned, 17);
-  ASSERT_EQ(pruned.last_time(), unpruned.last_time());
-
-  Rng rng(23);
-  const Chronon horizon = pruned.last_time() + 10;
-  ScanStats total;
-  for (int q = 0; q < 60; ++q) {
-    Key3 lo{rng.Uniform(6), rng.Uniform(6), rng.Uniform(20)};
-    Key3 hi{rng.Uniform(6), rng.Uniform(6), rng.Uniform(20)};
-    if (hi < lo) std::swap(lo, hi);
-    const Chronon t1 = static_cast<Chronon>(rng.Uniform(horizon));
-    const Interval window(t1, t1 + 1 + static_cast<Chronon>(
-                                           rng.Uniform(horizon / 4 + 1)));
-    const KeyRange range{lo, hi};
-
-    ScanStats stats;
-    EXPECT_EQ(RangeFragments(pruned, range, window, &stats),
-              RangeFragments(unpruned, range, window, nullptr))
-        << "range query " << q;
-    total.MergeFrom(stats);
-
-    std::multiset<Key3> got, want;
-    pruned.QuerySnapshotT(range, t1, [&](const Key3& k) { got.insert(k); });
-    unpruned.QuerySnapshotT(range, t1, [&](const Key3& k) { want.insert(k); });
-    EXPECT_EQ(got, want) << "snapshot query " << q;
-  }
-  // The workload must actually exercise pruning for the equivalence to
-  // mean anything.
-  EXPECT_GT(total.leaves_pruned, 0u);
-  EXPECT_GT(total.leaves_visited, 0u);
 }
 
 TEST(MvbtReadPath, DecodedLeafCacheIsTransparent) {
@@ -320,69 +283,6 @@ TEST(MvbtReadPath, ConcurrentCachedScansAreRaceFree) {
   EXPECT_GT(counters.misses, 0u);
   EXPECT_GT(counters.evictions, 0u);  // the budget really was under pressure
   EXPECT_LE(counters.bytes, uint64_t{64u << 10});
-}
-
-// ---------------------------------------------------------------------
-// Validator: the zone-map leg must catch a summary that disagrees with
-// the leaf it describes (a wrong summary can silently drop results).
-
-TEST(MvbtReadPath, ValidatorDetectsCorruptZoneMap) {
-  Mvbt tree(MvbtOptions{.block_capacity = 8, .compress_leaves = true});
-  Churn(&tree, nullptr, 41);
-  ASSERT_TRUE(analysis::ValidateMvbt(tree).ok());
-
-  bool corrupted = false;
-  tree.ForEachNodeMutable([&](Mvbt::Node& n) {
-    if (!corrupted && n.is_leaf && !n.alive() && n.zone_map.valid &&
-        n.zone_map.entry_count > 0) {
-      n.zone_map.max_key = Key3{0, 0, 0};  // excludes the real entries
-      corrupted = true;
-    }
-  });
-  ASSERT_TRUE(corrupted) << "churn produced no zone-mapped dead leaf";
-  Status st = analysis::ValidateMvbt(tree);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_NE(st.message().find("zone map"), std::string::npos)
-      << st.ToString();
-  // The leg is individually switchable.
-  EXPECT_TRUE(
-      analysis::ValidateMvbt(tree, {.check_zone_maps = false}).ok());
-}
-
-TEST(MvbtReadPath, ValidatorDetectsZoneMapOnLiveLeaf) {
-  Mvbt tree(MvbtOptions{.block_capacity = 8, .compress_leaves = true});
-  Churn(&tree, nullptr, 43);
-  bool forged = false;
-  tree.ForEachNodeMutable([&](Mvbt::Node& n) {
-    if (!forged && n.is_leaf && n.alive()) {
-      n.zone_map = n.block.ComputeZoneMap();  // stale the moment it mutates
-      forged = true;
-    }
-  });
-  ASSERT_TRUE(forged);
-  Status st = analysis::ValidateMvbt(tree);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_NE(st.message().find("live leaf"), std::string::npos)
-      << st.ToString();
-}
-
-TEST(MvbtReadPath, ValidatorDetectsMissingZoneMap) {
-  Mvbt tree(MvbtOptions{.block_capacity = 8, .compress_leaves = true});
-  Churn(&tree, nullptr, 47);
-  bool stripped = false;
-  tree.ForEachNodeMutable([&](Mvbt::Node& n) {
-    if (!stripped && n.is_leaf && !n.alive() && n.zone_map.valid) {
-      n.zone_map.valid = false;
-      stripped = true;
-    }
-  });
-  ASSERT_TRUE(stripped);
-  Status st = analysis::ValidateMvbt(tree);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_NE(st.message().find("missing"), std::string::npos) << st.ToString();
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // against a std::set model over a long random update stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/invariants.h"
@@ -93,6 +96,82 @@ TEST(MvbtUpdatePath, FingerprintCollisionsResolveByKey) {
       EXPECT_TRUE(st.ok()) << st.ToString();
     }
   }
+}
+
+using Fragment = std::tuple<Key3, Chronon, Chronon>;
+
+std::vector<Fragment> AllFragments(const Mvbt& tree) {
+  std::vector<Fragment> out;
+  tree.QueryRange(KeyRange{}, Interval::All(),
+                  [&](const Key3& k, const Interval& iv) {
+                    out.emplace_back(k, iv.start, iv.end);
+                  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Closes entries at every position of one compressed live leaf — slot 0
+// (the block base, re-encoded whole), middle slots (spliced), the last
+// slot (the append checkpoint) — including a target that is the first of
+// two fingerprint hits and one that follows a colliding hit, and checks
+// FindLive and QueryRange against a plain twin after each close.
+TEST(MvbtUpdatePath, CompressedLeafClosesMatchPlainTwin) {
+  std::vector<Key3> keys;
+  for (uint64_t i = 0; i < 12; ++i) keys.push_back(Key3{5, i, 2 * i});
+  // Slots 0..8 hold keys 0..8; slot 9 collides with slot 3 and slot 11
+  // with slot 6; slot 13 is the last.
+  keys.insert(keys.begin() + 9, CollidingKey(keys[3]));
+  keys.insert(keys.begin() + 11, CollidingKey(keys[6]));
+  ASSERT_EQ(keys.size(), 14u);
+
+  Mvbt compressed(MvbtOptions{.block_capacity = 32, .compress_leaves = true});
+  Mvbt plain(MvbtOptions{.block_capacity = 32});
+  Chronon t = 1;
+  for (const Key3& k : keys) {
+    ASSERT_TRUE(compressed.Insert(k, t).ok());
+    ASSERT_TRUE(plain.Insert(k, t).ok());
+    ++t;
+  }
+  compressed.CompressAllLeaves();
+
+  auto expect_twins_agree = [&](const std::string& after) {
+    SCOPED_TRACE(after);
+    for (const Key3& k : keys) {
+      Chronon got = 0;
+      Chronon want = 0;
+      const bool live = plain.FindLive(k, &want);
+      ASSERT_EQ(compressed.FindLive(k, &got), live) << k.ToString();
+      if (live) {
+        EXPECT_EQ(got, want) << k.ToString();
+      }
+    }
+    EXPECT_EQ(AllFragments(compressed), AllFragments(plain));
+    EXPECT_TRUE(compressed.Validate().ok());
+  };
+
+  // 11: after slot 6's colliding hit; 0: the base; 3: first of two hits
+  // (slot 9 still live); 7: a middle slot; 13: the last slot.
+  for (size_t victim : {size_t{11}, size_t{0}, size_t{3}, size_t{7},
+                        size_t{13}}) {
+    ++t;
+    ASSERT_TRUE(compressed.Erase(keys[victim], t).ok());
+    ASSERT_TRUE(plain.Erase(keys[victim], t).ok());
+    EXPECT_EQ(compressed.Erase(keys[victim], t).code(), StatusCode::kNotFound);
+    expect_twins_agree("closed slot " + std::to_string(victim));
+  }
+  // An append after closing the last slot deltas against its checkpoint.
+  keys.push_back(Key3{5, 20, 1});
+  ASSERT_TRUE(compressed.Insert(keys.back(), t).ok());
+  ASSERT_TRUE(plain.Insert(keys.back(), t).ok());
+  expect_twins_agree("append after the closes");
+
+  size_t live_leaves = 0;
+  compressed.ForEachNode([&](const Mvbt::Node& n) {
+    if (!n.is_leaf || !n.alive()) return;
+    ++live_leaves;
+    EXPECT_TRUE(n.block.compressed());
+  });
+  EXPECT_EQ(live_leaves, 1u) << "every close must land in one live leaf";
 }
 
 TEST(MvbtUpdatePath, EraseBeyondDomainChangesNothing) {

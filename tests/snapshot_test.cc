@@ -127,13 +127,9 @@ enum ShapeName : size_t {
   kSplitHeavy,
   kCompressed,
   kUncompressed,
-  kNoZoneMaps,
-  kPlainMvbt,
 };
-const char* const kShapeNames[] = {"empty",        "single-leaf",
-                                   "split-heavy",  "compressed",
-                                   "uncompressed", "no-zone-maps",
-                                   "plain-mvbt"};
+const char* const kShapeNames[] = {"empty", "single-leaf", "split-heavy",
+                                   "compressed", "uncompressed"};
 
 struct Shape {
   ShapeName name;
@@ -142,20 +138,14 @@ struct Shape {
 };
 
 // Empty graph, one never-split leaf, a split/merge-heavy forest (minimum
-// block capacity + deletions), and all four compression/zone-map
-// configurations.
+// block capacity + deletions), and the RDF-TX and standard-MVBT leaf
+// formats.
 const Shape kShapes[] = {
     {kEmpty, {}, 0},
     {kSingleLeaf, {}, 30},
     {kSplitHeavy, {.block_capacity = 8}, 900},
-    {kCompressed, {.block_capacity = 16, .compress_leaves = true,
-                   .zone_maps = true}, 500},
-    {kUncompressed, {.block_capacity = 16, .compress_leaves = false,
-                     .zone_maps = true}, 500},
-    {kNoZoneMaps, {.block_capacity = 16, .compress_leaves = true,
-                   .zone_maps = false}, 500},
-    {kPlainMvbt, {.block_capacity = 16, .compress_leaves = false,
-                  .zone_maps = false}, 500},
+    {kCompressed, {.block_capacity = 16, .compress_leaves = true}, 500},
+    {kUncompressed, {.block_capacity = 16, .compress_leaves = false}, 500},
 };
 
 class SnapshotRoundTripTest : public ::testing::TestWithParam<Shape> {};
@@ -173,13 +163,11 @@ TEST_P(SnapshotRoundTripTest, BufferRoundTripPreservesQueriesAndInvariants) {
             std::max<size_t>(8, shape.opts.block_capacity));
   EXPECT_EQ(loaded.index(IndexOrder::kSpo).options().compress_leaves,
             shape.opts.compress_leaves);
-  EXPECT_EQ(loaded.index(IndexOrder::kSpo).options().zone_maps,
-            shape.opts.zone_maps);
 
   ExpectIndexStatsEqual(original, loaded);
   ExpectScansAgree(original, loaded, /*seed=*/7, /*queries=*/25);
 
-  // The deep validator, including the zone-map leg, must accept every
+  // The deep validator must accept every
   // loaded index exactly as it accepts the original.
   for (int i = 0; i < 4; ++i) {
     Status st = analysis::ValidateMvbt(loaded.index(static_cast<IndexOrder>(i)));
@@ -367,7 +355,7 @@ TEST(SnapshotCorruptionTest,
   // *different* valid store (e.g. an altered entry interval in a dead
   // node), so byte-for-byte query equality with the original is not a
   // property here. What must hold for every survivor: no crash, the
-  // loader's structural+zone-map validation accepted it, scans produce
+  // loader's structural validation accepted it, scans produce
   // well-formed intervals, and the survivor itself round-trips.
   int survived = 0;
   for (size_t pos = storage::kHeaderBytes; pos < good.size(); ++pos) {
@@ -401,7 +389,7 @@ TEST(SnapshotCorruptionTest,
   // checksums repaired, many flips land in term strings or entry
   // payloads and simply describe a different valid store — but the
   // structural layer alone must still reject a solid share (broken
-  // varint framing, counts, ranges, zone maps, wiring).
+  // varint framing, counts, ranges, wiring).
   const int caught = static_cast<int>(good.size() - storage::kHeaderBytes) -
                      survived;
   EXPECT_GT(caught, static_cast<int>(good.size() / 3));
@@ -445,6 +433,18 @@ TEST(SnapshotCorruptionTest, BadMagicAndFutureVersion) {
     Status st = ReadSnapshotFromBuffer(bad.data(), bad.size(), &g, nullptr);
     EXPECT_EQ(st.code(), StatusCode::kNotSupported);
   }
+}
+
+TEST(SnapshotCorruptionTest, OlderVersionIsNotSupported) {
+  // Version 1 images carried per-leaf zone maps; parsing one with the
+  // current node layout would misread every leaf after the first.
+  std::vector<uint8_t> bad = SmallImage();
+  ASSERT_EQ(LoadU32(bad.data() + 8), storage::kFormatVersion);
+  bad[8] = 1;
+  TemporalGraph g;
+  Dictionary d;
+  Status st = ReadSnapshotFromBuffer(bad.data(), bad.size(), &g, &d);
+  EXPECT_EQ(st.code(), StatusCode::kNotSupported) << st.ToString();
 }
 
 TEST(SnapshotCorruptionTest, GarbageAndEmptyBuffers) {
