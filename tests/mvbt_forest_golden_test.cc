@@ -8,7 +8,11 @@
 //
 // Each fixture is hashed at three stages: after Load, after CompressAll,
 // and after a round of retracts and asserts applied to the compressed
-// live leaves (the live-ingest checkpoint path).
+// live leaves (the live-ingest checkpoint path). The Wikipedia and
+// GovTrack fixtures hash all four indices of a TemporalGraph; the
+// `churn` fixture hashes one bare tree of block capacity 8 whose
+// same-version bulk load, retracts and drain reach every structure
+// change on inner nodes as well as leaves.
 //
 // File format, one record per line:
 //   <fixture> <stage> <index> nodes=<n> memory=<bytes> hash=<hex>
@@ -29,6 +33,7 @@
 
 #include "rdf/temporal_graph.h"
 #include "util/checksum.h"
+#include "util/rng.h"
 #include "workload/govtrack_gen.h"
 #include "workload/wikipedia_gen.h"
 
@@ -173,6 +178,59 @@ void AppendFixture(const std::string& fixture, const workload::Dataset& data,
   AppendStage(fixture, "updated", graph, out);
 }
 
+// A bare tree of block capacity 8. Eight inserts at version 0 and three
+// retracts at 1 leave a root leaf that the first insert at version 2
+// version-splits into a new root leaf; the bulk load at 2 then splits
+// leaves and inner nodes in place, from the root up. Retracts at the
+// load version leave empty entries and routers for the in-place splits
+// to purge, and the churn and drain that follow version-split, merge
+// and key-split both node kinds.
+void AppendChurnFixture(std::vector<std::string>* out) {
+  Mvbt tree(mvbt::MvbtOptions{.block_capacity = 8});
+  Rng rng(9);
+  std::vector<Key3> live;
+  auto insert = [&](Chronon t) {
+    const Key3 k{rng.Uniform(64), rng.Uniform(64), rng.Uniform(64)};
+    if (tree.Insert(k, t).ok()) live.push_back(k);
+  };
+  auto erase = [&](Chronon t) {
+    if (live.empty()) return;
+    const size_t i = rng.Uniform(live.size());
+    ASSERT_TRUE(tree.Erase(live[i], t).ok());
+    live[i] = live.back();
+    live.pop_back();
+  };
+  for (int i = 0; i < 8; ++i) insert(0);
+  for (int i = 0; i < 3; ++i) erase(1);
+  const Chronon t0 = 2;
+  for (int i = 0; i < 3000; ++i) insert(t0);
+  out->push_back(ForestRecord("churn load mvbt", tree));
+  tree.CompressAllLeaves();
+  out->push_back(ForestRecord("churn compressed mvbt", tree));
+  for (int i = 0; i < 3000; ++i) {
+    if (rng.Uniform(2) == 0) {
+      erase(t0);
+    } else {
+      insert(t0);
+    }
+  }
+  Chronon t = t0;
+  for (int i = 0; i < 6000; ++i) {
+    t += static_cast<Chronon>(rng.Uniform(2));
+    if (rng.Uniform(5) < 3) {
+      insert(t);
+    } else {
+      erase(t);
+    }
+  }
+  while (!live.empty()) {
+    t += static_cast<Chronon>(rng.Uniform(2));
+    erase(t);
+  }
+  ASSERT_TRUE(tree.Validate().ok());
+  out->push_back(ForestRecord("churn updated mvbt", tree));
+}
+
 std::vector<std::string> CurrentRecords() {
   std::vector<std::string> records;
   {
@@ -187,6 +245,7 @@ std::vector<std::string> CurrentRecords() {
         &dict, workload::GovTrackOptions{.num_triples = 20000, .seed = 8});
     AppendFixture("gov", data, &records);
   }
+  AppendChurnFixture(&records);
   return records;
 }
 
