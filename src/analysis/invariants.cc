@@ -28,8 +28,7 @@ Status Fail(const std::string& what, const Mvbt::Node& n) {
 }
 
 /// Per-node checks: entry containment, version conditions, tallies.
-Status CheckNode(const Mvbt& tree, const Mvbt::Node& n,
-                 const ValidateOptions& opts) {
+Status CheckNode(const Mvbt& tree, const Mvbt::Node& n) {
   if (n.range.lo > n.range.hi) return Fail("inverted key range", n);
   if (n.dead != kChrononNow && n.dead < n.created) {
     return Fail("node dies before it is created", n);
@@ -89,21 +88,19 @@ Status CheckNode(const Mvbt& tree, const Mvbt::Node& n,
                     n);
       }
     }
-    if (opts.check_roundtrip) {
-      // The delta encoding must round-trip: plain -> compressed ->
-      // decoded, and (for compressed blocks) decompressed -> recompressed.
-      LeafBlock rebuilt;
-      for (const Entry& e : entries) rebuilt.Append(e);
-      rebuilt.Compress(nullptr);
-      if (rebuilt.Decode() != entries) {
-        return Fail("leaf delta block does not round-trip", n);
-      }
-      if (n.block.compressed()) {
-        LeafBlock copy = n.block;
-        copy.Decompress();
-        if (copy.Decode() != entries) {
-          return Fail("leaf delta block decompression mismatch", n);
-        }
+    // The delta encoding must round-trip: plain -> compressed ->
+    // decoded, and (for compressed blocks) decompressed -> recompressed.
+    LeafBlock rebuilt;
+    for (const Entry& e : entries) rebuilt.Append(e);
+    rebuilt.Compress(nullptr);
+    if (rebuilt.Decode() != entries) {
+      return Fail("leaf delta block does not round-trip", n);
+    }
+    if (n.block.compressed()) {
+      LeafBlock copy = n.block;
+      copy.Decompress();
+      if (copy.Decode() != entries) {
+        return Fail("leaf delta block decompression mismatch", n);
       }
     }
   } else {
@@ -138,7 +135,7 @@ Status CheckNode(const Mvbt& tree, const Mvbt::Node& n,
                  n.dead != e.end) {
         // A closed router entry ends when its child dies (ReplaceInParent)
         // or when this parent itself dies and routing moves to the
-        // successor parent (RestructureInner's extract).
+        // successor parent (Retire in Restructure).
         return Fail("closed router entry ends at neither child death nor "
                     "parent death",
                     n);
@@ -194,7 +191,7 @@ Status ValidateTemporalSet(const TemporalSet& set) {
   return ValidateCoalescedRuns(set.runs());
 }
 
-Status ValidateMvbt(const Mvbt& tree, const ValidateOptions& opts) {
+Status ValidateMvbt(const Mvbt& tree) {
   // Fast structural baseline first: root directory contiguity, live-root
   // wiring, and live-tree key-space tiling.
   RDFTX_RETURN_IF_ERROR(tree.Validate());
@@ -229,7 +226,7 @@ Status ValidateMvbt(const Mvbt& tree, const ValidateOptions& opts) {
   std::vector<const Mvbt::Node*> all_leaves;
   tree.ForEachNode([&](const Mvbt::Node& n) {
     if (!st.ok()) return;
-    st = CheckNode(tree, n, opts);
+    st = CheckNode(tree, n);
     if (!st.ok()) return;
     if (n.is_leaf) {
       ++leaves;
@@ -316,17 +313,14 @@ Status ValidateMvbt(const Mvbt& tree, const ValidateOptions& opts) {
 
   // Backward-link reachability: the link-based scan over the full
   // rectangle must reach every leaf that ever lived.
-  if (opts.check_reachability) {
-    std::vector<const Mvbt::Node*> reached;
-    tree.CollectRegionLeaves(KeyRange{}, Interval(0, kChrononNow), &reached);
-    std::unordered_set<const Mvbt::Node*> seen(reached.begin(),
-                                               reached.end());
-    for (const Mvbt::Node* leaf : all_leaves) {
-      if (!leaf->lifespan().empty() && !seen.contains(leaf)) {
-        return Fail("backward-link chain broken: leaf unreachable from "
-                    "the live border",
-                    *leaf);
-      }
+  std::vector<const Mvbt::Node*> reached;
+  tree.CollectRegionLeaves(KeyRange{}, Interval(0, kChrononNow), &reached);
+  std::unordered_set<const Mvbt::Node*> seen(reached.begin(), reached.end());
+  for (const Mvbt::Node* leaf : all_leaves) {
+    if (!leaf->lifespan().empty() && !seen.contains(leaf)) {
+      return Fail("backward-link chain broken: leaf unreachable from "
+                  "the live border",
+                  *leaf);
     }
   }
 
@@ -335,53 +329,50 @@ Status ValidateMvbt(const Mvbt& tree, const ValidateOptions& opts) {
   // fragment per key is live, and the live fragments tally with
   // live_size. Coalescing the fragments must yield a normalized
   // TemporalSet.
-  if (opts.check_fragments) {
-    std::map<Key3, std::vector<Interval>> fragments;
-    size_t live_fragments = 0;
-    tree.QueryRange(KeyRange{}, Interval(0, kChrononNow),
-                    [&](const Key3& k, const Interval& iv) {
-                      fragments[k].push_back(iv);
-                      if (iv.end == kChrononNow) ++live_fragments;
-                    });
-    if (live_fragments != tree.live_size()) {
-      return Status::Corruption(
-          "live fragments (" + std::to_string(live_fragments) +
-          ") disagree with live_size (" + std::to_string(tree.live_size()) +
-          ")");
-    }
-    for (auto& [key, iv] : fragments) {
-      std::sort(iv.begin(), iv.end(),
-                [](const Interval& x, const Interval& y) {
-                  return x.start < y.start;
-                });
-      for (size_t i = 1; i < iv.size(); ++i) {
-        if (iv[i - 1].end > iv[i].start) {
-          return Status::Corruption("overlapping validity fragments for " +
-                                    key.ToString() + ": " +
-                                    iv[i - 1].ToString() + " and " +
-                                    iv[i].ToString());
-        }
+  std::map<Key3, std::vector<Interval>> fragments;
+  size_t live_fragments = 0;
+  tree.QueryRange(KeyRange{}, Interval(0, kChrononNow),
+                  [&](const Key3& k, const Interval& iv) {
+                    fragments[k].push_back(iv);
+                    if (iv.end == kChrononNow) ++live_fragments;
+                  });
+  if (live_fragments != tree.live_size()) {
+    return Status::Corruption(
+        "live fragments (" + std::to_string(live_fragments) +
+        ") disagree with live_size (" + std::to_string(tree.live_size()) +
+        ")");
+  }
+  for (auto& [key, iv] : fragments) {
+    std::sort(iv.begin(), iv.end(),
+              [](const Interval& x, const Interval& y) {
+                return x.start < y.start;
+              });
+    for (size_t i = 1; i < iv.size(); ++i) {
+      if (iv[i - 1].end > iv[i].start) {
+        return Status::Corruption("overlapping validity fragments for " +
+                                  key.ToString() + ": " +
+                                  iv[i - 1].ToString() + " and " +
+                                  iv[i].ToString());
       }
-      for (size_t i = 0; i + 1 < iv.size(); ++i) {
-        if (iv[i].end == kChrononNow) {
-          return Status::Corruption("live fragment is not the last for " +
-                                    key.ToString());
-        }
-      }
-      RDFTX_RETURN_IF_ERROR(
-          ValidateCoalescedRuns(TemporalSet::FromIntervals(iv).runs()));
     }
+    for (size_t i = 0; i + 1 < iv.size(); ++i) {
+      if (iv[i].end == kChrononNow) {
+        return Status::Corruption("live fragment is not the last for " +
+                                  key.ToString());
+      }
+    }
+    RDFTX_RETURN_IF_ERROR(
+        ValidateCoalescedRuns(TemporalSet::FromIntervals(iv).runs()));
   }
   return Status::OK();
 }
 
-Status ValidateTemporalGraph(const TemporalGraph& graph,
-                             const ValidateOptions& opts) {
+Status ValidateTemporalGraph(const TemporalGraph& graph) {
   constexpr IndexOrder kOrders[] = {IndexOrder::kSpo, IndexOrder::kSop,
                                     IndexOrder::kPos, IndexOrder::kOps};
   for (IndexOrder order : kOrders) {
     const Mvbt& index = graph.index(order);
-    Status st = ValidateMvbt(index, opts);
+    Status st = ValidateMvbt(index);
     if (!st.ok()) {
       return Status::Corruption("index " +
                                 std::to_string(static_cast<int>(order)) +

@@ -22,19 +22,6 @@ class TemporalGraph;
 
 namespace rdftx::analysis {
 
-/// Toggles for the expensive legs of ValidateMvbt. All on by default.
-struct ValidateOptions {
-  /// Backward-link chain: every dead leaf with a nonempty lifespan must
-  /// be reachable from the live border via backlinks (paper §5.2.1).
-  bool check_reachability = true;
-  /// Leaf delta blocks must round-trip (compress -> decode -> recompress)
-  /// to their logical entries (paper §4.2).
-  bool check_roundtrip = true;
-  /// Validity fragments of one logical record must be emitted exactly
-  /// once and be pairwise non-overlapping (paper §2.2/§3 coalescing).
-  bool check_fragments = true;
-};
-
 /// Walks every root in the forest and every arena node, checking:
 ///  * root directory contiguity and live-root wiring;
 ///  * per-node capacity, key-range and lifespan containment of entries;
@@ -47,7 +34,7 @@ struct ValidateOptions {
 ///    that died exactly when the owner was created) and reachability;
 ///  * leaf delta-block round-trips;
 ///  * per-key fragment disjointness and the live-fragment tally.
-Status ValidateMvbt(const mvbt::Mvbt& tree, const ValidateOptions& opts = {});
+Status ValidateMvbt(const mvbt::Mvbt& tree);
 
 /// Checks the TemporalSet normal form: runs sorted by start, each
 /// nonempty, pairwise disjoint and non-adjacent (fully coalesced).
@@ -58,8 +45,7 @@ Status ValidateTemporalSet(const TemporalSet& set);
 
 /// ValidateMvbt on all four indices of a TemporalGraph, plus
 /// cross-index consistency (identical live sizes and clocks).
-Status ValidateTemporalGraph(const TemporalGraph& graph,
-                             const ValidateOptions& opts = {});
+Status ValidateTemporalGraph(const TemporalGraph& graph);
 
 }  // namespace rdftx::analysis
 

@@ -578,51 +578,15 @@ std::vector<Row> HashJoinRows(const std::vector<Row>& left,
   const std::vector<Row>& build = left.size() <= right.size() ? left : right;
   const std::vector<Row>& probe = left.size() <= right.size() ? right : left;
 
-  auto hash_key = [&](const Row& r) {
-    uint64_t h = 0x9E3779B97F4A7C15ull;
-    for (int slot : shared_key_slots) {
-      h ^= r.terms[static_cast<size_t>(slot)] + 0x9E3779B97F4A7C15ull +
-           (h << 6) + (h >> 2);
-    }
-    return h;
-  };
-
   std::unordered_multimap<uint64_t, const Row*> table;
   table.reserve(build.size());
-  for (const Row& r : build) table.emplace(hash_key(r), &r);
-
-  const size_t num_vars = left[0].terms.size();
+  for (const Row& r : build) table.emplace(RowHash(r, shared_key_slots), &r);
   for (const Row& pr : probe) {
-    auto [lo, hi] = table.equal_range(hash_key(pr));
+    auto [lo, hi] = table.equal_range(RowHash(pr, shared_key_slots));
     for (auto it = lo; it != hi; ++it) {
-      const Row& br = *it->second;
-      bool keys_match = true;
-      for (int slot : shared_key_slots) {
-        if (br.terms[static_cast<size_t>(slot)] !=
-            pr.terms[static_cast<size_t>(slot)]) {
-          keys_match = false;
-          break;
-        }
-      }
-      if (!keys_match) continue;
-      Row merged(num_vars);
-      bool time_ok = true;
-      for (size_t i = 0; i < num_vars && time_ok; ++i) {
-        // Terms: take whichever side binds the slot.
-        merged.terms[i] = br.terms[i] != kInvalidTerm ? br.terms[i]
-                                                      : pr.terms[i];
-        const bool b_has = !br.times[i].empty();
-        const bool p_has = !pr.times[i].empty();
-        if (b_has && p_has) {
-          merged.times[i] = br.times[i].Intersect(pr.times[i]);
-          if (merged.times[i].empty()) time_ok = false;
-        } else if (b_has) {
-          merged.times[i] = br.times[i];
-        } else if (p_has) {
-          merged.times[i] = pr.times[i];
-        }
-      }
-      if (!time_ok) continue;
+      if (!KeysMatch(*it->second, pr, shared_key_slots)) continue;
+      Row merged;
+      if (!MergeRows(*it->second, pr, &merged)) continue;
       out.push_back(std::move(merged));
     }
   }

@@ -322,34 +322,7 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
         tree.LeafColumns(*leaf, &scratch, &keepalive, &scan);
     const size_t n = cols->size();
     if (n == 0) continue;
-    mask.resize(simd::MaskWords(n));
-    simd::OverlapMask(cols->start.data(), cols->end.data(), n, window.start,
-                      window.end, mask.data());
-
-    // Key containment. PatternRange constrains each component either to
-    // one exact id or not at all, so containment is a conjunction of
-    // per-column equalities; any other shape (impossible today) falls
-    // back to the exact lexicographic check below.
-    bool prefix = true;
-    auto refine = [&](const std::vector<uint64_t>& col, uint64_t lo,
-                      uint64_t hi) {
-      if (lo == 0 && hi == UINT64_MAX) return;
-      if (lo == hi) {
-        simd::AndEqMask64(col.data(), n, lo, mask.data());
-        return;
-      }
-      prefix = false;
-    };
-    refine(cols->a, range.lo.a, range.hi.a);
-    refine(cols->b, range.lo.b, range.hi.b);
-    refine(cols->c, range.lo.c, range.hi.c);
-    if (!prefix) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!range.Contains(mvbt::Key3{cols->a[i], cols->b[i], cols->c[i]})) {
-          mask[i / 64] &= ~(1ull << (i % 64));
-        }
-      }
-    }
+    mvbt::RegionMask(*cols, range, window, &mask);
 
     // Repeated variables ({?x ?x ?o}, ...): per-row equality between the
     // components holding the repeated slot.

@@ -33,6 +33,11 @@ KeyRange UnionRange(const KeyRange& x, const KeyRange& y) {
   return KeyRange{std::min(x.lo, y.lo), std::max(x.hi, y.hi)};
 }
 
+constexpr auto kByMinKey = [](const Mvbt::IndexEntry& x,
+                               const Mvbt::IndexEntry& y) {
+  return x.min_key < y.min_key;
+};
+
 // Bytes charged per cached decoded leaf beyond the entry payload,
 // approximating the cache's own list/map node cost.
 constexpr size_t kCacheEntryOverhead = 96;
@@ -42,6 +47,39 @@ constexpr size_t kCacheEntryOverhead = 96;
 constexpr size_t kLeafCacheShards = 8;
 
 }  // namespace
+
+void RegionMask(const ColumnarEntries& cols, const KeyRange& range,
+                const Interval& time, std::vector<uint64_t>* mask) {
+  const size_t n = cols.size();
+  mask->assign(simd::MaskWords(n), 0);
+  if (n == 0 || time.empty()) return;
+  simd::OverlapMask(cols.start.data(), cols.end.data(), n, time.start,
+                    time.end, mask->data());
+  // Every key in [lo, hi] shares the components on which lo and hi
+  // agree, up to the first one on which they differ.
+  const uint64_t lo[3] = {range.lo.a, range.lo.b, range.lo.c};
+  const uint64_t hi[3] = {range.hi.a, range.hi.b, range.hi.c};
+  const std::vector<uint64_t>* col[3] = {&cols.a, &cols.b, &cols.c};
+  size_t p = 0;
+  for (; p < 3 && lo[p] == hi[p]; ++p) {
+    simd::AndEqMask64(col[p]->data(), n, lo[p], mask->data());
+  }
+  // The rest constrains nothing when it spans the whole domain (every
+  // pattern range); otherwise check the survivors' full keys.
+  bool rest_full = true;
+  for (size_t i = p; i < 3; ++i) {
+    rest_full = rest_full && lo[i] == 0 && hi[i] == UINT64_MAX;
+  }
+  if (rest_full) return;
+  for (size_t w = 0; w < mask->size(); ++w) {
+    for (uint64_t bits = (*mask)[w]; bits != 0; bits &= bits - 1) {
+      const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      if (!range.Contains(Key3{cols.a[i], cols.b[i], cols.c[i]})) {
+        (*mask)[w] &= ~(uint64_t{1} << (i % 64));
+      }
+    }
+  }
+}
 
 Mvbt::Mvbt(const MvbtOptions& options) : options_(options) {
   options_.block_capacity = std::max<size_t>(8, options_.block_capacity);
@@ -144,8 +182,10 @@ Status Mvbt::Insert(const Key3& key, Chronon t) {
   it->second.fingerprints.push_back(KeyFingerprint(key));
   ++leaf->live_count;
   ++live_size_;
+  // An insert can only overflow its leaf: a leaf left below the weak
+  // minimum for want of a merge partner waits for an erase.
   if (leaf->block.count() > options_.block_capacity) {
-    HandleLeafOverflow(leaf, t);
+    CheckNodeConditions(leaf, t);
   }
   return Status::OK();
 }
@@ -168,34 +208,23 @@ Status Mvbt::Erase(const Key3& key, Chronon t) {
   it->second.fingerprints[slot->index] = 0;
   --leaf->live_count;
   --live_size_;
-  if (leaf != live_root_ && leaf->live_count < weak_min_) {
-    HandleLeafUnderflow(leaf, t);
-  }
+  CheckNodeConditions(leaf, t);
   return Status::OK();
 }
 
-void Mvbt::HandleLeafOverflow(Node* leaf, Chronon t) {
-  if (leaf->created == t) {
-    InPlaceSplitLeaf(leaf, t);
-  } else {
-    RestructureLeaf(leaf, t, /*try_merge=*/false);
+void Mvbt::CheckNodeConditions(Node* node, Chronon t) {
+  const size_t size =
+      node->is_leaf ? node->block.count() : node->entries.size();
+  if (size > options_.block_capacity) {
+    if (node->created == t) {
+      InPlaceSplit(node, t);
+    } else {
+      Restructure(node, t, /*try_merge=*/false);
+    }
+  } else if (node != live_root_ && node->alive() &&
+             node->live_count < weak_min_) {
+    Restructure(node, t, /*try_merge=*/true);
   }
-}
-
-void Mvbt::HandleLeafUnderflow(Node* leaf, Chronon t) {
-  RestructureLeaf(leaf, t, /*try_merge=*/true);
-}
-
-void Mvbt::HandleInnerOverflow(Node* inner, Chronon t) {
-  if (inner->created == t) {
-    InPlaceSplitInner(inner, t);
-  } else {
-    RestructureInner(inner, t, /*try_merge=*/false);
-  }
-}
-
-void Mvbt::HandleInnerUnderflow(Node* inner, Chronon t) {
-  RestructureInner(inner, t, /*try_merge=*/true);
 }
 
 void Mvbt::AttachBacklinks(Node* successor, Node* source) const {
@@ -208,260 +237,158 @@ void Mvbt::AttachBacklinks(Node* successor, Node* source) const {
   for (Node* p : source->backlinks) successor->backlinks.push_back(p);
 }
 
-void Mvbt::MaybeCompressDeadLeaf(Node* leaf) {
-  if (options_.compress_leaves && !leaf->block.compressed()) {
-    leaf->block.Compress();
+void Mvbt::Retire(Node* node, Chronon t, std::vector<IndexEntry>* live) {
+  if (node->is_leaf) {
+    live_leaves_.erase(node->range.lo);
+    std::vector<Key3> keys;
+    keys.reserve(node->live_count);
+    node->block.CapLiveEntries(t, &keys);
+    for (const Key3& k : keys) {
+      live->push_back(IndexEntry{k, t, kChrononNow, nullptr});
+    }
+    // Dead leaves are immutable.
+    if (options_.compress_leaves && !node->block.compressed()) {
+      node->block.Compress();
+    }
+    node->backlinks.shrink_to_fit();
+  } else {
+    for (IndexEntry& e : node->entries) {
+      if (e.live()) {
+        live->push_back(IndexEntry{e.min_key, t, kChrononNow, e.child});
+        e.end = t;
+      }
+    }
+    node->entries.shrink_to_fit();  // dead inner nodes are immutable
   }
-  leaf->backlinks.shrink_to_fit();  // dead leaves are immutable
+  node->live_count = 0;
+  node->dead = t;
 }
 
-void Mvbt::RestructureLeaf(Node* leaf, Chronon t, bool try_merge) {
-  ++stats_.version_splits;
-  live_leaves_.erase(leaf->range.lo);
-  std::vector<Key3> keys;
-  leaf->block.CapLiveEntries(t, &keys);
-  leaf->live_count = 0;
-  leaf->dead = t;
-  MaybeCompressDeadLeaf(leaf);
+void Mvbt::Adopt(Node* node, const IndexEntry& item) {
+  if (node->is_leaf) {
+    node->block.Append(Entry{item.min_key, item.start, item.end});
+  } else {
+    node->entries.push_back(item);
+    item.child->parent = node;
+  }
+  ++node->live_count;
+}
 
-  KeyRange range = leaf->range;
+Mvbt::Node* Mvbt::SplitInto(Node* left, const std::vector<IndexEntry>& items,
+                            Chronon t) {
+  ++stats_.key_splits;
+  const Key3 m = items[items.size() / 2].min_key;
+  Node* right = NewNode(left->is_leaf, t, KeyRange{m, left->range.hi});
+  left->range.hi = KeyPred(m);
+  for (const IndexEntry& item : items) {
+    Adopt(item.min_key < m ? left : right, item);
+  }
+  return right;
+}
+
+void Mvbt::Restructure(Node* node, Chronon t, bool try_merge) {
+  ++stats_.version_splits;
+  std::vector<IndexEntry> live;
+  live.reserve(2 * (options_.block_capacity + 1));  // room for a merge
+  Retire(node, t, &live);
+
+  KeyRange range = node->range;
   Node* sib = nullptr;
   bool strong_exempt = false;
-  if (try_merge || keys.size() < weak_min_ * 2) {
-    sib = FindLiveSibling(leaf);
+  if (try_merge || live.size() < weak_min_ * 2) {
+    sib = FindLiveSibling(node);
     // The strong version condition's lower bound is unenforceable when
     // there is no live sibling to merge with, or when the merge partner
     // is itself below the weak minimum (analysis/invariants.cc).
     strong_exempt = sib == nullptr || sib->live_count < weak_min_;
     if (sib != nullptr) {
       ++stats_.merges;
-      live_leaves_.erase(sib->range.lo);
-      sib->block.CapLiveEntries(t, &keys);
-      sib->live_count = 0;
-      sib->dead = t;
-      MaybeCompressDeadLeaf(sib);
+      Retire(sib, t, &live);
       range = UnionRange(range, sib->range);
     }
   }
 
-  std::sort(keys.begin(), keys.end());
-  std::vector<Node*> new_nodes;
-  if (keys.size() > strong_max_) {
-    ++stats_.key_splits;
-    const Key3 m = keys[keys.size() / 2];
-    Node* n1 = NewNode(true, t, KeyRange{range.lo, KeyPred(m)});
-    Node* n2 = NewNode(true, t, KeyRange{m, range.hi});
-    for (const Key3& k : keys) {
-      Node* dst = k < m ? n1 : n2;
-      dst->block.Append(Entry{k, t, kChrononNow});
-      ++dst->live_count;
-    }
-    new_nodes = {n1, n2};
-  } else {
-    Node* n = NewNode(true, t, range);
-    for (const Key3& k : keys) {
-      n->block.Append(Entry{k, t, kChrononNow});
-      ++n->live_count;
-    }
-    new_nodes = {n};
-  }
-  for (Node* n : new_nodes) {
-    n->created_live = n->live_count;
-    n->strong_exempt = strong_exempt;
-    AttachBacklinks(n, leaf);
-    if (sib != nullptr) AttachBacklinks(n, sib);
-    IndexLiveLeaf(n);
-  }
-
-  if (leaf->parent == nullptr) {
-    InstallNewRoot(new_nodes, t);
-  } else {
-    ReplaceInParent(leaf, sib, new_nodes, t);
-  }
-}
-
-void Mvbt::RestructureInner(Node* inner, Chronon t, bool try_merge) {
-  ++stats_.version_splits;
-  std::vector<IndexEntry> live;
-  auto extract = [&](Node* n) {
-    for (IndexEntry& e : n->entries) {
-      if (e.live()) {
-        live.push_back(IndexEntry{e.min_key, t, kChrononNow, e.child});
-        e.end = t;
-      }
-    }
-    n->live_count = 0;
-    n->dead = t;
-    n->entries.shrink_to_fit();  // dead inner nodes are immutable
-  };
-  extract(inner);
-
-  KeyRange range = inner->range;
-  Node* sib = nullptr;
-  bool strong_exempt = false;
-  if (try_merge || live.size() < weak_min_ * 2) {
-    sib = FindLiveSibling(inner);
-    strong_exempt = sib == nullptr || sib->live_count < weak_min_;
-    if (sib != nullptr) {
-      ++stats_.merges;
-      extract(sib);
-      range = UnionRange(range, sib->range);
-    }
-  }
-
-  std::sort(live.begin(), live.end(),
-            [](const IndexEntry& x, const IndexEntry& y) {
-              return x.min_key < y.min_key;
-            });
-  std::vector<Node*> new_nodes;
+  std::sort(live.begin(), live.end(), kByMinKey);
+  std::vector<Node*> new_nodes{NewNode(node->is_leaf, t, range)};
   if (live.size() > strong_max_) {
-    ++stats_.key_splits;
-    const Key3 m = live[live.size() / 2].min_key;
-    Node* n1 = NewNode(false, t, KeyRange{range.lo, KeyPred(m)});
-    Node* n2 = NewNode(false, t, KeyRange{m, range.hi});
-    for (const IndexEntry& e : live) {
-      Node* dst = e.min_key < m ? n1 : n2;
-      dst->entries.push_back(e);
-      ++dst->live_count;
-      e.child->parent = dst;
-    }
-    new_nodes = {n1, n2};
+    new_nodes.push_back(SplitInto(new_nodes[0], live, t));
   } else {
-    Node* n = NewNode(false, t, range);
-    for (const IndexEntry& e : live) {
-      n->entries.push_back(e);
-      ++n->live_count;
-      e.child->parent = n;
-    }
-    new_nodes = {n};
+    for (const IndexEntry& item : live) Adopt(new_nodes[0], item);
   }
   for (Node* n : new_nodes) {
     n->created_live = n->live_count;
     n->strong_exempt = strong_exempt;
+    if (n->is_leaf) {
+      AttachBacklinks(n, node);
+      if (sib != nullptr) AttachBacklinks(n, sib);
+      IndexLiveLeaf(n);
+    }
   }
 
-  if (inner->parent == nullptr) {
+  if (node->parent == nullptr) {
     InstallNewRoot(new_nodes, t);
   } else {
-    ReplaceInParent(inner, sib, new_nodes, t);
+    ReplaceInParent(node, sib, new_nodes, t);
   }
 }
 
-void Mvbt::InPlaceSplitLeaf(Node* leaf, Chronon t) {
-  leaf->block.PurgeEmptyEntries();
-  leaf->live_count = leaf->block.count();
-  if (leaf->block.count() <= options_.block_capacity) {
+void Mvbt::InPlaceSplit(Node* node, Chronon t) {
+  // Every entry of a node created at t started at t, so the ones closed
+  // since are empty: purge them, and the rest are live.
+  if (node->is_leaf) {
+    node->block.PurgeEmptyEntries();
+    node->live_count = node->block.count();
+  } else {
+    std::erase_if(node->entries,
+                  [](const IndexEntry& e) { return e.start == e.end; });
+    node->live_count = node->entries.size();
+  }
+  if (node->live_count <= options_.block_capacity) {
     // Same-version reorganization, not a paper restructure: record the
     // new composition but exempt it from the strong condition bounds.
-    leaf->created_live = leaf->live_count;
-    leaf->strong_exempt = true;
-    IndexLiveLeaf(leaf);  // the purge moved the slots
+    node->created_live = node->live_count;
+    node->strong_exempt = true;
+    if (node->is_leaf) IndexLiveLeaf(node);  // the purge moved the slots
     return;
   }
 
   ++stats_.inplace_splits;
-  ++stats_.key_splits;
-  std::vector<Entry> entries = leaf->block.Decode();
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& x, const Entry& y) { return x.key < y.key; });
-  const Key3 m = entries[entries.size() / 2].key;
-
-  Node* sib = NewNode(true, t, KeyRange{m, leaf->range.hi});
-  leaf->range.hi = KeyPred(m);
-  sib->backlinks = leaf->backlinks;
-  const bool was_compressed = leaf->block.compressed();
-  LeafBlock left;
-  if (was_compressed) left.Compress(nullptr);
-  for (const Entry& e : entries) {
-    if (e.key < m) {
-      left.Append(e);
-    } else {
-      sib->block.Append(e);
+  // Take the payload out, sorted by key, and refill the emptied node and
+  // a new right sibling from it. A compressed leaf stays compressed.
+  std::vector<IndexEntry> items;
+  bool was_compressed = false;
+  if (node->is_leaf) {
+    items.reserve(node->live_count);
+    for (const Entry& e : node->block.Decode()) {
+      items.push_back(IndexEntry{e.key, e.start, e.end, nullptr});
     }
+    was_compressed = node->block.compressed();
+    node->block = LeafBlock();
+    if (was_compressed) node->block.Compress(nullptr);
+  } else {
+    items.swap(node->entries);
   }
-  if (was_compressed) sib->block.Compress(nullptr);
-  leaf->block = std::move(left);
-  leaf->live_count = leaf->block.count();
-  sib->live_count = sib->block.count();
-  leaf->created_live = leaf->live_count;
+  std::sort(items.begin(), items.end(), kByMinKey);
+  node->live_count = 0;
+  Node* sib = SplitInto(node, items, t);
+  node->created_live = node->live_count;
   sib->created_live = sib->live_count;
-  leaf->strong_exempt = false;
+  node->strong_exempt = false;
   sib->strong_exempt = false;
-  IndexLiveLeaf(leaf);
-  IndexLiveLeaf(sib);
+  if (node->is_leaf) {
+    if (was_compressed) sib->block.Compress(nullptr);
+    sib->backlinks = node->backlinks;
+    IndexLiveLeaf(node);
+    IndexLiveLeaf(sib);
+  }
 
-  if (leaf->parent == nullptr) {
-    // A root split at creation version: hoist a fresh inner root above
-    // both halves.
-    Node* root = NewNode(false, t, KeyRange{kKeyMin, kKeyMax});
-    root->entries.push_back(IndexEntry{leaf->range.lo, t, kChrononNow, leaf});
-    root->entries.push_back(IndexEntry{sib->range.lo, t, kChrononNow, sib});
-    root->live_count = 2;
-    root->created_live = 2;
-    root->strong_exempt = true;
-    leaf->parent = root;
-    sib->parent = root;
-    InstallNewRoot({root}, t);
+  if (node->parent == nullptr) {
+    // A root split at its creation version: a fresh inner root goes
+    // above both halves.
+    InstallNewRoot({node, sib}, t);
     return;
   }
-  Node* p = leaf->parent;
-  sib->parent = p;
-  p->entries.push_back(IndexEntry{sib->range.lo, t, kChrononNow, sib});
-  ++p->live_count;
-  CheckNodeConditions(p, t);
-}
-
-void Mvbt::InPlaceSplitInner(Node* inner, Chronon t) {
-  std::erase_if(inner->entries,
-                [](const IndexEntry& e) { return e.start == e.end; });
-  inner->live_count = inner->entries.size();
-  if (inner->entries.size() <= options_.block_capacity) {
-    inner->created_live = inner->live_count;
-    inner->strong_exempt = true;
-    return;
-  }
-
-  ++stats_.inplace_splits;
-  ++stats_.key_splits;
-  std::sort(inner->entries.begin(), inner->entries.end(),
-            [](const IndexEntry& x, const IndexEntry& y) {
-              return x.min_key < y.min_key;
-            });
-  const Key3 m = inner->entries[inner->entries.size() / 2].min_key;
-
-  Node* sib = NewNode(false, t, KeyRange{m, inner->range.hi});
-  inner->range.hi = KeyPred(m);
-  std::vector<IndexEntry> left;
-  for (const IndexEntry& e : inner->entries) {
-    if (e.min_key < m) {
-      left.push_back(e);
-    } else {
-      sib->entries.push_back(e);
-      e.child->parent = sib;
-    }
-  }
-  inner->entries = std::move(left);
-  inner->live_count = inner->entries.size();
-  sib->live_count = sib->entries.size();
-  inner->created_live = inner->live_count;
-  sib->created_live = sib->live_count;
-  inner->strong_exempt = false;
-  sib->strong_exempt = false;
-
-  if (inner->parent == nullptr) {
-    Node* root = NewNode(false, t, KeyRange{kKeyMin, kKeyMax});
-    root->entries.push_back(
-        IndexEntry{inner->range.lo, t, kChrononNow, inner});
-    root->entries.push_back(IndexEntry{sib->range.lo, t, kChrononNow, sib});
-    root->live_count = 2;
-    root->created_live = 2;
-    root->strong_exempt = true;
-    inner->parent = root;
-    sib->parent = root;
-    InstallNewRoot({root}, t);
-    return;
-  }
-  Node* p = inner->parent;
+  Node* p = node->parent;
   sib->parent = p;
   p->entries.push_back(IndexEntry{sib->range.lo, t, kChrononNow, sib});
   ++p->live_count;
@@ -507,15 +434,6 @@ void Mvbt::ReplaceInParent(Node* old_node, Node* old_sibling,
     ++p->live_count;
   }
   CheckNodeConditions(p, t);
-}
-
-void Mvbt::CheckNodeConditions(Node* node, Chronon t) {
-  if (node->entries.size() > options_.block_capacity) {
-    HandleInnerOverflow(node, t);
-  } else if (node != live_root_ && node->alive() &&
-             node->live_count < weak_min_) {
-    HandleInnerUnderflow(node, t);
-  }
 }
 
 void Mvbt::InstallNewRoot(const std::vector<Node*>& new_nodes, Chronon t) {
@@ -598,34 +516,29 @@ void Mvbt::CollectRegionLeaves(const KeyRange& range, const Interval& time,
   }
 }
 
-std::shared_ptr<const ColumnarEntries> Mvbt::CachedEntries(
-    const Node* n, ScanStats* stats) const {
-  if (auto hit = leaf_cache_->Get(n)) {
-    if (stats != nullptr) ++stats->cache_hits;
-    return hit;
-  }
-  ColumnarEntries cols;
-  n->block.DecodeColumnar(&cols);
-  // Charge the columnar image's true heap footprint (capacities, not a
-  // row-form size estimate) so the LRU budget is honest.
-  const size_t bytes = cols.MemoryBytes() + kCacheEntryOverhead;
-  uint64_t evicted = 0;
-  auto inserted = leaf_cache_->Insert(n, std::move(cols), bytes, &evicted);
-  if (stats != nullptr) {
-    ++stats->cache_misses;
-    stats->entries_decoded += inserted->size();
-    stats->cache_evictions += evicted;
-  }
-  return inserted;
-}
-
 const ColumnarEntries* Mvbt::LeafColumns(
     const Node& n, ColumnarEntries* scratch,
     std::shared_ptr<const ColumnarEntries>* keepalive,
     ScanStats* stats) const {
   if (stats != nullptr) ++stats->leaves_visited;
   if (leaf_cache_ != nullptr && !n.alive() && n.block.compressed()) {
-    *keepalive = CachedEntries(&n, stats);
+    *keepalive = leaf_cache_->Get(&n);
+    if (*keepalive != nullptr) {
+      if (stats != nullptr) ++stats->cache_hits;
+      return keepalive->get();
+    }
+    ColumnarEntries cols;
+    n.block.DecodeColumnar(&cols);
+    // Charge the columnar image's true heap footprint (capacities, not a
+    // row-form size estimate) so the LRU budget is honest.
+    const size_t bytes = cols.MemoryBytes() + kCacheEntryOverhead;
+    uint64_t evicted = 0;
+    *keepalive = leaf_cache_->Insert(&n, std::move(cols), bytes, &evicted);
+    if (stats != nullptr) {
+      ++stats->cache_misses;
+      stats->entries_decoded += (*keepalive)->size();
+      stats->cache_evictions += evicted;
+    }
     return keepalive->get();
   }
   scratch->Clear();
@@ -634,18 +547,6 @@ const ColumnarEntries* Mvbt::LeafColumns(
     stats->entries_decoded += scratch->size();
   }
   return scratch;
-}
-
-void Mvbt::QueryRange(
-    const KeyRange& range, const Interval& time,
-    const std::function<void(const Key3&, const Interval&)>& visit) const {
-  QueryRangeT(range, time,
-              [&visit](const Key3& k, const Interval& iv) { visit(k, iv); });
-}
-
-void Mvbt::QuerySnapshot(const KeyRange& range, Chronon t,
-                         const std::function<void(const Key3&)>& visit) const {
-  QuerySnapshotT(range, t, [&visit](const Key3& k) { visit(k); });
 }
 
 util::CacheCounters Mvbt::leaf_cache_counters() const {

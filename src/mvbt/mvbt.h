@@ -27,6 +27,7 @@
 #ifndef RDFTX_MVBT_MVBT_H_
 #define RDFTX_MVBT_MVBT_H_
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -68,6 +69,17 @@ struct MvbtStats {
   uint64_t roots = 0;
 };
 
+/// The region filter of every leaf read (the scans, the vectorized scan
+/// and the synchronized join): sets bit i of `*mask` (resized to
+/// simd::MaskWords(cols.size()) words) iff entry i's interval overlaps
+/// `time` and its key lies in `range`, i.e. exactly when
+/// `range.Contains(key) && interval.Overlaps(time)`. Correct for any
+/// KeyRange: the leading key components on which range.lo and range.hi
+/// agree filter as column equalities, and when the rest of the range is
+/// not the full domain the survivors are checked lexicographically.
+void RegionMask(const ColumnarEntries& cols, const KeyRange& range,
+                const Interval& time, std::vector<uint64_t>* mask);
+
 /// An MVBT over Key3 records with chronon versions.
 class Mvbt {
  public:
@@ -87,52 +99,37 @@ class Mvbt {
   Status Erase(const Key3& key, Chronon t);
 
   /// Emits every validity fragment (key, [start,end)) with key in
-  /// `range` (inclusive) and interval overlapping `time`. Fragments of
-  /// one logical record are emitted exactly once and can be coalesced by
-  /// the caller. Uses the backward-link range-interval scan.
-  ///
-  /// This is the devirtualized scan: `visit(key, interval)` is a direct
-  /// call, and hot dead compressed leaves are served from the
-  /// decoded-leaf cache. Per-query counters land in `stats` when
-  /// non-null.
+  /// `range` (inclusive) and interval overlapping `time`, as
+  /// `visit(key, interval)`. Fragments of one logical record are emitted
+  /// exactly once and can be coalesced by the caller. Uses the
+  /// backward-link range-interval scan; hot dead compressed leaves are
+  /// served from the decoded-leaf cache. Per-query counters land in
+  /// `stats` when non-null.
   template <typename Visitor>
-  void QueryRangeT(const KeyRange& range, const Interval& time,
-                   Visitor&& visit, ScanStats* stats = nullptr) const {
+  void QueryRange(const KeyRange& range, const Interval& time,
+                  Visitor&& visit, ScanStats* stats = nullptr) const {
     std::vector<const Node*> leaves;
     CollectRegionLeaves(range, time, &leaves);
-    for (const Node* n : leaves) {
-      ScanLeaf(*n, stats, [&](const Entry& e) {
-        if (range.Contains(e.key) && e.interval().Overlaps(time)) {
-          visit(e.key, e.interval());
-        }
-        return true;
-      });
-    }
+    ScanLeaves(leaves, range, time, stats,
+               [&](const ColumnarEntries& cols, size_t i) {
+                 const Entry e = cols.At(i);
+                 visit(e.key, e.interval());
+               });
   }
 
-  /// Keys alive at version `t` within `range` (timeslice query),
-  /// devirtualized like QueryRangeT.
+  /// Keys alive at version `t` within `range` (timeslice query), as
+  /// `visit(key)`. Nothing is alive at kChrononNow itself.
   template <typename Visitor>
-  void QuerySnapshotT(const KeyRange& range, Chronon t, Visitor&& visit,
-                      ScanStats* stats = nullptr) const {
+  void QuerySnapshot(const KeyRange& range, Chronon t, Visitor&& visit,
+                     ScanStats* stats = nullptr) const {
+    if (t == kChrononNow) return;
     std::vector<const Node*> leaves;
     CollectBorderLeaves(range, t, &leaves);
-    for (const Node* leaf : leaves) {
-      ScanLeaf(*leaf, stats, [&](const Entry& e) {
-        if (range.Contains(e.key) && e.interval().Contains(t)) visit(e.key);
-        return true;
-      });
-    }
+    ScanLeaves(leaves, range, Interval(t, t + 1), stats,
+               [&](const ColumnarEntries& cols, size_t i) {
+                 visit(Key3{cols.a[i], cols.b[i], cols.c[i]});
+               });
   }
-
-  /// Type-erased boundary wrapper over QueryRangeT.
-  void QueryRange(
-      const KeyRange& range, const Interval& time,
-      const std::function<void(const Key3&, const Interval&)>& visit) const;
-
-  /// Type-erased boundary wrapper over QuerySnapshotT.
-  void QuerySnapshot(const KeyRange& range, Chronon t,
-                     const std::function<void(const Key3&)>& visit) const;
 
   /// Liveness probe: true iff `key` is live now. `start` receives the
   /// start version of the live *fragment* (>= the logical insertion
@@ -177,7 +174,8 @@ class Mvbt {
   struct Node;
 
   /// Router entry of an inner node: child covers keys >= min_key within
-  /// the parent's range, during [start, end).
+  /// the parent's range, during [start, end). The structure changes
+  /// carry a leaf's entries in this form too, with a null child.
   struct IndexEntry {
     Key3 min_key;
     Chronon start = 0;
@@ -237,7 +235,7 @@ class Mvbt {
   /// returned pointer aliases it; everything else is decoded into
   /// `*scratch` (cleared first) and the pointer aliases that. Counters
   /// (leaves_visited, entries_decoded, cache hits/misses) accumulate
-  /// into `stats` exactly as ScanLeaf would.
+  /// into `stats`.
   const ColumnarEntries* LeafColumns(
       const Node& n, ColumnarEntries* scratch,
       std::shared_ptr<const ColumnarEntries>* keepalive,
@@ -334,22 +332,35 @@ class Mvbt {
   Status ValidateLiveLeaves() const;
   const Node* FindRoot(Chronon t) const;
 
-  // Structure changes.
-  void HandleLeafOverflow(Node* leaf, Chronon t);
-  void HandleLeafUnderflow(Node* leaf, Chronon t);
-  void HandleInnerOverflow(Node* inner, Chronon t);
-  void HandleInnerUnderflow(Node* inner, Chronon t);
-  void RestructureLeaf(Node* leaf, Chronon t, bool try_merge);
-  void RestructureInner(Node* inner, Chronon t, bool try_merge);
-  void InPlaceSplitLeaf(Node* leaf, Chronon t);
-  void InPlaceSplitInner(Node* inner, Chronon t);
+  // Structure changes: one routine per job, for leaves and inner nodes
+  // alike (see DESIGN.md §4).
+
+  /// Splits `node` if it overflows (in place when it was created at
+  /// `t`), or restructures it if it is a live non-root node below the
+  /// weak minimum.
+  void CheckNodeConditions(Node* node, Chronon t);
+  /// Version split of `node` at `t`, with a merge of its live sibling
+  /// when `try_merge` or too few entries survive, a key split when too
+  /// many do, and the install of the new nodes in the parent.
+  void Restructure(Node* node, Chronon t, bool try_merge);
+  /// Reorganizes a node that overflows at its own creation version:
+  /// purges its empty entries and, if it still overflows, key-splits it
+  /// into itself and a new right sibling.
+  void InPlaceSplit(Node* node, Chronon t);
+  /// Kills `node` at `t` and appends its live payload, restarted at `t`,
+  /// to `live`.
+  void Retire(Node* node, Chronon t, std::vector<IndexEntry>* live);
+  /// Appends one payload item to `node`.
+  void Adopt(Node* node, const IndexEntry& item);
+  /// Key split: moves `items` (sorted by key) into `left` and into a new
+  /// right sibling created at `t` that takes the upper half of the keys
+  /// and of left's range. Returns the sibling.
+  Node* SplitInto(Node* left, const std::vector<IndexEntry>& items, Chronon t);
   Node* FindLiveSibling(Node* node) const;
   void ReplaceInParent(Node* old_node, Node* old_sibling,
                        const std::vector<Node*>& new_nodes, Chronon t);
   void InstallNewRoot(const std::vector<Node*>& new_nodes, Chronon t);
   void AttachBacklinks(Node* successor, Node* source) const;
-  void CheckNodeConditions(Node* node, Chronon t);
-  void MaybeCompressDeadLeaf(Node* leaf);
 
   Status ValidateNode(const Node* node, const KeyRange& range,
                       size_t depth = 0) const;
@@ -360,35 +371,26 @@ class Mvbt {
 
   using LeafCache = util::ShardedLruCache<const Node*, ColumnarEntries>;
 
-  /// Decoded entries of a dead compressed leaf, through the cache, in
-  /// the columnar form the vectorized scan consumes directly.
-  std::shared_ptr<const ColumnarEntries> CachedEntries(
-      const Node* n, ScanStats* stats) const;
-
-  /// Feeds a leaf's entries to `fn` (stopping when it returns false),
-  /// choosing the cheapest source: the decoded-leaf cache for dead
-  /// compressed leaves when the cache is on, the streaming cursor
-  /// otherwise. Counts the visit and any decode work into `stats`.
+  /// The one leaf read path of the scans: feeds `fn(cols, i)` every
+  /// entry i of `leaves` (read through LeafColumns) that RegionMask
+  /// selects, in leaf order and slot order.
   template <typename Fn>
-  void ScanLeaf(const Node& n, ScanStats* stats, Fn&& fn) const {
-    if (stats != nullptr) ++stats->leaves_visited;
-    if (leaf_cache_ != nullptr && !n.alive() && n.block.compressed()) {
-      const auto cols = CachedEntries(&n, stats);
-      for (size_t i = 0, sz = cols->size(); i < sz; ++i) {
-        if (!fn(cols->At(i))) return;
+  void ScanLeaves(const std::vector<const Node*>& leaves,
+                  const KeyRange& range, const Interval& time,
+                  ScanStats* stats, Fn&& fn) const {
+    ColumnarEntries scratch;
+    std::vector<uint64_t> mask;
+    for (const Node* n : leaves) {
+      std::shared_ptr<const ColumnarEntries> keepalive;
+      const ColumnarEntries* cols = LeafColumns(*n, &scratch, &keepalive,
+                                                stats);
+      RegionMask(*cols, range, time, &mask);
+      for (size_t w = 0; w < mask.size(); ++w) {
+        for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+          fn(*cols, w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+        }
       }
-      return;
     }
-    if (stats != nullptr && n.block.compressed()) {
-      size_t decoded = 0;
-      n.block.VisitWith([&](const Entry& e) {
-        ++decoded;
-        return fn(e);
-      });
-      stats->entries_decoded += decoded;
-      return;
-    }
-    n.block.VisitWith(fn);
   }
 
   MvbtOptions options_;
@@ -402,8 +404,8 @@ class Mvbt {
   size_t live_size_ = 0;
   MvbtStats stats_;
   // The live leaves keyed by range.lo; they partition the key space.
-  // Changed only by Insert/Erase (fingerprints), RestructureLeaf and
-  // InPlaceSplitLeaf (leaves), and the restore hooks (rebuild).
+  // Changed only by Insert/Erase (fingerprints), the structure changes
+  // (leaves), and the restore hooks (rebuild).
   LiveLeafMap live_leaves_;
   // Decoded-leaf cache (null when leaf_cache_bytes == 0). Keyed by node
   // identity: arena nodes never move or die before the tree, and only

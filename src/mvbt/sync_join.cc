@@ -36,50 +36,6 @@ class RecordCache {
   SyncJoinStats* stats_;
 };
 
-/// Reused buffers of the SIMD prefilter.
-struct JoinScratch {
-  std::vector<uint64_t> mask;
-  std::vector<uint32_t> sel_a, sel_b;
-};
-
-/// Writes into `sel` the indices of entries whose interval overlaps
-/// `time` and whose key lies in `range` (the checks the scalar join did
-/// per entry), filtering whole columns at a time; returns the count.
-size_t FilterEntries(const ColumnarEntries& cols, const KeyRange& range,
-                     const Interval& time, std::vector<uint64_t>* mask,
-                     std::vector<uint32_t>* sel) {
-  const size_t n = cols.size();
-  if (n == 0) return 0;
-  mask->resize(simd::MaskWords(n));
-  simd::OverlapMask(cols.start.data(), cols.end.data(), n, time.start,
-                    time.end, mask->data());
-  // Pattern ranges constrain each key component either to one exact id
-  // or not at all, so containment is a conjunction of per-column
-  // equalities; any other shape falls back to the lexicographic check.
-  bool prefix = true;
-  auto refine = [&](const std::vector<uint64_t>& col, uint64_t lo,
-                    uint64_t hi) {
-    if (lo == 0 && hi == UINT64_MAX) return;
-    if (lo == hi) {
-      simd::AndEqMask64(col.data(), n, lo, mask->data());
-      return;
-    }
-    prefix = false;
-  };
-  refine(cols.a, range.lo.a, range.hi.a);
-  refine(cols.b, range.lo.b, range.hi.b);
-  refine(cols.c, range.lo.c, range.hi.c);
-  if (!prefix) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!range.Contains(Key3{cols.a[i], cols.b[i], cols.c[i]})) {
-        (*mask)[i / 64] &= ~(1ull << (i % 64));
-      }
-    }
-  }
-  sel->resize(n);
-  return simd::MaskToSelection(mask->data(), n, sel->data());
-}
-
 struct SweepEvent {
   Chronon time;
   bool is_start;
@@ -157,24 +113,29 @@ void SynchronizedJoin(
   // Steps (ii) and (iii): join the record fragments of each pair, in
   // pair order, through one record cache.
   RecordCache cache(stats);
-  JoinScratch scratch;
+  std::vector<uint64_t> mask;
+  std::vector<uint32_t> sel_a, sel_b;
+  // SIMD prefilter: the region-qualifying entries of one side, as a
+  // selection vector over its columnar records.
+  auto select = [&mask](const ColumnarEntries& cols, const KeyRange& range,
+                        const Interval& time, std::vector<uint32_t>* sel) {
+    RegionMask(cols, range, time, &mask);
+    sel->resize(cols.size());
+    return simd::MaskToSelection(mask.data(), cols.size(), sel->data());
+  };
   for (const NodePair& pair : pairs) {
     if (stats != nullptr) ++stats->node_pairs;
     const ColumnarEntries& ca = cache.Get(pair.na);
     const ColumnarEntries& cb = cache.Get(pair.nb);
-    // SIMD prefilter: region-qualifying entries of each side, as
-    // selection vectors over the columnar records.
-    const size_t ka = FilterEntries(ca, ra, ta, &scratch.mask, &scratch.sel_a);
-    const size_t kb = FilterEntries(cb, rb, tb, &scratch.mask, &scratch.sel_b);
+    const size_t ka = select(ca, ra, ta, &sel_a);
+    const size_t kb = select(cb, rb, tb, &sel_b);
     if (ka == 0 || kb == 0) continue;
     // Per-pair hash join on the join keys (build on the smaller side).
     const bool build_a = ka <= kb;
     const ColumnarEntries& build = build_a ? ca : cb;
     const ColumnarEntries& probe = build_a ? cb : ca;
-    const std::vector<uint32_t>& build_sel =
-        build_a ? scratch.sel_a : scratch.sel_b;
-    const std::vector<uint32_t>& probe_sel =
-        build_a ? scratch.sel_b : scratch.sel_a;
+    const std::vector<uint32_t>& build_sel = build_a ? sel_a : sel_b;
+    const std::vector<uint32_t>& probe_sel = build_a ? sel_b : sel_a;
     const size_t nb_ = build_a ? ka : kb;
     const size_t np_ = build_a ? kb : ka;
     const auto& build_key = build_a ? spec.key_a : spec.key_b;

@@ -171,9 +171,9 @@ void TemporalGraph::ScanPattern(const PatternSpec& spec,
                                 ScanStats* stats) const {
   const IndexOrder order = ChooseIndex(spec);
   const KeyRange range = PatternRange(order, spec);
-  // QueryRangeT keeps the whole leaf scan devirtualized; the only
-  // std::function hop left is the engine-boundary `visit` itself.
-  index(order).QueryRangeT(
+  // The leaf scan is a template; the only std::function hop left is the
+  // engine-boundary `visit` itself.
+  index(order).QueryRange(
       range, spec.time,
       [&](const Key3& k, const Interval& iv) {
         visit(DecodeKey(order, k), iv);

@@ -1,12 +1,14 @@
 // Read-path coverage: slot access on compressed leaves (SlotWalk and the
-// CloseAt splice), and decoded-leaf cache correctness + counters
-// (including under concurrency, for the TSan build).
+// CloseAt splice), decoded-leaf cache correctness + counters
+// (including under concurrency, for the TSan build), and the region
+// mask every leaf read filters through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/executor.h"
@@ -14,6 +16,7 @@
 #include "mvbt/mvbt.h"
 #include "rdf/temporal_graph.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace rdftx::mvbt {
 namespace {
@@ -167,7 +170,7 @@ using Fragment = std::tuple<Key3, Chronon, Chronon>;
 std::vector<Fragment> RangeFragments(const Mvbt& tree, const KeyRange& range,
                                      const Interval& time, ScanStats* stats) {
   std::vector<Fragment> out;
-  tree.QueryRangeT(
+  tree.QueryRange(
       range, time,
       [&](const Key3& k, const Interval& iv) {
         out.emplace_back(k, iv.start, iv.end);
@@ -283,6 +286,106 @@ TEST(MvbtReadPath, ConcurrentCachedScansAreRaceFree) {
   EXPECT_GT(counters.misses, 0u);
   EXPECT_GT(counters.evictions, 0u);  // the budget really was under pressure
   EXPECT_LE(counters.bytes, uint64_t{64u << 10});
+}
+
+// ---------------------------------------------------------------------
+// RegionMask, the region filter of every leaf read, against the scalar
+// definition on random columns.
+
+TEST(MvbtReadPath, RegionMaskMatchesContainsAndOverlaps) {
+  Rng rng(17);
+  // Components from a small domain plus its two extremes, so ranges hit
+  // keys on their bounds.
+  auto component = [&]() -> uint64_t {
+    switch (rng.Uniform(6)) {
+      case 0:
+        return 0;
+      case 1:
+        return UINT64_MAX;
+      default:
+        return 1 + rng.Uniform(4);
+    }
+  };
+  auto key = [&]() { return Key3{component(), component(), component()}; };
+  constexpr uint64_t kMax = UINT64_MAX;
+  std::vector<KeyRange> ranges = {
+      KeyRange{},                                    // full
+      KeyRange{Key3{2, 0, 0}, Key3{2, kMax, kMax}},  // prefix
+      KeyRange{Key3{2, 3, 0}, Key3{2, 3, kMax}},     // two-part prefix
+      KeyRange{Key3{2, 3, 4}, Key3{2, 3, 4}},        // one key
+      KeyRange{Key3{1, 3, 0}, Key3{3, 3, kMax}},     // a varies, b bounds equal
+      KeyRange{Key3{2, 1, 3}, Key3{2, 4, 2}},        // prefix, then a span
+      KeyRange{Key3{3, 0, 0}, Key3{1, 0, 0}},        // inverted
+  };
+  for (int i = 0; i < 40; ++i) {
+    Key3 x = key(), y = key();
+    if (y < x) std::swap(x, y);
+    ranges.push_back(KeyRange{x, y});
+  }
+  const std::vector<Interval> times = {
+      Interval::All(),       Interval(5, 6),   Interval(3, 9),
+      Interval(7, 7),        Interval(0, 1),
+      Interval(kChrononMax, kChrononNow),
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{130}}) {
+    ColumnarEntries cols;
+    for (size_t i = 0; i < n; ++i) {
+      const Chronon s = static_cast<Chronon>(rng.Uniform(10));
+      // One entry in four is empty, [s, s): it overlaps nothing.
+      const Chronon e = rng.Uniform(4) == 0   ? s
+                        : rng.Uniform(3) == 0 ? kChrononNow
+                                              : s + 1 + static_cast<Chronon>(
+                                                            rng.Uniform(6));
+      cols.PushBack(Entry{key(), s, e});
+    }
+    std::vector<uint64_t> mask;
+    for (const KeyRange& range : ranges) {
+      for (const Interval& time : times) {
+        RegionMask(cols, range, time, &mask);
+        ASSERT_EQ(mask.size(), simd::MaskWords(n));
+        for (size_t i = 0; i < n; ++i) {
+          const Entry e = cols.At(i);
+          const bool want =
+              range.Contains(e.key) && e.interval().Overlaps(time);
+          const bool got = (mask[i / 64] >> (i % 64)) & 1;
+          ASSERT_EQ(got, want)
+              << "n=" << n << " entry " << e.key.ToString() << " ["
+              << e.start << "," << e.end << ") range "
+              << range.lo.ToString() << ".." << range.hi.ToString()
+              << " time [" << time.start << "," << time.end << ")";
+        }
+        if (n % 64 != 0) {
+          EXPECT_EQ(mask.back() >> (n % 64), 0u) << "tail bits set";
+        }
+      }
+    }
+  }
+}
+
+// A snapshot filters with the interval [t, t + 1), which must not wrap
+// at the end of the domain.
+TEST(MvbtReadPath, SnapshotAtTheEndOfTheDomain) {
+  Mvbt tree(MvbtOptions{.block_capacity = 8});
+  for (uint64_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(tree.Insert(Key3{i, 0, 0}, 5).ok());
+  }
+  ASSERT_TRUE(tree.Erase(Key3{3, 0, 0}, kChrononMax).ok());
+  ASSERT_TRUE(tree.Insert(Key3{99, 0, 0}, kChrononMax).ok());
+  auto snapshot = [&](Chronon t) {
+    std::vector<Key3> keys;
+    tree.QuerySnapshot(KeyRange{}, t,
+                       [&](const Key3& k) { keys.push_back(k); });
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  std::vector<Key3> before, at_max;
+  for (uint64_t i = 0; i < 20; ++i) before.push_back(Key3{i, 0, 0});
+  at_max = before;
+  at_max.erase(at_max.begin() + 3);
+  at_max.push_back(Key3{99, 0, 0});
+  EXPECT_EQ(snapshot(kChrononMax - 1), before);
+  EXPECT_EQ(snapshot(kChrononMax), at_max);
+  EXPECT_TRUE(snapshot(kChrononNow).empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "temporal/temporal_set.h"
@@ -42,6 +43,36 @@ JoinedPoints ReferenceJoin(const std::vector<Record>& ra_records,
     }
   }
   return out;
+}
+
+// A query key range over keys with components a < 5, b < 3, c < 10:
+// the whole domain, an `a` prefix (the shape of a pattern range), a
+// range whose `a` varies while lo.b == hi.b (so `b` is not fixed inside
+// it), or any lo <= hi.
+KeyRange RandomRange(Rng* rng) {
+  KeyRange r{};
+  switch (rng->Uniform(4)) {
+    case 0:
+      break;
+    case 1:
+      r.lo = Key3{rng->Uniform(5), 0, 0};
+      r.hi = Key3{r.lo.a, UINT64_MAX, UINT64_MAX};
+      break;
+    case 2: {
+      const uint64_t b = rng->Uniform(3);
+      r.lo = Key3{rng->Uniform(3), b, 0};
+      r.hi = Key3{r.lo.a + 1 + rng->Uniform(2), b, UINT64_MAX};
+      break;
+    }
+    default: {
+      Key3 x{rng->Uniform(5), rng->Uniform(3), rng->Uniform(10)};
+      Key3 y{rng->Uniform(5), rng->Uniform(3), rng->Uniform(10)};
+      if (y < x) std::swap(x, y);
+      r = KeyRange{x, y};
+      break;
+    }
+  }
+  return r;
 }
 
 class SyncJoinPropertyTest
@@ -85,15 +116,8 @@ TEST_P(SyncJoinPropertyTest, MatchesBruteForce) {
 
   SyncJoinSpec spec{FirstComponent, FirstComponent};
   for (int q = 0; q < 30; ++q) {
-    KeyRange ra{}, rb{};
-    if (rng.Bernoulli(0.5)) {
-      ra.lo = Key3{rng.Uniform(5), 0, 0};
-      ra.hi = Key3{ra.lo.a, UINT64_MAX, UINT64_MAX};
-    }
-    if (rng.Bernoulli(0.5)) {
-      rb.lo = Key3{rng.Uniform(5), 0, 0};
-      rb.hi = Key3{rb.lo.a, UINT64_MAX, UINT64_MAX};
-    }
+    const KeyRange ra = RandomRange(&rng);
+    const KeyRange rb = RandomRange(&rng);
     Chronon t1 = static_cast<Chronon>(rng.Uniform(t));
     Interval ta = rng.Bernoulli(0.4)
                       ? Interval::All()
@@ -125,6 +149,26 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, SyncJoinPropertyTest,
     ::testing::Combine(::testing::Values(21, 42, 63, 84),
                        ::testing::Bool()));
+
+// Both trees hold (2,9,0), inside a range whose lo and hi share b = 7
+// but differ on the leading component a, so b is not fixed inside it.
+TEST(SyncJoinTest, NonPrefixRangeKeepsInRangeKeys) {
+  Mvbt a, b;
+  ASSERT_TRUE(a.Insert({2, 9, 0}, 10).ok());
+  ASSERT_TRUE(b.Insert({2, 9, 0}, 10).ok());
+  const KeyRange range{Key3{1, 7, 0}, Key3{3, 7, UINT64_MAX}};
+  int scanned = 0;
+  a.QueryRange(range, Interval::All(),
+               [&](const Key3&, const Interval&) { ++scanned; });
+  EXPECT_EQ(scanned, 1);
+  int joined = 0;
+  SynchronizedJoin(a, range, Interval::All(), b, range, Interval::All(),
+                   SyncJoinSpec{FirstComponent, FirstComponent},
+                   [&](const Entry&, const Entry&, const Interval&) {
+                     ++joined;
+                   });
+  EXPECT_EQ(joined, 1);
+}
 
 TEST(SyncJoinTest, EmptyRegions) {
   Mvbt a, b;
