@@ -85,8 +85,7 @@ size_t RunSyncJoin(const JoinFixture& f, const Interval& window,
   mvbt::KeyRange ra{{f.pred_a, 0, 0}, {f.pred_a, UINT64_MAX, UINT64_MAX}};
   mvbt::KeyRange rb{{f.pred_b, 0, 0}, {f.pred_b, UINT64_MAX, UINT64_MAX}};
   // POS keys are (p, o, s): the subject is component c.
-  mvbt::SyncJoinSpec spec{[](const Entry& e) { return e.key.c; },
-                          [](const Entry& e) { return e.key.c; }};
+  mvbt::SyncJoinSpec spec{2, 2};
   size_t out = 0;
   SynchronizedJoin(idx, ra, window, idx, rb, window, spec,
                    [&](const Entry&, const Entry&, const Interval&) {

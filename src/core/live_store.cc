@@ -248,13 +248,12 @@ Status LiveStore::RetractId(const Triple& t, Chronon at) {
   return Write(false, nullptr, t, at);
 }
 
-bool LiveStore::IsLiveLocked(const Triple& t) {
+bool LiveStore::IsLiveLocked(const Triple& t) const {
   const auto it = liveness_.find(t);
   if (it != liveness_.end()) return it->second;
-  const TemporalSet validity = base_->Validity(t);
-  const bool live = !validity.empty() && validity.End() == kChrononNow;
-  liveness_.emplace(t, live);
-  return live;
+  Chronon start = 0;
+  return base_->index(IndexOrder::kSpo)
+      .FindLive(TemporalGraph::EncodeKey(IndexOrder::kSpo, t), &start);
 }
 
 Status LiveStore::CheckTimeLocked(Chronon at) const {

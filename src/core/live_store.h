@@ -141,9 +141,9 @@ class LiveStore {
   /// Term-id and liveness validation of a delta over known terms.
   /// REQUIRES(mu_).
   Status ValidateLocked(bool is_assert, const Triple& t) REQUIRES(mu_);
-  /// Current liveness of `t`: overlay map first, base graph fallback
-  /// (memoized). REQUIRES(mu_).
-  bool IsLiveLocked(const Triple& t) REQUIRES(mu_);
+  /// Current liveness of `t`: overlay map first, then a probe of the
+  /// base graph's SPO live-leaf directory (no scan). REQUIRES(mu_).
+  bool IsLiveLocked(const Triple& t) const REQUIRES(mu_);
   /// Moves the pending deltas with lsn <= `upto` into a published
   /// chunk + epoch. REQUIRES(mu_).
   void PublishLocked(uint64_t upto) REQUIRES(mu_);
@@ -163,8 +163,6 @@ class LiveStore {
   const LiveStoreOptions options_;
   CheckpointFaultHook checkpoint_fault_hook_;  // test-only, set pre-run
 
-  /// Interior: base-graph scans under it (IsLiveLocked's liveness
-  /// fallback) may take the decoded-leaf cache's shard leaf mutexes.
   mutable util::Mutex mu_ ACQUIRED_AFTER(ckpt_mu_){"LiveStore::mu_"};
   mutable util::CondVar cv_;
 
@@ -174,8 +172,8 @@ class LiveStore {
   std::shared_ptr<const Epoch> epoch_ GUARDED_BY(mu_);
   /// Logged but not yet published deltas (awaiting durability).
   std::vector<Delta> pending_ GUARDED_BY(mu_);
-  /// Liveness of triples touched since the base graph was installed;
-  /// misses fall back to base_->Validity.
+  /// Liveness of triples written since the base graph was installed;
+  /// other triples are probed in base_.
   std::unordered_map<Triple, bool, TripleHash> liveness_ GUARDED_BY(mu_);
 
   storage::WalWriter wal_ GUARDED_BY(mu_);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -38,13 +39,10 @@ constexpr auto kByMinKey = [](const Mvbt::IndexEntry& x,
   return x.min_key < y.min_key;
 };
 
-// Bytes charged per cached decoded leaf beyond the entry payload,
-// approximating the cache's own list/map node cost.
-constexpr size_t kCacheEntryOverhead = 96;
-
-// Lock shards of the decoded-leaf cache, so concurrent readers of
-// different leaves rarely share a mutex.
-constexpr size_t kLeafCacheShards = 8;
+// Bytes charged per cached image beyond its columns: the image itself,
+// its shared_ptr control block and its CLOCK ring slot.
+constexpr size_t kImageOverhead =
+    sizeof(Mvbt::LeafImage) + 2 * sizeof(void*) + sizeof(const Mvbt::Node*);
 
 }  // namespace
 
@@ -83,10 +81,6 @@ void RegionMask(const ColumnarEntries& cols, const KeyRange& range,
 
 Mvbt::Mvbt(const MvbtOptions& options) : options_(options) {
   options_.block_capacity = std::max<size_t>(8, options_.block_capacity);
-  if (options_.leaf_cache_bytes > 0) {
-    leaf_cache_ = std::make_unique<LeafCache>(options_.leaf_cache_bytes,
-                                              kLeafCacheShards);
-  }
   const size_t b = options_.block_capacity;
   weak_min_ = std::max<size_t>(2, b / 5);
   strong_max_ = std::max(weak_min_ * 2 + 2, b * 4 / 5);
@@ -516,30 +510,43 @@ void Mvbt::CollectRegionLeaves(const KeyRange& range, const Interval& time,
   }
 }
 
+std::shared_ptr<const Mvbt::LeafImage> Mvbt::ImageSlot::Load() const {
+  while (busy_.test_and_set(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  std::shared_ptr<const LeafImage> image = image_;
+  busy_.clear(std::memory_order_release);
+  return image;
+}
+
+void Mvbt::ImageSlot::Store(std::shared_ptr<const LeafImage> image) {
+  while (busy_.test_and_set(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  image_.swap(image);
+  busy_.clear(std::memory_order_release);
+}
+
 const ColumnarEntries* Mvbt::LeafColumns(
     const Node& n, ColumnarEntries* scratch,
     std::shared_ptr<const ColumnarEntries>* keepalive,
     ScanStats* stats) const {
   if (stats != nullptr) ++stats->leaves_visited;
-  if (leaf_cache_ != nullptr && !n.alive() && n.block.compressed()) {
-    *keepalive = leaf_cache_->Get(&n);
-    if (*keepalive != nullptr) {
+  if (options_.leaf_cache_bytes > 0 && !n.alive() && n.block.compressed()) {
+    std::shared_ptr<const LeafImage> image = n.image.Load();
+    if (image != nullptr) {
+      // Hit. The bit is written only when clear, so a hot image's cache
+      // line is not written on every hit.
+      if (!image->referenced.load(std::memory_order_relaxed)) {
+        image->referenced.store(true, std::memory_order_relaxed);
+      }
       if (stats != nullptr) ++stats->cache_hits;
-      return keepalive->get();
+    } else {
+      image = CacheLeafImage(n, stats);
     }
-    ColumnarEntries cols;
-    n.block.DecodeColumnar(&cols);
-    // Charge the columnar image's true heap footprint (capacities, not a
-    // row-form size estimate) so the LRU budget is honest.
-    const size_t bytes = cols.MemoryBytes() + kCacheEntryOverhead;
-    uint64_t evicted = 0;
-    *keepalive = leaf_cache_->Insert(&n, std::move(cols), bytes, &evicted);
-    if (stats != nullptr) {
-      ++stats->cache_misses;
-      stats->entries_decoded += (*keepalive)->size();
-      stats->cache_evictions += evicted;
-    }
-    return keepalive->get();
+    const ColumnarEntries* cols = &image->cols;
+    *keepalive = std::shared_ptr<const ColumnarEntries>(std::move(image), cols);
+    return cols;
   }
   scratch->Clear();
   n.block.DecodeColumnar(scratch);
@@ -549,9 +556,58 @@ const ColumnarEntries* Mvbt::LeafColumns(
   return scratch;
 }
 
-util::CacheCounters Mvbt::leaf_cache_counters() const {
-  if (leaf_cache_ == nullptr) return util::CacheCounters{};
-  return leaf_cache_->counters();
+std::shared_ptr<const Mvbt::LeafImage> Mvbt::CacheLeafImage(
+    const Node& n, ScanStats* stats) const {
+  auto fresh = std::make_shared<LeafImage>();
+  n.block.DecodeColumnar(&fresh->cols);
+  // Charge the columnar image's true heap footprint (capacities, not a
+  // row-form size estimate) so the budget is honest.
+  fresh->bytes = fresh->cols.MemoryBytes() + kImageOverhead;
+  if (stats != nullptr) {
+    ++stats->cache_misses;
+    stats->entries_decoded += fresh->cols.size();
+  }
+  if (fresh->bytes > options_.leaf_cache_bytes) return fresh;
+
+  util::MutexLock lock(&leaf_mu_);
+  if (std::shared_ptr<const LeafImage> first = n.image.Load()) return first;
+  // Sweep the ring: a referenced image loses its bit and is spared, an
+  // unreferenced one is evicted and the ring's last node takes its slot,
+  // behind the hand. The new node, pushed last, thus comes up last, and
+  // is never the victim: its image fits the budget alone. One sweep
+  // spares at most a ring's worth, so hits racing it cannot keep it
+  // going.
+  bytes_held_ += fresh->bytes;
+  clock_.push_back(&n);
+  size_t spared = 0;
+  while (bytes_held_ > options_.leaf_cache_bytes) {
+    if (clock_hand_ >= clock_.size()) clock_hand_ = 0;
+    const Node* victim = clock_[clock_hand_];
+    if (victim == &n) {
+      ++clock_hand_;
+      continue;
+    }
+    const std::shared_ptr<const LeafImage> held = victim->image.Load();
+    if (spared < clock_.size() &&
+        held->referenced.load(std::memory_order_relaxed)) {
+      held->referenced.store(false, std::memory_order_relaxed);
+      ++spared;
+      ++clock_hand_;
+      continue;
+    }
+    victim->image.Store(nullptr);
+    bytes_held_ -= held->bytes;
+    if (stats != nullptr) ++stats->cache_evictions;
+    clock_[clock_hand_++] = clock_.back();
+    clock_.pop_back();
+  }
+  n.image.Store(fresh);
+  return fresh;
+}
+
+size_t Mvbt::leaf_cache_bytes_held() const {
+  util::MutexLock lock(&leaf_mu_);
+  return bytes_held_;
 }
 
 bool Mvbt::FindLive(const Key3& key, Chronon* start) const {

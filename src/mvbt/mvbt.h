@@ -27,6 +27,7 @@
 #ifndef RDFTX_MVBT_MVBT_H_
 #define RDFTX_MVBT_MVBT_H_
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -39,8 +40,8 @@
 #include "mvbt/key.h"
 #include "mvbt/leaf_block.h"
 #include "temporal/interval.h"
+#include "util/mutex.h"
 #include "util/scan_stats.h"
-#include "util/sharded_lru_cache.h"
 #include "util/status.h"
 
 namespace rdftx::mvbt {
@@ -53,8 +54,9 @@ struct MvbtOptions {
   /// (dead leaves are immutable) and CompressAllLeaves() compresses the
   /// live ones too. When false the tree is the "standard MVBT" baseline.
   bool compress_leaves = false;
-  /// Byte budget of the decoded-leaf cache, which holds decoded Entry
-  /// vectors of hot dead compressed leaves. 0 disables the cache.
+  /// Byte budget of the decoded-leaf cache, which keeps the columnar
+  /// images of hot dead compressed leaves on their nodes. 0 disables
+  /// the cache.
   size_t leaf_cache_bytes = 0;
 };
 
@@ -164,9 +166,9 @@ class Mvbt {
   const MvbtStats& stats() const { return stats_; }
   const MvbtOptions& options() const { return options_; }
 
-  /// Lifetime totals of the decoded-leaf cache (all zero when the cache
-  /// is disabled). Thread-safe.
-  util::CacheCounters leaf_cache_counters() const;
+  /// Bytes the decoded-leaf cache holds now; never above
+  /// options().leaf_cache_bytes. Thread-safe.
+  size_t leaf_cache_bytes_held() const;
 
   // --- internal node structure, public for white-box tests and the
   // synchronized join (sync_join.cc) ---
@@ -185,6 +187,31 @@ class Mvbt {
     bool live() const { return end == kChrononNow; }
   };
 
+  /// A dead compressed leaf's decoded image, cached on its node.
+  struct LeafImage {
+    ColumnarEntries cols;
+    size_t bytes = 0;  // charged against leaf_cache_bytes
+    // The CLOCK reference bit: set by a hit, cleared by a sweep that
+    // spares the image.
+    mutable std::atomic<bool> referenced{false};
+  };
+
+  /// A node's decoded-image slot: a shared_ptr behind a spin flag held
+  /// only to copy or swap it, so a reader keeps an evicted image alive.
+  /// (libstdc++'s std::atomic<std::shared_ptr> is built the same way, but
+  /// GCC 12's load unlocks with a relaxed store: a race under TSan.)
+  class ImageSlot {
+   public:
+    std::shared_ptr<const LeafImage> Load() const;
+    /// Installs `image` (nullptr evicts); the old one is released after
+    /// the flag.
+    void Store(std::shared_ptr<const LeafImage> image);
+
+   private:
+    mutable std::atomic_flag busy_;
+    std::shared_ptr<const LeafImage> image_;
+  };
+
   struct Node {
     bool is_leaf = true;
     Chronon created = 0;
@@ -196,6 +223,10 @@ class Mvbt {
     // Leaf state.
     LeafBlock block;
     std::vector<Node*> backlinks;  // temporal predecessors
+    // The decoded-leaf cache's slot: stored only on a dead compressed
+    // leaf (immutable, so the image never goes stale) under leaf_mu_,
+    // loaded without it.
+    mutable ImageSlot image;
 
     // Inner state.
     std::vector<IndexEntry> entries;
@@ -231,7 +262,7 @@ class Mvbt {
 
   /// Columnar image of a leaf's entries for the vectorized scan
   /// (engine/vectorized.cc). Dead compressed leaves come from the
-  /// decoded-leaf cache — `*keepalive` pins the cache entry and the
+  /// decoded-leaf cache — `*keepalive` pins the node's image and the
   /// returned pointer aliases it; everything else is decoded into
   /// `*scratch` (cleared first) and the pointer aliases that. Counters
   /// (leaves_visited, entries_decoded, cache hits/misses) accumulate
@@ -369,7 +400,12 @@ class Mvbt {
   /// crafted snapshot; organic trees are acyclic by construction).
   Status CheckChildGraphAcyclic() const;
 
-  using LeafCache = util::ShardedLruCache<const Node*, ColumnarEntries>;
+  /// The decoded-leaf cache's miss path: decodes `n`, then installs the
+  /// image on `n` unless another thread did first, evicting by CLOCK
+  /// until the bytes held are within budget. An image larger than the
+  /// whole budget is returned uncached.
+  std::shared_ptr<const LeafImage> CacheLeafImage(const Node& n,
+                                                  ScanStats* stats) const;
 
   /// The one leaf read path of the scans: feeds `fn(cols, i)` every
   /// entry i of `leaves` (read through LeafColumns) that RegionMask
@@ -407,11 +443,14 @@ class Mvbt {
   // Changed only by Insert/Erase (fingerprints), the structure changes
   // (leaves), and the restore hooks (rebuild).
   LiveLeafMap live_leaves_;
-  // Decoded-leaf cache (null when leaf_cache_bytes == 0). Keyed by node
-  // identity: arena nodes never move or die before the tree, and only
-  // dead leaves — immutable by construction — are ever inserted, so no
-  // invalidation protocol is needed.
-  std::unique_ptr<LeafCache> leaf_cache_;
+  // Decoded-leaf cache bookkeeping. The images live on their nodes
+  // (Node::image); a hit reads only the node. leaf_mu_ orders the
+  // installs and evictions: the CLOCK ring of nodes holding an image,
+  // its hand, and the bytes those images are charged.
+  mutable util::Mutex leaf_mu_ LEAF_MUTEX{"Mvbt::leaf_mu_"};
+  mutable std::vector<const Node*> clock_ GUARDED_BY(leaf_mu_);
+  mutable size_t clock_hand_ GUARDED_BY(leaf_mu_) = 0;
+  mutable size_t bytes_held_ GUARDED_BY(leaf_mu_) = 0;
 };
 
 }  // namespace rdftx::mvbt

@@ -1,39 +1,62 @@
 #include "mvbt/sync_join.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "util/simd.h"
 
 namespace rdftx::mvbt {
 namespace {
 
 using Node = Mvbt::Node;
 
-// Decoded-record cache: one decode per node regardless of how many node
-// pairs it participates in. Records are kept columnar so the per-pair
-// region filters run as SIMD masks over whole columns.
+// One side's records of one leaf: the columnar entries, and the
+// entries inside the side's query region as (join key, slot) pairs
+// sorted by key, so that a node pair joins by one merge.
+struct LeafRecords {
+  ColumnarEntries cols;
+  std::vector<std::pair<uint64_t, uint32_t>> by_key;
+};
+
+// Decoded-record cache of one side: one decode, region filter (RegionMask,
+// SIMD over whole columns) and sort per node, however many node pairs it
+// participates in.
 class RecordCache {
  public:
-  explicit RecordCache(SyncJoinStats* stats) : stats_(stats) {}
+  RecordCache(const KeyRange& range, const Interval& time, size_t comp,
+              SyncJoinStats* stats)
+      : range_(range), time_(time), comp_(comp), stats_(stats) {}
 
-  const ColumnarEntries& Get(const Node* node) {
+  const LeafRecords& Get(const Node* node) {
     auto it = cache_.find(node);
     if (it != cache_.end()) {
       if (stats_ != nullptr) ++stats_->cache_hits;
       return it->second;
     }
     if (stats_ != nullptr) ++stats_->cache_misses;
-    ColumnarEntries cols;
-    node->block.DecodeColumnar(&cols);
-    return cache_.emplace(node, std::move(cols)).first->second;
+    LeafRecords& rec = cache_[node];
+    node->block.DecodeColumnar(&rec.cols);
+    RegionMask(rec.cols, range_, time_, &mask_);
+    const std::vector<uint64_t>& keys =
+        comp_ == 0 ? rec.cols.a : comp_ == 1 ? rec.cols.b : rec.cols.c;
+    for (size_t w = 0; w < mask_.size(); ++w) {
+      for (uint64_t bits = mask_[w]; bits != 0; bits &= bits - 1) {
+        const auto i = static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+        rec.by_key.emplace_back(keys[i], i);
+      }
+    }
+    std::sort(rec.by_key.begin(), rec.by_key.end());
+    return rec;
   }
 
  private:
-  std::unordered_map<const Node*, ColumnarEntries> cache_;
+  const KeyRange range_;
+  const Interval time_;
+  const size_t comp_;
   SyncJoinStats* stats_;
+  std::unordered_map<const Node*, LeafRecords> cache_;
+  std::vector<uint64_t> mask_;
 };
 
 struct SweepEvent {
@@ -41,12 +64,6 @@ struct SweepEvent {
   bool is_start;
   bool from_a;
   const Node* node;
-};
-
-/// One overlapping leaf pair (na from tree a, nb from tree b).
-struct NodePair {
-  const Node* na;
-  const Node* nb;
 };
 
 }  // namespace
@@ -68,7 +85,7 @@ void SynchronizedJoin(
   if (leaves_a.empty() || leaves_b.empty()) return;
 
   // Sweep over node lifespans to enumerate exactly the overlapping
-  // node pairs.
+  // node pairs, joining each as it is found.
   std::vector<SweepEvent> events;
   events.reserve(2 * (leaves_a.size() + leaves_b.size()));
   auto add_events = [&events](const std::vector<const Node*>& leaves,
@@ -88,84 +105,62 @@ void SynchronizedJoin(
               return x.is_start < y.is_start;
             });
 
-  std::vector<NodePair> pairs;
-  {
-    std::vector<const Node*> active_a, active_b;
-    for (const SweepEvent& ev : events) {
-      std::vector<const Node*>& mine = ev.from_a ? active_a : active_b;
-      if (!ev.is_start) {
-        mine.erase(std::find(mine.begin(), mine.end(), ev.node));
+  // Steps (ii) and (iii): join the record fragments of each pair (na
+  // from tree a, nb from tree b) through one record cache per side, by
+  // merging the two leaves' key-sorted region entries.
+  RecordCache cache_a(ra, ta, spec.comp_a, stats);
+  RecordCache cache_b(rb, tb, spec.comp_b, stats);
+  auto join_pair = [&](const Node* na, const Node* nb) {
+    if (stats != nullptr) ++stats->node_pairs;
+    const LeafRecords& ra_recs = cache_a.Get(na);
+    const LeafRecords& rb_recs = cache_b.Get(nb);
+    const auto& xs = ra_recs.by_key;
+    const auto& ys = rb_recs.by_key;
+    size_t i = 0, j = 0;
+    while (i < xs.size() && j < ys.size()) {
+      if (xs[i].first < ys[j].first) {
+        ++i;
         continue;
       }
-      const std::vector<const Node*>& others =
-          ev.from_a ? active_b : active_a;
-      for (const Node* other : others) {
-        if (ev.from_a) {
-          pairs.push_back({ev.node, other});
-        } else {
-          pairs.push_back({other, ev.node});
+      if (ys[j].first < xs[i].first) {
+        ++j;
+        continue;
+      }
+      const uint64_t key = xs[i].first;
+      const size_t j0 = j;
+      for (; i < xs.size() && xs[i].first == key; ++i) {
+        const Entry x = ra_recs.cols.At(xs[i].second);
+        for (j = j0; j < ys.size() && ys[j].first == key; ++j) {
+          const Entry y = rb_recs.cols.At(ys[j].second);
+          // Each fragment lives in exactly one leaf, and fragment
+          // intervals are contained in their leaf's lifespan, so every
+          // matching fragment pair is produced by exactly one node pair:
+          // no dedup needed.
+          Interval iv = x.interval().Intersect(y.interval());
+          iv = iv.Intersect(shared);
+          if (iv.empty()) continue;
+          if (stats != nullptr) ++stats->output_rows;
+          emit(x, y, iv);
         }
       }
-      mine.push_back(ev.node);
     }
-  }
-
-  // Steps (ii) and (iii): join the record fragments of each pair, in
-  // pair order, through one record cache.
-  RecordCache cache(stats);
-  std::vector<uint64_t> mask;
-  std::vector<uint32_t> sel_a, sel_b;
-  // SIMD prefilter: the region-qualifying entries of one side, as a
-  // selection vector over its columnar records.
-  auto select = [&mask](const ColumnarEntries& cols, const KeyRange& range,
-                        const Interval& time, std::vector<uint32_t>* sel) {
-    RegionMask(cols, range, time, &mask);
-    sel->resize(cols.size());
-    return simd::MaskToSelection(mask.data(), cols.size(), sel->data());
   };
-  for (const NodePair& pair : pairs) {
-    if (stats != nullptr) ++stats->node_pairs;
-    const ColumnarEntries& ca = cache.Get(pair.na);
-    const ColumnarEntries& cb = cache.Get(pair.nb);
-    const size_t ka = select(ca, ra, ta, &sel_a);
-    const size_t kb = select(cb, rb, tb, &sel_b);
-    if (ka == 0 || kb == 0) continue;
-    // Per-pair hash join on the join keys (build on the smaller side).
-    const bool build_a = ka <= kb;
-    const ColumnarEntries& build = build_a ? ca : cb;
-    const ColumnarEntries& probe = build_a ? cb : ca;
-    const std::vector<uint32_t>& build_sel = build_a ? sel_a : sel_b;
-    const std::vector<uint32_t>& probe_sel = build_a ? sel_b : sel_a;
-    const size_t nb_ = build_a ? ka : kb;
-    const size_t np_ = build_a ? kb : ka;
-    const auto& build_key = build_a ? spec.key_a : spec.key_b;
-    const auto& probe_key = build_a ? spec.key_b : spec.key_a;
 
-    std::unordered_multimap<uint64_t, uint32_t> table;
-    table.reserve(nb_);
-    for (size_t i = 0; i < nb_; ++i) {
-      table.emplace(build_key(build.At(build_sel[i])), build_sel[i]);
+  std::vector<const Node*> active_a, active_b;
+  for (const SweepEvent& ev : events) {
+    std::vector<const Node*>& mine = ev.from_a ? active_a : active_b;
+    if (!ev.is_start) {
+      mine.erase(std::find(mine.begin(), mine.end(), ev.node));
+      continue;
     }
-    for (size_t j = 0; j < np_; ++j) {
-      const Entry e = probe.At(probe_sel[j]);
-      auto [lo, hi] = table.equal_range(probe_key(e));
-      for (auto it = lo; it != hi; ++it) {
-        const Entry other = build.At(it->second);
-        // Each fragment lives in exactly one leaf, and fragment intervals
-        // are contained in their leaf's lifespan, so every matching
-        // fragment pair is produced by exactly one node pair: no dedup
-        // needed.
-        Interval iv = e.interval().Intersect(other.interval());
-        iv = iv.Intersect(shared);
-        if (iv.empty()) continue;
-        if (stats != nullptr) ++stats->output_rows;
-        if (build_a) {
-          emit(other, e, iv);
-        } else {
-          emit(e, other, iv);
-        }
+    for (const Node* other : ev.from_a ? active_b : active_a) {
+      if (ev.from_a) {
+        join_pair(ev.node, other);
+      } else {
+        join_pair(other, ev.node);
       }
     }
+    mine.push_back(ev.node);
   }
 }
 

@@ -6,18 +6,20 @@
 //       (lifespan x key range) rectangles intersect each other and the
 //       two query regions, starting from the right border of each region
 //       and following backward links;
-//  (ii) joins the record fragments of each pair, and
+//  (ii) joins the record fragments of each pair, by merging the two
+//       leaves' region entries sorted on the join key, and
 //  (iii) caches decoded records so a node visited in many pairs is
-//       decompressed only once (the paper's optimization over the
-//       original algorithm).
+//       decompressed, filtered and sorted only once (the paper's
+//       optimization over the original algorithm).
 //
 // Because RDF-TX's version splits never duplicate a fragment across
 // leaves, each matching fragment pair is emitted exactly once. The join
-// runs entirely on the calling thread with one record cache, so every
-// leaf it touches is decoded exactly once per call.
+// runs entirely on the calling thread with one record cache per side,
+// so every leaf it touches is decoded at most once per side per call.
 #ifndef RDFTX_MVBT_SYNC_JOIN_H_
 #define RDFTX_MVBT_SYNC_JOIN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -25,19 +27,20 @@
 
 namespace rdftx::mvbt {
 
-/// How entries of the two scans pair up: entries join when
-/// key_a(e1) == key_b(e2) and their validity intervals intersect within
-/// both query regions' time ranges.
+/// How entries of the two scans pair up: entries join when key
+/// component `comp_a` (0, 1, 2 for a, b, c) of e1 equals component
+/// `comp_b` of e2 and their validity intervals intersect within both
+/// query regions' time ranges.
 struct SyncJoinSpec {
-  std::function<uint64_t(const Entry&)> key_a;
-  std::function<uint64_t(const Entry&)> key_b;
+  size_t comp_a = 0;
+  size_t comp_b = 0;
 };
 
 /// Counters for the join ablation bench and tests.
 struct SyncJoinStats {
   uint64_t node_pairs = 0;
   uint64_t cache_hits = 0;
-  /// Distinct leaves decoded (one record cache per call).
+  /// Leaves decoded (one record cache per side per call).
   uint64_t cache_misses = 0;
   uint64_t output_rows = 0;
 };

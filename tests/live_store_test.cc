@@ -239,6 +239,47 @@ TEST(LiveStoreTest, RejectedWritesLeaveNoTrace) {
   fs::remove_all(dir);
 }
 
+TEST(LiveStoreTest, BaseGraphDecidesLivenessAfterCheckpointAndReopen) {
+  // Once a checkpoint folds the log, or a reopen replays it into the
+  // base graph, no overlay entry knows the triples' liveness: the base
+  // graph alone must reject and admit writes.
+  const std::string dir = TempDir("rdftx_live_base_liveness");
+  Rng rng(45);
+  std::vector<Event> events = RandomEvents(&rng, 60);
+  std::map<Triple, bool> state;
+  for (const Event& e : events) state[e.triple] = e.is_assert;
+  Triple live{0, 0, 0}, dead{0, 0, 0};
+  for (const auto& [tr, is_live] : state) (is_live ? live : dead) = tr;
+  ASSERT_TRUE(live.s != 0 && dead.s != 0);  // `dead` has a history
+
+  // Rejects the two invalid writes, makes the two valid ones, and swaps
+  // the roles of `live` and `dead` to match.
+  auto check = [&](LiveStore* store, Chronon t) {
+    EXPECT_EQ(store->AssertId(live, t).code(), StatusCode::kAlreadyExists);
+    EXPECT_EQ(store->RetractId(dead, t).code(), StatusCode::kNotFound);
+    EXPECT_TRUE(store->RetractId(live, t).ok());
+    EXPECT_TRUE(store->AssertId(dead, t).ok());
+    events.push_back(Event{false, live, t});
+    events.push_back(Event{true, dead, t});
+    std::swap(live, dead);
+  };
+  const Chronon t = events.back().at + 1;
+  {
+    auto store = LiveStore::OpenOrRecover(dir);
+    ASSERT_TRUE(store.ok());
+    InternUniverse(store->get());
+    ApplyEvents(store->get(), events);
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+    check(store->get(), t);
+  }
+  auto reopened = LiveStore::OpenOrRecover(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  check(reopened->get(), t + 1);
+  ExpectMatchesEvents(*(*reopened)->Snapshot(), events, /*seed=*/21,
+                      /*queries=*/20);
+  fs::remove_all(dir);
+}
+
 TEST(LiveStoreTest, BackdatedWritesFailTheSameWithOrWithoutNewTerms) {
   const std::string dir = TempDir("rdftx_live_backdated");
   auto store = LiveStore::OpenOrRecover(dir);

@@ -1,10 +1,12 @@
 // Read-path coverage: slot access on compressed leaves (SlotWalk and the
-// CloseAt splice), decoded-leaf cache correctness + counters
-// (including under concurrency, for the TSan build), and the region
-// mask every leaf read filters through.
+// CloseAt splice), decoded-leaf cache correctness, budget, CLOCK
+// eviction and keepalive (including under concurrency, for the TSan
+// build), and the region mask every leaf read filters through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -208,10 +210,7 @@ TEST(MvbtReadPath, DecodedLeafCacheIsTransparent) {
           << "warm pass re-decoded cached leaves";
     }
   }
-  const util::CacheCounters counters = cached.leaf_cache_counters();
-  EXPECT_GT(counters.hits, 0u);
-  EXPECT_GT(counters.misses, 0u);
-  EXPECT_GT(counters.bytes, 0u);
+  EXPECT_GT(cached.leaf_cache_bytes_held(), 0u);
 }
 
 TEST(MvbtReadPath, CacheBudgetIsEnforced) {
@@ -225,24 +224,27 @@ TEST(MvbtReadPath, CacheBudgetIsEnforced) {
 
   const KeyRange all{kKeyMin, kKeyMax};
   const Interval window(0, cached.last_time() + 1);
+  uint64_t evictions = 0;
   for (int pass = 0; pass < 3; ++pass) {
-    ASSERT_EQ(RangeFragments(cached, all, window, nullptr),
+    ScanStats stats;
+    ASSERT_EQ(RangeFragments(cached, all, window, &stats),
               RangeFragments(uncached, all, window, nullptr));
+    evictions += stats.cache_evictions;
   }
-  const util::CacheCounters counters = cached.leaf_cache_counters();
-  EXPECT_GT(counters.evictions, 0u);
-  EXPECT_LE(counters.bytes, 2048u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_LE(cached.leaf_cache_bytes_held(), 2048u);
 }
 
 TEST(MvbtReadPath, ConcurrentCachedScansAreRaceFree) {
   // Many threads hammer the same tree through the decoded-leaf cache;
   // every pass must see the same fragments. The TSan preset runs this
   // test to certify the cache's synchronization. The budget is kept far
-  // below the scan's working set on purpose: every pass cycles the LRU,
-  // so eviction churn runs concurrently with lookups. (That also means
-  // a hit happens only when two threads reach the same leaf close
-  // together — hits may legitimately be zero under some schedules, so
-  // the assertions below check exact accounting, not a hit rate.)
+  // below the scan's working set on purpose: every pass cycles the
+  // CLOCK ring, so eviction churn runs concurrently with lookups. (That
+  // also means a hit happens only when two threads reach the same leaf
+  // close together — hits may legitimately be zero under some
+  // schedules, so the assertions below check exact accounting, not a
+  // hit rate.)
   Mvbt tree(MvbtOptions{.block_capacity = 8,
                         .compress_leaves = true,
                         .leaf_cache_bytes = 64u << 10});
@@ -257,8 +259,13 @@ TEST(MvbtReadPath, ConcurrentCachedScansAreRaceFree) {
 
   constexpr int kThreads = 8;
   constexpr int kPasses = 6;
+  // Every pass reads the same dead compressed leaves, so each one looks
+  // up the cache exactly as often as the single-thread pass, however the
+  // lookups split into hits and misses.
+  const uint64_t want_lookups = want_stats.cache_hits + want_stats.cache_misses;
+  ASSERT_GT(want_lookups, 0u);
   std::vector<std::string> failures(kThreads);
-  std::vector<uint64_t> lookups(kThreads, 0);
+  std::vector<uint64_t> evictions(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
@@ -269,7 +276,11 @@ TEST(MvbtReadPath, ConcurrentCachedScansAreRaceFree) {
           failures[i] = "fragment mismatch";
           return;
         }
-        lookups[i] += stats.cache_hits + stats.cache_misses;
+        if (stats.cache_hits + stats.cache_misses != want_lookups) {
+          failures[i] = "lookup count mismatch";
+          return;
+        }
+        evictions[i] += stats.cache_evictions;
       }
     });
   }
@@ -277,15 +288,108 @@ TEST(MvbtReadPath, ConcurrentCachedScansAreRaceFree) {
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_TRUE(failures[i].empty()) << "thread " << i << ": " << failures[i];
   }
-  // The shared counters must account for every lookup the per-query
-  // ScanStats observed — nothing lost to racy increments.
-  uint64_t total_lookups = want_stats.cache_hits + want_stats.cache_misses;
-  for (uint64_t n : lookups) total_lookups += n;
-  const util::CacheCounters counters = tree.leaf_cache_counters();
-  EXPECT_EQ(counters.hits + counters.misses, total_lookups);
-  EXPECT_GT(counters.misses, 0u);
-  EXPECT_GT(counters.evictions, 0u);  // the budget really was under pressure
-  EXPECT_LE(counters.bytes, uint64_t{64u << 10});
+  uint64_t total_evictions = want_stats.cache_evictions;
+  for (uint64_t n : evictions) total_evictions += n;
+  EXPECT_GT(total_evictions, 0u);  // the budget really was under pressure
+  EXPECT_LE(tree.leaf_cache_bytes_held(), uint64_t{64u << 10});
+}
+
+// CLOCK eviction and keepalive, on three dead compressed leaves whose
+// images are charged the same bytes.
+
+constexpr uint64_t kClockSeed = 41;
+
+std::unique_ptr<Mvbt> ClockTree(size_t cache_bytes) {
+  auto tree = std::make_unique<Mvbt>(MvbtOptions{
+      .block_capacity = 8, .compress_leaves = true,
+      .leaf_cache_bytes = cache_bytes});
+  Churn(tree.get(), nullptr, kClockSeed);
+  return tree;
+}
+
+/// Reads node `id` of `tree` through the cache; returns the stats, and
+/// the image's pin in `*keepalive` when non-null.
+ScanStats ReadLeaf(
+    const Mvbt& tree, size_t id,
+    std::shared_ptr<const ColumnarEntries>* keepalive = nullptr) {
+  ColumnarEntries scratch;
+  std::shared_ptr<const ColumnarEntries> pin;
+  ScanStats stats;
+  tree.LeafColumns(*tree.node_at(id), &scratch, keepalive ? keepalive : &pin,
+                   &stats);
+  return stats;
+}
+
+/// Three dead compressed leaves of ClockTree with one entry count, hence
+/// equal column capacities and equal image bytes, and those bytes.
+struct ClockLeaves {
+  size_t a = 0, b = 0, c = 0;
+  size_t image_bytes = 0;
+};
+
+ClockLeaves FindClockLeaves() {
+  const std::unique_ptr<Mvbt> probe = ClockTree(1u << 20);
+  std::map<size_t, std::vector<size_t>> by_count;
+  for (size_t id = 0; id < probe->node_count(); ++id) {
+    const Mvbt::Node& n = *probe->node_at(id);
+    if (n.is_leaf && !n.alive() && n.block.compressed()) {
+      by_count[n.block.count()].push_back(id);
+    }
+  }
+  for (const auto& [count, ids] : by_count) {
+    if (ids.size() < 3) continue;
+    ReadLeaf(*probe, ids[0]);
+    return ClockLeaves{ids[0], ids[1], ids[2], probe->leaf_cache_bytes_held()};
+  }
+  return ClockLeaves{};
+}
+
+TEST(MvbtReadPath, ClockEvictedImageStaysValidWhileHeld) {
+  const ClockLeaves leaves = FindClockLeaves();
+  ASSERT_GT(leaves.image_bytes, 0u);
+  const std::unique_ptr<Mvbt> tree = ClockTree(leaves.image_bytes);
+  std::shared_ptr<const ColumnarEntries> held_a;
+  ScanStats stats = ReadLeaf(*tree, leaves.a, &held_a);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_evictions, 0u);
+
+  // A miss on B evicts A, whose image the pin keeps alive and intact.
+  stats = ReadLeaf(*tree, leaves.b);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_evictions, 1u);
+  EXPECT_EQ(tree->leaf_cache_bytes_held(), leaves.image_bytes);
+  ColumnarEntries fresh;
+  tree->node_at(leaves.a)->block.DecodeColumnar(&fresh);
+  EXPECT_TRUE(std::tie(held_a->a, held_a->b, held_a->c, held_a->start,
+                       held_a->end) ==
+              std::tie(fresh.a, fresh.b, fresh.c, fresh.start, fresh.end));
+
+  // A is no longer cached: its next read misses and evicts B in turn.
+  stats = ReadLeaf(*tree, leaves.a);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_evictions, 1u);
+}
+
+TEST(MvbtReadPath, ClockSparesLeafHitSinceLastSweep) {
+  const ClockLeaves leaves = FindClockLeaves();
+  ASSERT_GT(leaves.image_bytes, 0u);
+  // Without a hit, the sweep evicts the oldest image, A.
+  std::unique_ptr<Mvbt> tree = ClockTree(2 * leaves.image_bytes);
+  ReadLeaf(*tree, leaves.a);
+  ReadLeaf(*tree, leaves.b);
+  EXPECT_EQ(ReadLeaf(*tree, leaves.c).cache_evictions, 1u);
+  EXPECT_EQ(ReadLeaf(*tree, leaves.a).cache_misses, 1u);
+
+  // A hit on A since the last sweep spares it; B goes instead.
+  tree = ClockTree(2 * leaves.image_bytes);
+  ReadLeaf(*tree, leaves.a);
+  ReadLeaf(*tree, leaves.b);
+  EXPECT_EQ(ReadLeaf(*tree, leaves.a).cache_hits, 1u);
+  EXPECT_EQ(ReadLeaf(*tree, leaves.c).cache_evictions, 1u);
+  EXPECT_EQ(ReadLeaf(*tree, leaves.a).cache_hits, 1u);
+  EXPECT_EQ(ReadLeaf(*tree, leaves.b).cache_misses, 1u);
+  EXPECT_LE(tree->leaf_cache_bytes_held(), 2 * leaves.image_bytes);
 }
 
 // ---------------------------------------------------------------------

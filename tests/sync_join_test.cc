@@ -16,7 +16,7 @@ namespace {
 
 // The canonical use: join two scans on the first key component
 // (e.g. the shared subject), with overlapping validity.
-uint64_t FirstComponent(const Entry& e) { return e.key.a; }
+constexpr SyncJoinSpec kOnFirstComponent{0, 0};
 
 struct Record {
   Key3 key;
@@ -114,7 +114,6 @@ TEST_P(SyncJoinPropertyTest, MatchesBruteForce) {
     recs_b.push_back({k, Interval(ts, kChrononNow)});
   }
 
-  SyncJoinSpec spec{FirstComponent, FirstComponent};
   for (int q = 0; q < 30; ++q) {
     const KeyRange ra = RandomRange(&rng);
     const KeyRange rb = RandomRange(&rng);
@@ -129,7 +128,7 @@ TEST_P(SyncJoinPropertyTest, MatchesBruteForce) {
 
     JoinedPoints got;
     SyncJoinStats stats;
-    SynchronizedJoin(tree_a, ra, ta, tree_b, rb, tb, spec,
+    SynchronizedJoin(tree_a, ra, ta, tree_b, rb, tb, kOnFirstComponent,
                      [&](const Entry& x, const Entry& y, const Interval& iv) {
                        EXPECT_EQ(x.key.a, y.key.a);
                        got[{x.key, y.key}].Add(iv);
@@ -163,7 +162,7 @@ TEST(SyncJoinTest, NonPrefixRangeKeepsInRangeKeys) {
   EXPECT_EQ(scanned, 1);
   int joined = 0;
   SynchronizedJoin(a, range, Interval::All(), b, range, Interval::All(),
-                   SyncJoinSpec{FirstComponent, FirstComponent},
+                   kOnFirstComponent,
                    [&](const Entry&, const Entry&, const Interval&) {
                      ++joined;
                    });
@@ -176,10 +175,9 @@ TEST(SyncJoinTest, EmptyRegions) {
   ASSERT_TRUE(b.Insert({1, 2, 2}, 50).ok());
   ASSERT_TRUE(a.Erase({1, 1, 1}, 20).ok());
   int count = 0;
-  SyncJoinSpec spec{FirstComponent, FirstComponent};
   // Disjoint time ranges: a's record ends before b's starts.
   SynchronizedJoin(a, KeyRange{}, Interval(0, 20), b, KeyRange{},
-                   Interval(50, kChrononNow), spec,
+                   Interval(50, kChrononNow), kOnFirstComponent,
                    [&](const Entry&, const Entry&, const Interval&) {
                      ++count;
                    });
@@ -196,9 +194,8 @@ TEST(SyncJoinTest, CacheReusesDecodedNodes) {
     t += 1;
   }
   SyncJoinStats stats;
-  SyncJoinSpec spec{FirstComponent, FirstComponent};
   SynchronizedJoin(a, KeyRange{}, Interval::All(), b, KeyRange{},
-                   Interval::All(), spec,
+                   Interval::All(), kOnFirstComponent,
                    [](const Entry&, const Entry&, const Interval&) {}, &stats);
   EXPECT_GT(stats.node_pairs, stats.cache_misses)
       << "nodes in many pairs should hit the cache";
