@@ -4,9 +4,14 @@
 // table becomes the bottleneck). This bench reproduces that crossover:
 // hash join vs synchronized join (with and without the record cache
 // benefit visible via its stats) on narrow and wide query regions.
+// main() prints each join's median time over kTimedRuns runs per window
+// and exits 1 if the two joins disagree on the row count.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <vector>
 
 #include "bench_common.h"
 #include "mvbt/sync_join.h"
@@ -123,6 +128,19 @@ void BM_SyncJoin(benchmark::State& state) {
 BENCHMARK(BM_SyncJoin)->Arg(5)->Arg(25)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
+// Median wall time in ms of kTimedRuns calls of `fn`, after one
+// untimed warm-up call; one timing per window swung by half between
+// back-to-back runs.
+constexpr int kTimedRuns = 7;
+
+double MedianMs(const std::function<void()>& fn) {
+  fn();
+  std::vector<double> ms;
+  for (int i = 0; i < kTimedRuns; ++i) ms.push_back(TimeSeconds(fn) * 1000.0);
+  std::nth_element(ms.begin(), ms.begin() + kTimedRuns / 2, ms.end());
+  return ms[kTimedRuns / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,13 +152,13 @@ int main(int argc, char** argv) {
   for (double frac : {0.05, 0.25, 1.0}) {
     Interval window = WindowFor(f, frac);
     size_t rows = 0;
-    double hash_ms =
-        TimeSeconds([&] { rows = RunHashJoin(f, window); }) * 1000.0;
+    const double hash_ms = MedianMs([&] { rows = RunHashJoin(f, window); });
     mvbt::SyncJoinStats stats;
     size_t sync_rows = 0;
-    double sync_ms =
-        TimeSeconds([&] { sync_rows = RunSyncJoin(f, window, &stats); }) *
-        1000.0;
+    const double sync_ms = MedianMs([&] {
+      stats = {};  // report one run's counters, not the sum
+      sync_rows = RunSyncJoin(f, window, &stats);
+    });
     if (rows != sync_rows) {
       std::fprintf(stderr, "JOIN MISMATCH: hash=%zu sync=%zu\n", rows,
                    sync_rows);

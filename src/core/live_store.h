@@ -150,12 +150,19 @@ class LiveStore {
   /// Wakes the background checkpointer when the published backlog has
   /// crossed the checkpoint threshold.
   void MaybeSignalCheckpointLocked() REQUIRES(mu_);
-  /// Blocks until every LSN <= `target` is durable, running or joining
-  /// the group-commit protocol. Called with mu_ held; returns with mu_
-  /// held. (Lock juggling inside makes this inexpressible to the
+  /// Marks the store poisoned (a log append or sync failed), wakes every
+  /// waiter, and returns `st`: the one failure exit of the write path.
+  Status PoisonLocked(Status st) REQUIRES(mu_);
+  /// Blocks until every LSN <= `target` is durable: the one commit
+  /// loop. A writer either joins a leader's fsync in flight or becomes
+  /// the leader; group_commit only decides whether mu_ is dropped
+  /// around the leader's fsync, and `keep_lock` (the checkpoint's
+  /// rotation) holds it regardless. Called with mu_ held; returns with
+  /// mu_ held. (Lock juggling inside makes this inexpressible to the
   /// static analysis, hence NO_THREAD_SAFETY_ANALYSIS; the
   /// Lock/Unlock pairing is local to the function body.)
-  Status CommitSyncLocked(uint64_t target) NO_THREAD_SAFETY_ANALYSIS;
+  Status CommitSyncLocked(uint64_t target, bool keep_lock = false)
+      NO_THREAD_SAFETY_ANALYSIS;
 
   void BackgroundCheckpointLoop();
 

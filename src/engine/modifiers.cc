@@ -3,24 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
 
+#include "engine/operators.h"
+
 namespace rdftx::engine {
 namespace {
-
-/// True when `s` parses in full as a number.
-bool ParseNumeric(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
 
 /// Numeric-aware term comparison: unbound (empty) first, then numbers
 /// in value order, then the rest in byte order.

@@ -47,13 +47,6 @@ bool CompareDouble(double a, CompareOp op, double b) {
   return false;
 }
 
-bool ParseNumber(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
 // Scalar value lattice for FILTER evaluation.
 struct Value {
   enum class Kind { kNull, kBool, kInt, kChronon, kString, kTime };
@@ -349,7 +342,7 @@ class Evaluator {
     };
     std::string ls = as_string(l), rs = as_string(r);
     double ln, rn;
-    if (ParseNumber(ls, &ln) && ParseNumber(rs, &rn)) {
+    if (ParseNumeric(ls, &ln) && ParseNumeric(rs, &rn)) {
       return CompareDouble(ln, op, rn);
     }
     int cmp = ls.compare(rs);
@@ -436,6 +429,15 @@ class Evaluator {
 };
 
 }  // namespace
+
+bool ParseNumeric(const std::string& s, double* out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size()) return false;
+  *out = v;
+  return true;
+}
 
 bool EvalPredicate(const Expr& expr, const Row& row,
                    const EvalContext& ctx) {

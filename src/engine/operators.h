@@ -4,6 +4,7 @@
 #ifndef RDFTX_ENGINE_OPERATORS_H_
 #define RDFTX_ENGINE_OPERATORS_H_
 
+#include <string>
 #include <vector>
 
 #include "engine/binding.h"
@@ -27,6 +28,11 @@ struct EvalContext {
 /// are scalar functions of the whole element.
 bool EvalPredicate(const sparqlt::Expr& expr, const Row& row,
                    const EvalContext& ctx);
+
+/// True when `s` parses in full as a number (strtod), which is then
+/// stored in `out`; FILTER comparisons, ORDER BY and the numeric
+/// aggregates all read term text through it.
+bool ParseNumeric(const std::string& s, double* out);
 
 /// True when `t` holds equal terms wherever the pattern repeats a
 /// variable ({?x ?p ?x}, ...).

@@ -55,17 +55,6 @@ Status ReadBool(ByteReader* r, const char* what, bool* out) {
 
 // --- writers -------------------------------------------------------------
 
-std::vector<uint8_t> SerializeDictionary(const Dictionary& dict) {
-  ByteWriter w;
-  w.U64(dict.size());
-  for (TermId id = 1; id <= dict.size(); ++id) {
-    const std::string& term = dict.Decode(id);
-    w.U32(static_cast<uint32_t>(term.size()));
-    w.Bytes(reinterpret_cast<const uint8_t*>(term.data()), term.size());
-  }
-  return w.Take();
-}
-
 std::vector<uint8_t> SerializeGraphMeta(const TemporalGraph& graph) {
   const MvbtOptions& opts = graph.index(IndexOrder::kSpo).options();
   ByteWriter w;
@@ -408,11 +397,11 @@ Status ParseWalState(ByteReader r, uint64_t* last_applied_lsn) {
 }
 
 std::vector<uint8_t> SerializeSnapshotImpl(
-    const TemporalGraph& graph, const std::vector<uint8_t>* dict_section,
+    const TemporalGraph& graph, std::vector<uint8_t>* dict_section,
     const uint64_t* last_applied_lsn) {
   std::vector<std::pair<uint32_t, std::vector<uint8_t>>> sections;
   if (dict_section != nullptr) {
-    sections.emplace_back(kSectionDictionary, *dict_section);
+    sections.emplace_back(kSectionDictionary, std::move(*dict_section));
   }
   sections.emplace_back(kSectionGraphMeta, SerializeGraphMeta(graph));
   for (uint32_t i = 0; i < 4; ++i) {
@@ -431,13 +420,20 @@ std::vector<uint8_t> SerializeSnapshotImpl(
 }  // namespace
 
 std::vector<uint8_t> SerializeDictionarySection(const Dictionary& dict) {
-  return SerializeDictionary(dict);
+  ByteWriter w;
+  w.U64(dict.size());
+  for (TermId id = 1; id <= dict.size(); ++id) {
+    const std::string& term = dict.Decode(id);
+    w.U32(static_cast<uint32_t>(term.size()));
+    w.Bytes(reinterpret_cast<const uint8_t*>(term.data()), term.size());
+  }
+  return w.Take();
 }
 
 std::vector<uint8_t> SerializeSnapshot(const TemporalGraph& graph,
                                        const Dictionary* dict) {
   std::vector<uint8_t> dict_section;
-  if (dict != nullptr) dict_section = SerializeDictionary(*dict);
+  if (dict != nullptr) dict_section = SerializeDictionarySection(*dict);
   return SerializeSnapshotImpl(graph, dict != nullptr ? &dict_section : nullptr,
                                nullptr);
 }
@@ -455,15 +451,8 @@ Status WriteSnapshot(const TemporalGraph& graph, const Dictionary* dict,
 }
 
 Status ReadSnapshotFromBuffer(const uint8_t* data, size_t size,
-                              TemporalGraph* graph, Dictionary* dict) {
-  uint64_t ignored_lsn = 0;
-  return ReadSnapshotFromBuffer(data, size, graph, dict, &ignored_lsn);
-}
-
-Status ReadSnapshotFromBuffer(const uint8_t* data, size_t size,
                               TemporalGraph* graph, Dictionary* dict,
                               uint64_t* last_applied_lsn) {
-  *last_applied_lsn = 0;
   if (size < kHeaderBytes) {
     return Status::Corruption("snapshot header truncated");
   }
@@ -559,20 +548,16 @@ Status ReadSnapshotFromBuffer(const uint8_t* data, size_t size,
   }
 
   const auto wal_it = sections.find(kSectionWalState);
+  uint64_t wal_lsn = 0;
   if (wal_it != sections.end()) {
     RDFTX_RETURN_IF_ERROR(ParseWalState(
         ByteReader(wal_it->second.first, wal_it->second.second,
                    SectionName(kSectionWalState)),
-        last_applied_lsn));
+        &wal_lsn));
   }
+  if (last_applied_lsn != nullptr) *last_applied_lsn = wal_lsn;
 
   return graph->InstallRestoredIndices(std::move(indices));
-}
-
-Status ReadSnapshot(const std::string& path, TemporalGraph* graph,
-                    Dictionary* dict) {
-  uint64_t ignored_lsn = 0;
-  return ReadSnapshot(path, graph, dict, &ignored_lsn);
 }
 
 Status ReadSnapshot(const std::string& path, TemporalGraph* graph,

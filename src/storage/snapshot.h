@@ -28,7 +28,7 @@ namespace rdftx::storage {
 std::vector<uint8_t> SerializeSnapshot(const TemporalGraph& graph,
                                        const Dictionary* dict);
 
-/// Serializes just the dictionary section payload. The live-store
+/// Serializes the dictionary section payload. The live-store
 /// checkpoint captures this under its writer mutex (the dictionary is
 /// append-mutable) while the immutable base graph is serialized outside
 /// the lock.
@@ -52,24 +52,17 @@ Status WriteSnapshot(const TemporalGraph& graph, const Dictionary* dict,
 /// interpreted, every node/term reference is bounds-checked during
 /// reconstruction, and the rebuilt forest passes the full MVBT
 /// structural validation before the call succeeds. On error the targets
-/// are unusable and must be discarded.
-Status ReadSnapshotFromBuffer(const uint8_t* data, size_t size,
-                              TemporalGraph* graph, Dictionary* dict);
-
-/// As above, and additionally reports the wal-state section via
-/// `last_applied_lsn` (0 when the snapshot has none — e.g. one written
-/// by plain SaveSnapshot, which predates WAL integration).
+/// are unusable and must be discarded. On success a non-null
+/// `last_applied_lsn` receives the wal-state section's LSN (0 when the
+/// image has none, e.g. one written by plain SaveSnapshot).
 Status ReadSnapshotFromBuffer(const uint8_t* data, size_t size,
                               TemporalGraph* graph, Dictionary* dict,
-                              uint64_t* last_applied_lsn);
+                              uint64_t* last_applied_lsn = nullptr);
 
-/// Opens `path` (mmap with buffered fallback) and restores from it.
+/// Opens `path` (mmap with buffered fallback) and restores from it, as
+/// ReadSnapshotFromBuffer.
 Status ReadSnapshot(const std::string& path, TemporalGraph* graph,
-                    Dictionary* dict);
-
-/// ReadSnapshot reporting the wal-state LSN (see above).
-Status ReadSnapshot(const std::string& path, TemporalGraph* graph,
-                    Dictionary* dict, uint64_t* last_applied_lsn);
+                    Dictionary* dict, uint64_t* last_applied_lsn = nullptr);
 
 }  // namespace rdftx::storage
 

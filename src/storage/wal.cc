@@ -150,27 +150,18 @@ Status ReplayWalFile(const std::string& path,
   return ReplayWal(file->data(), file->size(), apply, result);
 }
 
-Result<WalWriter> WalWriter::Create(const std::string& path) {
+Result<WalWriter> WalWriter::Open(const std::string& path) {
   WalWriter out;
   auto file = util::AppendFile::Open(path);
   if (!file.ok()) return file.status();
   out.file_ = std::move(*file);
-  if (out.file_.size() != 0) {
-    return Status::AlreadyExists("wal segment exists: " + path);
-  }
-  std::vector<uint8_t> header;
-  EncodeWalHeader(&header);
-  RDFTX_RETURN_IF_ERROR(out.file_.Append(header.data(), header.size()));
-  return out;
-}
-
-Result<WalWriter> WalWriter::OpenExisting(const std::string& path) {
-  WalWriter out;
-  auto file = util::AppendFile::Open(path);
-  if (!file.ok()) return file.status();
-  out.file_ = std::move(*file);
-  if (out.file_.size() < kWalHeaderBytes) {
-    return Status::InvalidArgument("wal segment shorter than header: " + path);
+  if (out.file_.size() == 0) {
+    std::vector<uint8_t> header;
+    EncodeWalHeader(&header);
+    RDFTX_RETURN_IF_ERROR(out.file_.Append(header.data(), header.size()));
+    RDFTX_RETURN_IF_ERROR(out.file_.Sync());
+  } else if (out.file_.size() < kWalHeaderBytes) {
+    return Status::Corruption("wal segment shorter than header: " + path);
   }
   return out;
 }

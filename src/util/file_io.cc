@@ -1,21 +1,16 @@
 #include "util/file_io.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define RDFTX_HAVE_POSIX_IO 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define RDFTX_HAVE_POSIX_IO 0
-#endif
 
 namespace rdftx::util {
 namespace {
@@ -31,12 +26,8 @@ std::string Errno(const char* op, const std::string& path) {
 std::string TempName(const std::string& path) {
   static std::atomic<uint64_t> counter{0};
   const uint64_t seq = counter.fetch_add(1, std::memory_order_relaxed);
-#if RDFTX_HAVE_POSIX_IO
-  const long pid = static_cast<long>(::getpid());
-#else
-  const long pid = 0;
-#endif
-  return path + ".tmp." + std::to_string(pid) + "." + std::to_string(seq);
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(seq);
 }
 
 /// "a/b/c" -> "a/b"; paths without a separator sync the cwd.
@@ -47,7 +38,6 @@ std::string DirName(const std::string& path) {
   return path.substr(0, slash);
 }
 
-#if RDFTX_HAVE_POSIX_IO
 Status WriteAll(int fd, const uint8_t* data, size_t size,
                 const std::string& path) {
   size_t done = 0;
@@ -61,14 +51,10 @@ Status WriteAll(int fd, const uint8_t* data, size_t size,
   }
   return Status::OK();
 }
-#endif
 
 }  // namespace
 
-bool DurableFsyncSupported() { return RDFTX_HAVE_POSIX_IO != 0; }
-
 Status SyncDir(const std::string& path_in_dir) {
-#if RDFTX_HAVE_POSIX_IO
   std::string dir = path_in_dir;
   struct stat st{};
   if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
@@ -84,15 +70,11 @@ Status SyncDir(const std::string& path_in_dir) {
     return Status::IoError(Errno("fsync dir", dir));
   }
   return Status::OK();
-#else
-  return Status::OK();  // no directory handles on this platform
-#endif
 }
 
 Status WriteFileAtomic(const std::string& path, const uint8_t* data,
                        size_t size) {
   const std::string tmp = TempName(path);
-#if RDFTX_HAVE_POSIX_IO
   // O_EXCL: TempName is unique, so an existing file is stale debris
   // from a crashed writer — refusing to reuse it keeps the invariant
   // that we only ever rename a file whose full contents we wrote.
@@ -104,25 +86,10 @@ Status WriteFileAtomic(const std::string& path, const uint8_t* data,
   // the final name and garbage contents.
   if (st.ok() && ::fsync(fd) != 0) st = Status::IoError(Errno("fsync", tmp));
   if (::close(fd) != 0 && st.ok()) st = Status::IoError(Errno("close", tmp));
+  if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Status::IoError(Errno("rename", path));
+  }
   if (!st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
-  }
-#else
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return Status::IoError("cannot open for write: " + tmp);
-    f.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(size));
-    f.flush();
-    if (!f) {
-      std::remove(tmp.c_str());
-      return Status::IoError("short write: " + tmp);
-    }
-  }
-#endif
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status st = Status::IoError(Errno("rename", path));
     std::remove(tmp.c_str());
     return st;
   }
@@ -152,87 +119,43 @@ AppendFile& AppendFile::operator=(AppendFile&& other) noexcept {
   if (this == &other) return *this;
   Close();
   path_ = std::move(other.path_);
-  fd_ = other.fd_;
-  file_ = other.file_;
-  size_ = other.size_;
-  other.fd_ = -1;
-  other.file_ = nullptr;
-  other.size_ = 0;
+  fd_ = std::exchange(other.fd_, -1);
+  size_ = std::exchange(other.size_, 0);
   return *this;
 }
 
 AppendFile::~AppendFile() { Close(); }
 
 void AppendFile::Close() {
-#if RDFTX_HAVE_POSIX_IO
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-#endif
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
 }
 
 Result<AppendFile> AppendFile::Open(const std::string& path) {
   AppendFile out;
   out.path_ = path;
-#if RDFTX_HAVE_POSIX_IO
   // Probe existence first so we only pay the directory sync when the
   // open actually creates the entry.
   struct stat pre{};
   const bool existed = ::stat(path.c_str(), &pre) == 0;
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) return Status::IoError(Errno("open", path));
+  out.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (out.fd_ < 0) return Status::IoError(Errno("open", path));
   struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const Status err = Status::IoError(Errno("fstat", path));
-    ::close(fd);
-    return err;
-  }
-  out.fd_ = fd;
+  if (::fstat(out.fd_, &st) != 0) return Status::IoError(Errno("fstat", path));
   out.size_ = static_cast<uint64_t>(st.st_size);
-  if (!existed) {
-    const Status dir = SyncDir(path);
-    if (!dir.ok()) {
-      out.Close();
-      return dir;
-    }
-  }
+  if (!existed) RDFTX_RETURN_IF_ERROR(SyncDir(path));
   return out;
-#else
-  out.file_ = std::fopen(path.c_str(), "ab");
-  if (out.file_ == nullptr) return Status::IoError("cannot open: " + path);
-  const long pos = std::ftell(out.file_);
-  out.size_ = pos > 0 ? static_cast<uint64_t>(pos) : 0;
-  return out;
-#endif
 }
 
 Status AppendFile::Append(const uint8_t* data, size_t size) {
-#if RDFTX_HAVE_POSIX_IO
   if (fd_ < 0) return Status::InvalidArgument("append on closed file");
   RDFTX_RETURN_IF_ERROR(WriteAll(fd_, data, size, path_));
-#else
-  if (file_ == nullptr) return Status::InvalidArgument("append on closed file");
-  if (std::fwrite(data, 1, size, file_) != size) {
-    return Status::IoError("short append: " + path_);
-  }
-#endif
   size_ += size;
   return Status::OK();
 }
 
 Status AppendFile::Sync() {
-#if RDFTX_HAVE_POSIX_IO
   if (fd_ < 0) return Status::InvalidArgument("sync on closed file");
   if (::fsync(fd_) != 0) return Status::IoError(Errno("fsync", path_));
-#else
-  if (file_ == nullptr) return Status::InvalidArgument("sync on closed file");
-  if (std::fflush(file_) != 0) return Status::IoError("flush: " + path_);
-#endif
   return Status::OK();
 }
 
@@ -241,60 +164,44 @@ Status AppendFile::Sync() {
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this == &other) return *this;
-#if RDFTX_HAVE_POSIX_IO
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-  }
-#endif
-  data_ = other.data_;
-  size_ = other.size_;
-  mapped_ = other.mapped_;
+  if (mapped_) ::munmap(const_cast<uint8_t*>(data_), size_);
+  data_ = std::exchange(other.data_, nullptr);
+  size_ = std::exchange(other.size_, 0);
+  mapped_ = std::exchange(other.mapped_, false);
   buffer_ = std::move(other.buffer_);
   if (!mapped_ && data_ != nullptr) data_ = buffer_.data();
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
   return *this;
 }
 
 MappedFile::~MappedFile() {
-#if RDFTX_HAVE_POSIX_IO
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-  }
-#endif
+  if (mapped_) ::munmap(const_cast<uint8_t*>(data_), size_);
 }
 
 Result<MappedFile> MappedFile::Open(const std::string& path) {
   MappedFile out;
-#if RDFTX_HAVE_POSIX_IO
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd >= 0) {
     struct stat st{};
+    void* map = MAP_FAILED;
     if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-      const size_t size = static_cast<size_t>(st.st_size);
-      if (size == 0) {
+      if (st.st_size == 0) {
         ::close(fd);
-        return out;  // empty file: empty view
+        return out;  // empty file: empty view (mmap rejects length 0)
       }
-      void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (map != MAP_FAILED) {
-        out.data_ = static_cast<const uint8_t*>(map);
-        out.size_ = size;
-        out.mapped_ = true;
-        return out;
-      }
-      // Fall through to the buffered path below.
-    } else {
-      ::close(fd);
+      out.size_ = static_cast<size_t>(st.st_size);
+      map = ::mmap(nullptr, out.size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    }
+    ::close(fd);
+    if (map != MAP_FAILED) {
+      out.data_ = static_cast<const uint8_t*>(map);
+      out.mapped_ = true;
+      return out;
     }
   }
-#endif
+  // mmap failed (or the path is not a regular file): read into a buffer.
   RDFTX_RETURN_IF_ERROR(ReadFile(path, &out.buffer_));
   out.data_ = out.buffer_.data();
   out.size_ = out.buffer_.size();
-  out.mapped_ = false;
   return out;
 }
 

@@ -1,34 +1,24 @@
-// File I/O helpers for the persistence layer: crash-durable atomic
-// whole-file writes, an append-only file handle with real fsync for the
+// File I/O helpers for the persistence layer, POSIX only: crash-durable
+// atomic whole-file writes, an append-only fd with real fsync for the
 // write-ahead log, directory syncing, and read-only access that
-// memory-maps on POSIX with a portable read-into-buffer fallback (also
-// used when mmap fails, e.g. on filesystems without mapping support).
+// memory-maps the file, reading it into a buffer only when mmap fails.
 //
-// Durability contract (POSIX): WriteFileAtomic fsyncs the temporary
-// file *before* the rename and fsyncs the parent directory *after* it,
-// so once the call returns OK the new contents survive power loss —
+// Durability contract: WriteFileAtomic fsyncs the temporary file
+// *before* the rename and fsyncs the parent directory *after* it, so
+// once the call returns OK the new contents survive power loss —
 // rename alone only orders the data against other writes on the same
 // file, not against the directory entry reaching the platter.
-// AppendFile::Sync() is a real fsync of the file data. On platforms
-// without POSIX fds these calls degrade to stream flushes (the OS may
-// still lose buffered data on power failure); `DurableFsyncSupported()`
-// reports which behaviour the build provides.
+// AppendFile::Sync() is a real fsync of the file data.
 #ifndef RDFTX_UTIL_FILE_IO_H_
 #define RDFTX_UTIL_FILE_IO_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "util/status.h"
 
 namespace rdftx::util {
-
-/// True when this build performs real fsyncs (POSIX). False on the
-/// portable fallback, where Sync()/WriteFileAtomic only flush stream
-/// buffers and cannot promise power-loss durability.
-bool DurableFsyncSupported();
 
 /// Writes `size` bytes to `path` atomically and durably: the data lands
 /// in a uniquely named temporary (`path.tmp.<pid>.<seq>`; the sequence
@@ -40,10 +30,9 @@ bool DurableFsyncSupported();
 Status WriteFileAtomic(const std::string& path, const uint8_t* data,
                        size_t size);
 
-/// fsyncs the directory containing `path_in_dir` (POSIX; no-op
-/// elsewhere), making a previously created/renamed/deleted entry in it
-/// durable. `path_in_dir` may be the directory itself or any path
-/// inside it (its dirname is synced).
+/// fsyncs the directory containing `path_in_dir`, making a previously
+/// created/renamed/deleted entry in it durable. `path_in_dir` may be the
+/// directory itself or any path inside it (its dirname is synced).
 Status SyncDir(const std::string& path_in_dir);
 
 /// Reads the whole file into `out`. Replaces any previous contents.
@@ -71,7 +60,7 @@ class AppendFile {
   Status Append(const uint8_t* data, size_t size);
 
   /// fsyncs the file. After OK, every byte appended so far survives
-  /// power loss (POSIX; see DurableFsyncSupported()).
+  /// power loss.
   Status Sync();
 
   /// Current file size (header + everything appended).
@@ -84,18 +73,18 @@ class AppendFile {
 
  private:
   std::string path_;
-  int fd_ = -1;          // POSIX handle
-  std::FILE* file_ = nullptr;  // portable fallback handle
+  int fd_ = -1;
   uint64_t size_ = 0;
 };
 
-/// Read-only view of a file: an mmap when the platform supports it, a
-/// heap buffer otherwise. Move-only; unmaps/frees on destruction.
+/// Read-only view of a file: an mmap, or a heap buffer when mmap fails.
+/// Move-only; unmaps/frees on destruction.
 class MappedFile {
  public:
-  /// Opens `path`; never throws. On POSIX the file is mapped
-  /// MAP_PRIVATE; if mapping fails for any reason the contents are read
-  /// into a buffer instead, so callers see one uniform interface.
+  /// Opens `path`; never throws. The file is mapped MAP_PRIVATE; if
+  /// mapping fails for any reason the contents are read into a buffer
+  /// instead, so callers see one uniform interface. A zero-length file
+  /// is an empty view.
   static Result<MappedFile> Open(const std::string& path);
 
   MappedFile() = default;

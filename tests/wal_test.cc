@@ -1,10 +1,12 @@
 // WAL format tests: record encode/replay round-trips, torn-tail
 // detection on every prefix truncation, corruption (bit-flip) handling,
-// LSN continuity, header validation, and the segment file naming.
+// LSN continuity, header validation, WalWriter::Open on empty, resumed
+// and short segments, and the segment file naming.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -224,22 +226,45 @@ TEST(WalFormatTest, ApplyErrorAbortsReplay) {
   EXPECT_EQ(result.records, 2u);
 }
 
+TEST(WalWriterTest, OpenWritesHeaderIntoEmptyFile) {
+  std::vector<uint8_t> header;
+  EncodeWalHeader(&header);
+  const std::string path = TempPath("rdftx_wal_writer_open_empty.log");
+  for (const bool pre_create : {false, true}) {
+    std::filesystem::remove(path);
+    if (pre_create) std::ofstream(path, std::ios::binary).close();
+    {
+      auto writer = storage::WalWriter::Open(path);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      EXPECT_EQ(writer->size(), storage::kWalHeaderBytes);
+    }
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(util::ReadFile(path, &bytes).ok());
+    EXPECT_EQ(bytes, header) << "pre_create=" << pre_create;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(WalWriterTest, WritesReplayableSegments) {
   const std::string path = TempPath("rdftx_wal_writer_test.log");
   std::filesystem::remove(path);
   const auto recs = SampleRecords(11, 8);
+  uint64_t size_before_reopen = 0;
   {
-    auto writer = storage::WalWriter::Create(path);
+    auto writer = storage::WalWriter::Open(path);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     for (const WalRecord& r : recs) {
       ASSERT_TRUE(writer->Append(r).ok());
     }
     ASSERT_TRUE(writer->Sync().ok());
+    size_before_reopen = writer->size();
   }
-  // Reopen for append and add more.
+  // Reopening keeps the records (no second header) and appends after
+  // them.
   {
-    auto writer = storage::WalWriter::OpenExisting(path);
+    auto writer = storage::WalWriter::Open(path);
     ASSERT_TRUE(writer.ok());
+    EXPECT_EQ(writer->size(), size_before_reopen);
     ASSERT_TRUE(
         writer->Append(WalRecord::Delta(recs.back().lsn + 1, true,
                                         Triple{9, 9, 9}, 500))
@@ -252,8 +277,30 @@ TEST(WalWriterTest, WritesReplayableSegments) {
   ASSERT_TRUE(util::ReadFile(path, &bytes).ok());
   ASSERT_TRUE(CollectReplay(bytes, &replayed, &result).ok());
   EXPECT_FALSE(result.torn_tail);
-  EXPECT_EQ(replayed.size(), recs.size() + 1);
+  ASSERT_EQ(replayed.size(), recs.size() + 1);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(replayed[i].lsn, recs[i].lsn);
+    EXPECT_EQ(replayed[i].type, recs[i].type);
+    EXPECT_EQ(replayed[i].term, recs[i].term);
+    EXPECT_EQ(replayed[i].triple, recs[i].triple);
+  }
+  EXPECT_EQ(replayed.back().triple, (Triple{9, 9, 9}));
   EXPECT_EQ(result.last_lsn, recs.back().lsn + 1);
+  std::filesystem::remove(path);
+}
+
+TEST(WalWriterTest, OpenRejectsFileShorterThanHeader) {
+  std::vector<uint8_t> header;
+  EncodeWalHeader(&header);
+  const std::string path = TempPath("rdftx_wal_writer_open_short.log");
+  for (size_t len = 1; len < storage::kWalHeaderBytes; ++len) {
+    ASSERT_TRUE(util::WriteFileAtomic(path, header.data(), len).ok());
+    auto writer = storage::WalWriter::Open(path);
+    ASSERT_FALSE(writer.ok()) << "len=" << len;
+    EXPECT_EQ(writer.status().code(), StatusCode::kCorruption);
+    // The short file is left as it was.
+    EXPECT_EQ(std::filesystem::file_size(path), len);
+  }
   std::filesystem::remove(path);
 }
 
