@@ -9,7 +9,10 @@
 // FILTER windows, a join step sharing two key slots (the composite hash
 // path), OPTIONAL groups (including a second group whose key the first
 // left unbound), FILTER [NOT] EXISTS (also after an OPTIONAL), GROUP BY
-// aggregates, projections that collapse duplicate rows, and UNION.
+// aggregates, projections that collapse duplicate rows, UNION, and
+// built-ins over each fact's whole validity (TSTART, TEND, LENGTH,
+// TOTAL_LENGTH, DCOUNT, DSUM, MIN/MAX and ORDER BY over time) under a
+// FILTER window.
 //
 // A live leg replays each history as time-ordered deltas through a
 // LiveStore and checks the same query families on its Epochs against a
@@ -290,6 +293,44 @@ class QuerySampler {
            p1 + " " + T(facts[0]->triple.o) + " ?t } }";
   }
 
+  /// A built-in over each fact's whole validity under a window: a
+  /// TSTART, TEND, LENGTH or TOTAL_LENGTH filter, DCOUNT, DSUM, MIN/MAX
+  /// over time, or ORDER BY ?t. The subject is a constant half the time.
+  std::string FullValidity() {
+    const TemporalTriple& tt = *Star(1)[0];
+    const std::string s = rng_.Bernoulli(0.5) ? T(tt.triple.s) : "?s";
+    const std::string body = "{ " + s + " " + T(tt.triple.p) + " ?o ?t . " +
+                             Window(tt, "?t");
+    const std::string date = FormatChronon(
+        tt.iv.start + static_cast<Chronon>(rng_.Uniform(
+                          std::max<uint64_t>(1, tt.iv.Length(f_.data.horizon)))));
+    const std::string days =
+        std::to_string(1 + rng_.Uniform(std::max<uint64_t>(
+                               1, 2 * tt.iv.Length(f_.data.horizon))));
+    switch (rng_.Uniform(8)) {
+      case 0:
+        return "SELECT ?o ?t " + body + " . FILTER(TSTART(?t) <= " + date +
+               ") }";
+      case 1:
+        return "SELECT ?o ?t " + body + " . FILTER(TEND(?t) > " + date +
+               ") }";
+      case 2:
+        return "SELECT ?o " + body + " . FILTER(LENGTH(?t) >= " + days +
+               ") }";
+      case 3:
+        return "SELECT ?o ?t " + body + " . FILTER(TOTAL_LENGTH(?t) < " +
+               days + ") }";
+      case 4:
+        return "SELECT ?o (DCOUNT(?t) AS ?d) " + body + " } GROUP BY ?o";
+      case 5:
+        return "SELECT (DSUM(?o, ?t) AS ?x) (COUNT(*) AS ?n) " + body + " }";
+      case 6:
+        return "SELECT (MIN(?t) AS ?lo) (MAX(?t) AS ?hi) " + body + " }";
+      default:
+        return "SELECT ?o ?t " + body + " } ORDER BY ?t LIMIT 20";
+    }
+  }
+
  private:
   const Fixture& f_;
   const Stars& stars_;
@@ -310,6 +351,7 @@ const Family kFamilies[] = {
     {"aggregate", &QuerySampler::Aggregate, 25},
     {"projection", &QuerySampler::Projection, 25},
     {"union", &QuerySampler::Union, 15},
+    {"full-validity", &QuerySampler::FullValidity, 40},
 };
 
 class EngineDifferentialTest : public ::testing::TestWithParam<Gen> {};

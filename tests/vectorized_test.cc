@@ -807,6 +807,238 @@ TEST(EpochScanWindowTest, BaseRunClosedBeforeTheWindowIsDropped) {
   EXPECT_EQ(meets[1].times[2], TemporalSet(Interval(25, 45)));
 }
 
+// --- full-validity scans against the coalesced history ---
+
+/// The rows a scan of `cp` must emit when its time variable needs the
+/// full element, built from the interval history `data` alone (through
+/// neither scan): one row per triple that matches the pattern's
+/// constants and repeated variables, passes `filter` when given, and
+/// has a run meeting cp.spec.time, bound to the triple's whole
+/// coalesced validity.
+std::vector<std::string> FullValidityRows(
+    const std::vector<TemporalTriple>& data, const CompiledPattern& cp,
+    const std::vector<VarInfo>& vars, const KeyFilter* filter = nullptr) {
+  std::map<Triple, std::vector<Interval>> history;
+  for (const TemporalTriple& tt : data) history[tt.triple].push_back(tt.iv);
+  std::vector<Row> rows;
+  for (const auto& [t, runs] : history) {
+    const TermId comps[3] = {t.s, t.p, t.o};
+    const TermId consts[3] = {cp.spec.s, cp.spec.p, cp.spec.o};
+    const int slots[3] = {cp.var_s, cp.var_p, cp.var_o};
+    bool match = true;
+    for (int c = 0; c < 3; ++c) {
+      if (consts[c] != kInvalidTerm && comps[c] != consts[c]) match = false;
+      for (int d = c + 1; d < 3; ++d) {
+        if (slots[c] >= 0 && slots[c] == slots[d] && comps[c] != comps[d]) {
+          match = false;
+        }
+      }
+      if (filter != nullptr && slots[c] == filter->slot() &&
+          !filter->MayContain(comps[c])) {
+        match = false;
+      }
+    }
+    const bool meets = std::any_of(runs.begin(), runs.end(), [&](const auto& iv) {
+      return iv.Overlaps(cp.spec.time);
+    });
+    if (!match || !meets) continue;
+    Row row(vars.size());
+    for (int c = 0; c < 3; ++c) {
+      if (slots[c] >= 0) row.terms[static_cast<size_t>(slots[c])] = comps[c];
+    }
+    row.times[static_cast<size_t>(cp.var_t)] = TemporalSet::FromIntervals(runs);
+    rows.push_back(std::move(row));
+  }
+  return SortedKeys(rows, vars);
+}
+
+/// A pattern of shape `mask` (bit 0 s, bit 1 p, bit 2 o constant) around
+/// `t` with a time slot, and the variable table it binds; the time
+/// variable needs the full element.
+CompiledPattern FullValidityPattern(uint64_t mask, const Triple& t,
+                                    Interval window,
+                                    std::vector<VarInfo>* vars) {
+  CompiledPattern cp;
+  int slot = 0;
+  const TermId comps[3] = {t.s, t.p, t.o};
+  TermId* consts[3] = {&cp.spec.s, &cp.spec.p, &cp.spec.o};
+  int* slots[3] = {&cp.var_s, &cp.var_p, &cp.var_o};
+  vars->clear();
+  for (int c = 0; c < 3; ++c) {
+    if (mask & (1u << c)) {
+      *consts[c] = comps[c];
+    } else {
+      *slots[c] = slot++;
+      vars->push_back({std::string("k").append(std::to_string(c)), false,
+                       false});
+    }
+  }
+  cp.var_t = slot;
+  vars->push_back({"t", true, /*needs_full=*/true});
+  cp.spec.time = window;
+  return cp;
+}
+
+TEST_F(VectorizedScanTest, FullValidityMatchesTheCoalescedHistory) {
+  TemporalGraph plain(TemporalGraphOptions{.block_capacity = 64,
+                                           .compress_leaves = false});
+  ASSERT_TRUE(plain.Load(data_).ok());
+  Rng rng(562);
+  BlockPool pool;
+  size_t nonempty = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t mask = 0; mask < 8; ++mask) {
+      const Triple& t = data_[rng.Uniform(data_.size())].triple;
+      const Chronon qs = static_cast<Chronon>(rng.Uniform(2000));
+      // Narrow windows reach triples whose other runs lie outside them.
+      const Interval window =
+          round == 0 ? Interval::All()
+                     : Interval(qs, qs + 1 + static_cast<Chronon>(
+                                                 rng.Uniform(round * 40)));
+      std::vector<VarInfo> vars;
+      const CompiledPattern cp = FullValidityPattern(mask, t, window, &vars);
+      const std::vector<std::string> want = FullValidityRows(data_, cp, vars);
+      nonempty += !want.empty();
+      for (const TemporalGraph* graph : {&graph_, &plain}) {
+        std::vector<Row> rows;
+        ScanToRows(*graph, cp, vars.size(), vars, &rows);
+        EXPECT_EQ(SortedKeys(rows, vars), want) << "mask " << mask;
+        for (int sort_slot : {-1, cp.var_o}) {
+          BlockRun run;
+          VectorizedScan(*graph, cp, vars.size(), vars, sort_slot, &pool,
+                         &run, nullptr);
+          EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), want)
+              << "mask " << mask << ", sort slot " << sort_slot;
+        }
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 16u);
+}
+
+TEST_F(VectorizedScanTest, FullValidityWithRepeatedVariablesAndAKeyFilter) {
+  Rng rng(563);
+  BlockPool pool;
+  // {?x ?p ?x ?t}: subject must equal object.
+  CompiledPattern rep;
+  rep.var_s = 0;
+  rep.var_p = 1;
+  rep.var_o = 0;
+  rep.var_t = 2;
+  const std::vector<VarInfo> rep_vars = {
+      {"x", false, false}, {"p", false, false}, {"t", true, true}};
+  for (const Interval window : {Interval::All(), Interval(700, 760)}) {
+    rep.spec.time = window;
+    const std::vector<std::string> want =
+        FullValidityRows(data_, rep, rep_vars);
+    EXPECT_FALSE(want.empty()) << window.ToString();
+    std::vector<Row> rows;
+    ScanToRows(graph_, rep, 3, rep_vars, &rows);
+    EXPECT_EQ(SortedKeys(rows, rep_vars), want);
+    BlockRun run;
+    VectorizedScan(graph_, rep, 3, rep_vars, -1, &pool, &run, nullptr);
+    EXPECT_EQ(SortedKeys(RunToRows(run, rep_vars), rep_vars), want);
+  }
+
+  // {?s <p> ?o ?t} under a sideways filter on ?s, then on ?o.
+  const std::vector<VarInfo> vars = {
+      {"s", false, false}, {"o", false, false}, {"t", true, true}};
+  for (int slot : {0, 1}) {
+    for (int round = 0; round < 4; ++round) {
+      CompiledPattern cp;
+      cp.var_s = 0;
+      cp.spec.p = rng.Uniform(8) + 1;
+      cp.var_o = 1;
+      cp.var_t = 2;
+      const Chronon qs = static_cast<Chronon>(rng.Uniform(2000));
+      cp.spec.time = {qs, qs + 1 + static_cast<Chronon>(rng.Uniform(200))};
+      KeyFilter filter(slot);
+      for (int k = 0; k < 6; ++k) {
+        filter.Add(rng.Uniform(slot == 0 ? 40 : 60) + 1);
+      }
+      BlockRun run;
+      VectorizedScan(graph_, cp, 3, vars, slot, &pool, &run, nullptr,
+                     &filter);
+      EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
+                FullValidityRows(data_, cp, vars, &filter))
+          << "slot " << slot << ", round " << round;
+    }
+  }
+}
+
+TEST_F(EpochScanTest, FullValidityMatchesTheCoalescedHistory) {
+  const std::vector<TemporalTriple> history = IntervalsFrom(events_.size());
+  Rng rng(564);
+  BlockPool pool;
+  size_t nonempty = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t mask = 0; mask < 8; ++mask) {
+      const Triple& t = events_[rng.Uniform(events_.size())].t;
+      const Interval window =
+          round == 0 ? Interval::All() : RandomWindow(&rng);
+      std::vector<VarInfo> vars;
+      const CompiledPattern cp = FullValidityPattern(mask, t, window, &vars);
+      const std::vector<std::string> want =
+          FullValidityRows(history, cp, vars);
+      nonempty += !want.empty();
+      for (const Epoch* epoch : {epoch_.get(), overlay_only_.get()}) {
+        std::vector<Row> rows;
+        ScanToRows(*epoch, cp, vars.size(), vars, &rows);
+        EXPECT_EQ(SortedKeys(rows, vars), want) << "mask " << mask;
+        BlockRun run;
+        VectorizedScan(*epoch, cp, vars.size(), vars, cp.var_o, &pool, &run,
+                       nullptr);
+        EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), want)
+            << "mask " << mask;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 16u);
+}
+
+TEST(EpochScanWindowTest, FullValidityKeepsRunsOutsideTheWindow) {
+  // Base: (1 1 1) live from 10, (1 2 2) live from 5. Overlay: (1 1 1) is
+  // retracted at 30 and asserted again at 60; (1 2 2) is retracted at
+  // 20; (1 3 3) is born at 65 and retracted at 75.
+  auto base = std::make_shared<TemporalGraph>();
+  ASSERT_TRUE(base->Load({{Triple{1, 1, 1}, {10, kChrononNow}},
+                          {Triple{1, 2, 2}, {5, kChrononNow}}})
+                  .ok());
+  const Epoch epoch(base,
+                    DeltaChunk::Push(nullptr, {Delta{1, false, {1, 2, 2}, 20},
+                                               Delta{2, false, {1, 1, 1}, 30},
+                                               Delta{3, true, {1, 1, 1}, 60},
+                                               Delta{4, true, {1, 3, 3}, 65},
+                                               Delta{5, false, {1, 3, 3}, 75}}),
+                    80);
+  CompiledPattern cp;
+  cp.spec.s = 1;
+  cp.var_p = 0;
+  cp.var_o = 1;
+  cp.var_t = 2;
+  cp.spec.time = {70, 80};
+  const std::vector<VarInfo> vars = {
+      {"p", false, false}, {"o", false, false}, {"t", true, true}};
+  // (1 2 2) has no run in the window and is absent; the base-live run of
+  // (1 1 1), closed at 30, stays in its element.
+  std::vector<Row> want(2, Row(3));
+  want[0].terms = {1, 1, kInvalidTerm};
+  want[0].times[2] = TemporalSet::FromIntervals(
+      {Interval(10, 30), Interval(60, kChrononNow)});
+  want[1].terms = {3, 3, kInvalidTerm};
+  want[1].times[2] = TemporalSet(Interval(65, 75));
+
+  std::vector<Row> rows;
+  ScanToRows(epoch, cp, 3, vars, &rows);
+  EXPECT_EQ(SortedKeys(rows, vars), SortedKeys(want, vars));
+  BlockPool pool;
+  for (int sort_slot : {-1, 0}) {
+    BlockRun run;
+    VectorizedScan(epoch, cp, 3, vars, sort_slot, &pool, &run, nullptr);
+    EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), SortedKeys(want, vars));
+  }
+}
+
 // --- the executor's join choice, observed through ResultSet::stats ---
 
 /// One random employment history loaded into both a compressed
