@@ -6,13 +6,15 @@
 //           the compressed store, same two scans (the headline rows/sec
 //           gate)
 //   join  — Example 4 subject-star temporal joins through the full
-//           engine's scan/join chain (merge join), cross-checked
-//           against the same engine over a NaiveStore oracle
+//           engine's scan/join chain (merge join), rows cross-checked
+//           against the same engine over a NaiveStore oracle; also
+//           reports the scans' fragments gathered per scanned row
 //   full  — full-validity selections through the full engine: TSTART
 //           needs each row's whole validity, not its slice of the
 //           FILTER window; rows checked against the NaiveStore oracle
-// Both sides of each check must produce identical row counts (the full
-// class: identical rows) — a mismatch is a bug, not a result. Results
+// The scan classes must produce identical row counts on both sides, and
+// the join and full classes identical rows (sorted fingerprints) — a
+// mismatch is a bug, not a result. Results
 // land in BENCH_exec.json.
 #include <algorithm>
 #include <cstdio>
@@ -112,12 +114,14 @@ uint64_t VectorizedScanPass(const TemporalGraph& store, const ScanWorkload& w,
   return rows;
 }
 
-/// Total result rows of running every query once (and a correctness
-/// fingerprint via row counts).
-uint64_t ResultRows(const engine::QueryEngine& eng,
-                    const std::vector<std::string>& queries,
-                    engine::ExecStats* last_query_stats) {
-  uint64_t rows = 0;
+/// Runs every query once and returns each query's rows as sorted
+/// fingerprints, in query order: the oracle check compares rows, not
+/// counts. `totals` (when given) receives the sum of the queries'
+/// counters that the join class reports.
+std::vector<std::vector<std::string>> QueryRows(
+    const engine::QueryEngine& eng, const std::vector<std::string>& queries,
+    engine::ExecStats* totals) {
+  std::vector<std::vector<std::string>> rows;
   for (const std::string& q : queries) {
     auto r = eng.Execute(q);
     if (!r.ok()) {
@@ -125,8 +129,13 @@ uint64_t ResultRows(const engine::QueryEngine& eng,
                    q.c_str());
       std::exit(1);
     }
-    rows += r->rows.size();
-    if (last_query_stats != nullptr) *last_query_stats = r->stats;
+    rows.push_back(CanonicalRows(*r));
+    if (totals != nullptr) {
+      totals->rows_scanned += r->stats.rows_scanned;
+      totals->key_filtered_fragments += r->stats.key_filtered_fragments;
+      totals->merge_join_steps += r->stats.merge_join_steps;
+      totals->scan.MergeFrom(r->stats.scan);
+    }
   }
   return rows;
 }
@@ -175,7 +184,7 @@ std::vector<FullValidityQuery> MakeFullValidityQueries(const Fixture& f) {
   std::vector<FullValidityQuery> out;
   for (size_t rank : {1, 4, 11}) {
     const TermId p = by_freq[std::min(rank, by_freq.size()) - 1].second;
-    const std::string r = "p" + std::to_string(rank);
+    const std::string r = std::string("p").append(std::to_string(rank));
     out.push_back(query(r + "_year", p,
                         "YEAR(?t) = " + std::to_string(ChrononYear(mid))));
     out.push_back(query(r + "_day", p, day(mid)));
@@ -257,23 +266,38 @@ double RunDataset(const char* name, Fixture f, JsonReport* report) {
   engine::QueryEngine oracle_eng(&oracle_store, f.dict.get());
 
   engine::ExecStats vec_stats;
-  const uint64_t join_rows = ResultRows(vec_eng, queries, &vec_stats);
-  if (ResultRows(oracle_eng, queries, nullptr) != join_rows) {
+  const auto join_rows_got = QueryRows(vec_eng, queries, &vec_stats);
+  if (QueryRows(oracle_eng, queries, nullptr) != join_rows_got) {
     std::fprintf(stderr, "%s join result mismatch against the oracle\n",
                  name);
     std::exit(1);
   }
+  uint64_t join_rows = 0;
+  for (const auto& rows : join_rows_got) join_rows += rows.size();
   // The index-sorted join workload must actually take the merge path.
   if (vec_stats.merge_join_steps == 0) {
     std::fprintf(stderr, "%s: vectorized engine did not merge join\n", name);
     std::exit(1);
   }
   const double vec_ms = AvgQueryMillis(vec_eng, queries);
-  std::printf("  %s join (%llu rows): merge %.3f ms\n", name,
-              static_cast<unsigned long long>(join_rows), vec_ms);
+  const uint64_t gathered = vec_stats.scan.fragments_gathered;
+  const double fragments_per_row =
+      vec_stats.rows_scanned > 0
+          ? static_cast<double>(gathered) /
+                static_cast<double>(vec_stats.rows_scanned)
+          : 0.0;
+  std::printf("  %s join (%llu rows): merge %.3f ms, %.2f fragments per "
+              "scanned row\n",
+              name, static_cast<unsigned long long>(join_rows), vec_ms,
+              fragments_per_row);
   report->Add(ds + "_join_result_rows", join_rows);
   report->Add(ds + "_join_vectorized_ms", vec_ms);
   report->Add(ds + "_merge_join_steps", vec_stats.merge_join_steps);
+  report->Add(ds + "_join_rows_scanned", vec_stats.rows_scanned);
+  report->Add(ds + "_join_key_filtered_fragments",
+              vec_stats.key_filtered_fragments);
+  report->Add(ds + "_join_fragments_gathered", gathered);
+  report->Add(ds + "_join_fragments_per_row", fragments_per_row);
   std::printf("\n");
 
   // --- full class: full-validity selections, rows checked against the

@@ -391,8 +391,9 @@ BlockRun QueryEngine::RunChain(const std::vector<CompiledPattern>& patterns,
   };
   // Scan-output orders to request: each merge join wants its right input
   // sorted by the join slot, and the first scan wants the first join's
-  // slot so the merge chain can start without an explicit sort. The
-  // grouping sort inside VectorizedScan makes the requested order free.
+  // slot so the merge chain can start without an explicit sort. A scan
+  // groups its fragments with one radix order led by the requested slot
+  // (VectorizedScan), so the requested order is free.
   std::vector<int> sort_req(n, -1);
   for (size_t step = 1; step < n; ++step) sort_req[step] = join_slot(step);
   if (n > 1) sort_req[0] = join_slot(1);

@@ -1,6 +1,8 @@
 #include "engine/vectorized.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -252,6 +254,31 @@ std::optional<KeyFilter> KeyFilter::FromRun(const BlockRun& run, int slot,
   return filter;
 }
 
+void RadixOrder(const std::vector<const uint64_t*>& cols, size_t n,
+                std::vector<uint32_t>* pos) {
+  pos->resize(n);
+  std::iota(pos->begin(), pos->end(), 0u);
+  if (n < 2) return;
+  std::vector<uint32_t> tmp(n);
+  std::array<uint32_t, 257> at;
+  // Least significant column first; within a column, low digit first.
+  for (auto c = cols.rbegin(); c != cols.rend(); ++c) {
+    const uint64_t* col = *c;
+    uint64_t any = 0;
+    for (size_t i = 0; i < n; ++i) any |= col[i];
+    const int width = static_cast<int>(std::bit_width(any));
+    for (int shift = 0; shift < width; shift += 8) {
+      at.fill(0);
+      for (size_t i = 0; i < n; ++i) ++at[((col[i] >> shift) & 0xFF) + 1];
+      // A digit every key shares moves nothing.
+      if (at[((col[0] >> shift) & 0xFF) + 1] == n) continue;
+      for (size_t d = 1; d < at.size(); ++d) at[d] += at[d - 1];
+      for (const uint32_t p : *pos) tmp[at[(col[p] >> shift) & 0xFF]++] = p;
+      pos->swap(tmp);
+    }
+  }
+}
+
 void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                     size_t num_vars, const std::vector<VarInfo>& vars,
                     int sort_slot, BlockPool* pool, BlockRun* out,
@@ -309,9 +336,14 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
   }
   uint64_t key_filtered = 0;
 
-  // Matching fragments accumulate column-wise in triple component space
-  // (the per-leaf key permutation is undone by the gather).
-  std::vector<TermId> fs, fp, fo;
+  // Inside the key range the pattern's constants are equal (ChooseIndex
+  // puts them in the index prefix), so only the variable components are
+  // gathered, column-wise in triple component space (the per-leaf key
+  // permutation is undone by the gather). A full Triple is rebuilt from
+  // the constants where one is needed.
+  const TermId consts[3] = {cp.spec.s, cp.spec.p, cp.spec.o};
+  const int slots[3] = {cp.var_s, cp.var_p, cp.var_o};
+  std::vector<TermId> keys[3];
   std::vector<Chronon> fstart, fend;
   mvbt::ColumnarEntries scratch;
   std::vector<uint64_t> mask;
@@ -374,15 +406,14 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
       k = kept;
     }
     if (k == 0) continue;
-    const size_t base = fs.size();
-    fs.resize(base + k);
-    fp.resize(base + k);
-    fo.resize(base + k);
+    const size_t base = fstart.size();
+    for (int x = 0; x < 3; ++x) {
+      if (consts[x] != kInvalidTerm) continue;
+      keys[x].resize(base + k);
+      simd::Gather64(comp[x]->data(), sel.data(), k, keys[x].data() + base);
+    }
     fstart.resize(base + k);
     fend.resize(base + k);
-    simd::Gather64(comp[0]->data(), sel.data(), k, fs.data() + base);
-    simd::Gather64(comp[1]->data(), sel.data(), k, fp.data() + base);
-    simd::Gather64(comp[2]->data(), sel.data(), k, fo.data() + base);
     simd::Gather32(cols->start.data(), sel.data(), k, fstart.data() + base);
     simd::Gather32(cols->end.data(), sel.data(), k, fend.data() + base);
   }
@@ -392,111 +423,65 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
     // A base-live fragment whose triple the overlay retracts closes at
     // the retract; a closed run that misses the window clips to empty
     // below, and the keep test drops it.
-    for (size_t i = 0; i < fs.size(); ++i) {
-      if (fend[i] == kChrononNow) {
-        fend[i] = patch.CloseOf(Triple{fs[i], fp[i], fo[i]});
+    for (size_t i = 0; i < fend.size(); ++i) {
+      if (fend[i] != kChrononNow) continue;
+      TermId c[3];
+      for (int x = 0; x < 3; ++x) {
+        c[x] = consts[x] != kInvalidTerm ? consts[x] : keys[x][i];
       }
+      fend[i] = patch.CloseOf(Triple{c[0], c[1], c[2]});
     }
     // Overlay-born runs pass the checks the leaf masks apply.
     for (const auto& [t, run] : patch.runs) {
       if (!RepeatedSlotsAgree(cp, t)) continue;
-      if (filter_comp >= 0) {
-        const TermId comps[3] = {t.s, t.p, t.o};
-        if (!key_filter->MayContain(comps[filter_comp])) {
-          ++key_filtered;
-          continue;
-        }
+      const TermId c[3] = {t.s, t.p, t.o};
+      if (filter_comp >= 0 && !key_filter->MayContain(c[filter_comp])) {
+        ++key_filtered;
+        continue;
       }
-      fs.push_back(t.s);
-      fp.push_back(t.p);
-      fo.push_back(t.o);
+      for (int x = 0; x < 3; ++x) {
+        if (consts[x] == kInvalidTerm) keys[x].push_back(c[x]);
+      }
       fstart.push_back(run.start);
       fend.push_back(run.end);
     }
   }
 
-  // Clip fragments to the scan window (a no-op under all of history).
-  const size_t total = fs.size();
-  for (size_t i = 0; i < total; ++i) {
-    fstart[i] = std::max(fstart[i], spec.time.start);
-    fend[i] = std::min(fend[i], spec.time.end);
+  // One grouping order: a stable radix order over the variable
+  // components, the requested sort component first (with none, the first
+  // variable component). A repeated variable's components hold equal
+  // terms, so one column orders them. A group is a run of equal keys and
+  // its runs are coalesced below, so the order inside a group never
+  // reaches the output.
+  std::vector<const TermId*> cols;
+  std::vector<int> col_slots;
+  auto add_col = [&](int x) {
+    if (consts[x] != kInvalidTerm ||
+        std::find(col_slots.begin(), col_slots.end(), slots[x]) !=
+            col_slots.end()) {
+      return;
+    }
+    cols.push_back(keys[x].data());
+    col_slots.push_back(slots[x]);
+  };
+  for (int x = 0; x < 3; ++x) {
+    if (sort_slot >= 0 && slots[x] == sort_slot) add_col(x);
   }
-
-  // Group equal triples adjacently in `idx`. When this pattern binds the
-  // requested output ordering's component, grouping is done by sorting
-  // with that component leading — the grouping sort doubles as the merge
-  // join's input sort, so ordering is free. Otherwise fragments are
-  // hash-chained in first-occurrence order (like the tuple scan's
-  // grouping map) and no sort happens at all.
+  for (int x = 0; x < 3; ++x) add_col(x);
+  const size_t total = fstart.size();
   std::vector<uint32_t> idx;
-  const std::vector<TermId>* primary = nullptr;
-  if (sort_slot >= 0) {
-    if (cp.var_s == sort_slot) {
-      primary = &fs;
-    } else if (cp.var_p == sort_slot) {
-      primary = &fp;
-    } else if (cp.var_o == sort_slot) {
-      primary = &fo;
-    }
-  }
-  if (primary != nullptr) {
-    // Ties break on the full triple, then start, then the original
-    // position: a total, deterministic order.
-    idx.resize(total);
-    std::iota(idx.begin(), idx.end(), 0u);
-    std::sort(idx.begin(), idx.end(), [&](uint32_t x, uint32_t y) {
-      if ((*primary)[x] != (*primary)[y]) return (*primary)[x] < (*primary)[y];
-      if (fs[x] != fs[y]) return fs[x] < fs[y];
-      if (fp[x] != fp[y]) return fp[x] < fp[y];
-      if (fo[x] != fo[y]) return fo[x] < fo[y];
-      if (fstart[x] != fstart[y]) return fstart[x] < fstart[y];
-      return x < y;
-    });
-    out->sorted_by = sort_slot;
-  } else {
-    // Flat open-addressing group index keyed by the triple. Probes
-    // compare against the group head's components directly, so there
-    // are no key copies and no per-group node allocations (a
-    // std::unordered_map's nodes dominated grouping cost here).
-    constexpr uint32_t kChainEnd = UINT32_MAX;
-    std::vector<uint32_t> next(total, kChainEnd);
-    std::vector<std::pair<uint32_t, uint32_t>> chains;  // head, tail
-    size_t cap = 16;
-    while (cap < 2 * total) cap <<= 1;
-    std::vector<uint32_t> table(cap, kChainEnd);  // slot -> group id
-    const size_t slot_mask = cap - 1;
-    const TripleHash hasher;
-    for (uint32_t i = 0; i < static_cast<uint32_t>(total); ++i) {
-      size_t slot = hasher(Triple{fs[i], fp[i], fo[i]}) & slot_mask;
-      for (;;) {
-        const uint32_t g = table[slot];
-        if (g == kChainEnd) {
-          table[slot] = static_cast<uint32_t>(chains.size());
-          chains.emplace_back(i, i);
-          break;
-        }
-        const uint32_t h0 = chains[g].first;
-        if (fs[h0] == fs[i] && fp[h0] == fp[i] && fo[h0] == fo[i]) {
-          next[chains[g].second] = i;
-          chains[g].second = i;
-          break;
-        }
-        slot = (slot + 1) & slot_mask;
-      }
-    }
-    idx.reserve(total);
-    for (const auto& [head, tail] : chains) {
-      for (uint32_t i = head; i != kChainEnd; i = next[i]) idx.push_back(i);
-    }
-    out->sorted_by = -1;
-  }
+  RadixOrder(cols, total, &idx);
+  out->sorted_by = col_slots.empty() ? -1 : col_slots[0];
 
+  std::vector<Interval> runs;  // one group's runs, reused across groups
   size_t emitted = 0;
   for (size_t g = 0; g < total;) {
     const uint32_t f0 = idx[g];
     size_t h = g + 1;
-    while (h < total && fs[idx[h]] == fs[f0] && fp[idx[h]] == fp[f0] &&
-           fo[idx[h]] == fo[f0]) {
+    while (h < total && std::all_of(cols.begin(), cols.end(),
+                                    [&](const TermId* col) {
+                                      return col[idx[h]] == col[f0];
+                                    })) {
       ++h;
     }
     bool meets = false;
@@ -508,25 +493,28 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
       continue;
     }
     auto [blk, r] = out->Append(pool, num_vars);
-    if (cp.var_s >= 0) blk->term_col(cp.var_s)[r] = fs[f0];
-    if (cp.var_p >= 0) blk->term_col(cp.var_p)[r] = fp[f0];
-    if (cp.var_o >= 0) blk->term_col(cp.var_o)[r] = fo[f0];
+    for (int x = 0; x < 3; ++x) {
+      if (slots[x] >= 0) blk->term_col(slots[x])[r] = keys[x][f0];
+    }
     if (cp.var_t >= 0) {
-      if (h - g == 1) {
-        // The common case: no TemporalSet at all.
-        blk->SetTimeRun(cp.var_t, r, fstart[f0], fend[f0]);
+      // Clip to the scan window (a no-op under all of history) and
+      // coalesce: adjacent split copies of one run become one run.
+      runs.clear();
+      for (size_t q = g; q < h; ++q) {
+        runs.push_back(
+            Interval(fstart[idx[q]], fend[idx[q]]).Intersect(spec.time));
+      }
+      TemporalSet::Coalesce(&runs);
+      if (runs.size() == 1) {
+        blk->SetTimeRun(cp.var_t, r, runs[0].start, runs[0].end);
       } else {
-        std::vector<Interval> runs;
-        runs.reserve(h - g);
-        for (size_t q = g; q < h; ++q) {
-          runs.emplace_back(fstart[idx[q]], fend[idx[q]]);
-        }
-        blk->SetTime(cp.var_t, r, TemporalSet::FromIntervals(std::move(runs)));
+        blk->SetTime(cp.var_t, r, TemporalSet::FromIntervals(runs));
       }
     }
     ++emitted;
     g = h;
   }
+  scan.fragments_gathered += total;
   if (stats != nullptr) {
     stats->rows_scanned += emitted;
     stats->key_filtered_fragments += key_filtered;
@@ -537,11 +525,10 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
 BlockRun SortRun(const BlockRun& in, int slot,
                  const std::vector<VarInfo>& vars, BlockPool* pool) {
   const size_t n = in.size();
-  std::vector<uint32_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0u);
-  std::stable_sort(idx.begin(), idx.end(), [&](uint32_t x, uint32_t y) {
-    return in.term(x, slot) < in.term(y, slot);
-  });
+  std::vector<TermId> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = in.term(i, slot);
+  std::vector<uint32_t> idx;
+  RadixOrder({keys.data()}, n, &idx);
   BlockRun out = GatherRun(in, idx, vars, pool);
   out.sorted_by = slot;
   return out;

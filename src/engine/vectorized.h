@@ -54,28 +54,43 @@ class KeyFilter {
 /// pattern's query region, filters each leaf's columnar image with SIMD
 /// masks (interval overlap, per-component key equality, repeated-var
 /// equality) and, when given and the pattern binds its slot, the key
-/// filter; gathers the survivors through a selection vector, groups
-/// fragments per triple, and appends one row per matching triple to
-/// `out`; a full-validity pattern scans all of history and keeps a
-/// triple when one of its runs meets the window (ScanSpec).
+/// filter; gathers the survivors' variable components and runs through a
+/// selection vector, groups fragments per triple with one RadixOrder over
+/// the variable components, and appends one row per matching triple to
+/// `out`, its runs clipped to the scan window and coalesced (one inline
+/// run, or a multi-run element only where the runs have gaps); a
+/// full-validity pattern scans all of history and keeps a triple when
+/// one of its runs meets the window (ScanSpec).
 ///
-/// `sort_slot` requests an output ordering: when >= 0 and this pattern
-/// binds that key variable, rows are emitted sorted by its term (the
-/// fragment grouping sorts anyway, so the requested order is free) and
-/// `out->sorted_by` records it. Counters accumulate into `stats` with
-/// the same semantics as ScanToRows; fragments the key filter drops
-/// count in `key_filtered_fragments`. A live Epoch scans its base graph
-/// and patches the gathered fragments with Epoch::Patch. Stores without
-/// MVBT indices (the oracle and the paper's baselines) fall back to
-/// ScanToRows plus a sort and ignore the key filter, so results never
-/// depend on the store type and the oracle always checks the filtered
-/// path.
+/// Rows come out in key order: the term of `sort_slot` leads when this
+/// pattern binds it, otherwise the first variable component (s, p, o
+/// order) leads, and the remaining variable components break ties.
+/// `out->sorted_by` records the leading slot (-1 when the pattern binds
+/// no key variable), so a requested merge order is free. Counters
+/// accumulate into `stats` with the same semantics as ScanToRows;
+/// fragments the key filter drops count in `key_filtered_fragments`,
+/// fragments gathered in `scan.fragments_gathered`. A live Epoch scans
+/// its base graph and patches the gathered fragments with Epoch::Patch.
+/// Stores without MVBT indices (the oracle and the paper's baselines)
+/// fall back to ScanToRows plus a sort on a requested bound `sort_slot`
+/// and ignore the key filter, so results never depend on the store type
+/// and the oracle always checks the filtered path.
 void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                     size_t num_vars, const std::vector<VarInfo>& vars,
                     int sort_slot, BlockPool* pool, BlockRun* out,
                     ExecStats* stats, const KeyFilter* key_filter = nullptr);
 
-/// Stable-sorts a run by the term column of key slot `slot`.
+/// Stable LSD radix order over key columns: fills `pos` with 0..n-1
+/// arranged so that the tuples (cols[0][i], cols[1][i], ...) ascend, the
+/// first column most significant, and equal tuples keep ascending
+/// position order. Each column takes one counting pass per 8-bit digit
+/// up to the bit width of the OR of its values; a column of zeros, or a
+/// digit that every key shares, costs no pass.
+void RadixOrder(const std::vector<const uint64_t*>& cols, size_t n,
+                std::vector<uint32_t>* pos);
+
+/// Stable-sorts a run by the term column of key slot `slot` (RadixOrder
+/// over that column).
 BlockRun SortRun(const BlockRun& in, int slot,
                  const std::vector<VarInfo>& vars, BlockPool* pool);
 

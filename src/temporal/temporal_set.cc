@@ -1,23 +1,31 @@
 #include "temporal/temporal_set.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace rdftx {
 
-TemporalSet TemporalSet::FromIntervals(std::vector<Interval> intervals) {
-  TemporalSet out;
-  std::erase_if(intervals, [](const Interval& iv) { return iv.empty(); });
-  std::sort(intervals.begin(), intervals.end(),
+void TemporalSet::Coalesce(std::vector<Interval>* runs) {
+  std::erase_if(*runs, [](const Interval& iv) { return iv.empty(); });
+  std::sort(runs->begin(), runs->end(),
             [](const Interval& a, const Interval& b) {
               return a.start < b.start || (a.start == b.start && a.end < b.end);
             });
-  for (const Interval& iv : intervals) {
-    if (!out.runs_.empty() && iv.start <= out.runs_.back().end) {
-      out.runs_.back().end = std::max(out.runs_.back().end, iv.end);
+  size_t kept = 0;
+  for (const Interval& iv : *runs) {
+    if (kept > 0 && iv.start <= (*runs)[kept - 1].end) {
+      (*runs)[kept - 1].end = std::max((*runs)[kept - 1].end, iv.end);
     } else {
-      out.runs_.push_back(iv);
+      (*runs)[kept++] = iv;
     }
   }
+  runs->resize(kept);
+}
+
+TemporalSet TemporalSet::FromIntervals(std::vector<Interval> intervals) {
+  Coalesce(&intervals);
+  TemporalSet out;
+  out.runs_ = std::move(intervals);
   return out;
 }
 

@@ -26,6 +26,11 @@ class TemporalSet {
   /// coalescing overlapping and adjacent ones.
   static TemporalSet FromIntervals(std::vector<Interval> intervals);
 
+  /// Normalizes `runs` in place the way FromIntervals does: drops empty
+  /// intervals, sorts by start and coalesces overlapping and adjacent
+  /// ones.
+  static void Coalesce(std::vector<Interval>* runs);
+
   bool empty() const { return runs_.empty(); }
 
   /// Coalesced runs, sorted by start, pairwise disjoint and non-adjacent.

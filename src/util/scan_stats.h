@@ -26,6 +26,10 @@ struct ScanStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
+  /// Fragments a columnar scan gathered after its masks and key filter
+  /// (leaf fragments plus a live epoch's overlay-born runs), before they
+  /// were grouped into rows. Split copies of one run each count.
+  uint64_t fragments_gathered = 0;
 
   void MergeFrom(const ScanStats& o) {
     leaves_visited += o.leaves_visited;
@@ -34,6 +38,7 @@ struct ScanStats {
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     cache_evictions += o.cache_evictions;
+    fragments_gathered += o.fragments_gathered;
   }
 };
 

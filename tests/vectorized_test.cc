@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -188,6 +189,51 @@ std::vector<std::string> SortedKeys(const std::vector<Row>& rows,
   for (const Row& row : rows) keys.push_back(RowKey(row, vars));
   std::sort(keys.begin(), keys.end());
   return keys;
+}
+
+TEST(RadixOrderTest, MatchesStableSortOnDuplicateHeavyColumns) {
+  // Widths 0..64: a width-w column draws from eight values whose top set
+  // bit is bit w-1 (the 32- and 64-bit pools hold ids past 2^32, and the
+  // 64-bit pool UINT64_MAX), so every digit shift is taken.
+  const int widths[] = {0, 1, 8, 9, 32, 64};
+  Rng rng(92);
+  auto pool_of = [&](int width) {
+    std::vector<uint64_t> pool(8, 0);
+    if (width == 0) return pool;
+    const uint64_t top = uint64_t{1} << (width - 1);
+    for (uint64_t& v : pool) v = top | (rng.Next() & (top - 1));
+    if (width == 64) pool[0] = UINT64_MAX;
+    if (width >= 33) pool[1] = (uint64_t{1} << 32) | top;
+    return pool;
+  };
+  for (size_t ncols = 1; ncols <= 3; ++ncols) {
+    for (size_t n : {0, 1, 2, 255, 256, 257, 5000}) {
+      for (size_t w = 0; w < std::size(widths); ++w) {
+        std::vector<std::vector<uint64_t>> data(ncols);
+        std::vector<const uint64_t*> cols;
+        for (size_t c = 0; c < ncols; ++c) {
+          const std::vector<uint64_t> pool =
+              pool_of(widths[(w + c) % std::size(widths)]);
+          for (size_t i = 0; i < n; ++i) {
+            data[c].push_back(pool[rng.Uniform(pool.size())]);
+          }
+          cols.push_back(data[c].data());
+        }
+        std::vector<uint32_t> want(n);
+        std::iota(want.begin(), want.end(), 0u);
+        std::stable_sort(want.begin(), want.end(), [&](uint32_t x, uint32_t y) {
+          for (const std::vector<uint64_t>& col : data) {
+            if (col[x] != col[y]) return col[x] < col[y];
+          }
+          return false;
+        });
+        std::vector<uint32_t> got = {7, 7, 7};  // overwritten, not appended
+        RadixOrder(cols, n, &got);
+        EXPECT_EQ(got, want) << ncols << " columns, n " << n << ", width "
+                             << widths[w];
+      }
+    }
+  }
 }
 
 TEST(RunOperatorsTest, SortRunOrdersBySlotAndKeepsRows) {
@@ -805,6 +851,118 @@ TEST(EpochScanWindowTest, BaseRunClosedBeforeTheWindowIsDropped) {
   });
   EXPECT_EQ(meets[0].times[2], TemporalSet(Interval(25, 30)));
   EXPECT_EQ(meets[1].times[2], TemporalSet(Interval(25, 45)));
+}
+
+// --- fragment grouping: split copies coalesce, gaps spill ---
+
+/// (1 1 1) is live from 10; (1 1 2) has two runs with a gap between
+/// them. A stream of short-lived (1 2 o) facts after them overflows the
+/// subject-1 leaves again and again, so version splits store both
+/// triples as chains of adjacent fragments.
+std::vector<TemporalTriple> SplitHistory() {
+  std::vector<TemporalTriple> data = {{{1, 1, 1}, {10, kChrononNow}},
+                                      {{1, 1, 2}, {20, 300}},
+                                      {{1, 1, 2}, {500, 900}}};
+  for (TermId i = 0; i < 400; ++i) {
+    const Chronon s = 30 + 2 * static_cast<Chronon>(i);
+    data.push_back({{1, 2, 100 + i}, {s, s + 5}});
+  }
+  return data;
+}
+
+/// Scans {1 1 ?o ?t} (`var_o` false: {1 1 1 ?t}) under `window` and checks
+/// the rows against ScanToRows, that the scan gathered more fragments
+/// than it emitted rows, and that each row's element is inline exactly
+/// when it is one run. Returns the element per object.
+std::map<TermId, TemporalSet> ScanSplitTriples(const TemporalStore& store,
+                                               bool var_o, Interval window) {
+  CompiledPattern cp;
+  cp.spec.s = 1;
+  cp.spec.p = 1;
+  if (var_o) {
+    cp.var_o = 0;
+    cp.var_t = 1;
+  } else {
+    cp.spec.o = 1;
+    cp.var_t = 0;
+  }
+  cp.spec.time = window;
+  std::vector<VarInfo> vars;
+  if (var_o) vars.push_back({"o", false, false});
+  vars.push_back({"t", true, false});
+  std::vector<Row> want;
+  ScanToRows(store, cp, vars.size(), vars, &want);
+  BlockPool pool;
+  BlockRun run;
+  ExecStats stats;
+  VectorizedScan(store, cp, vars.size(), vars, -1, &pool, &run, &stats);
+  EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), SortedKeys(want, vars))
+      << window.ToString();
+  EXPECT_GT(stats.scan.fragments_gathered, run.size()) << window.ToString();
+  std::map<TermId, TemporalSet> out;
+  for (size_t i = 0; i < run.size(); ++i) {
+    const BindingBlock& blk = run.block_of(i);
+    const size_t r = BlockRun::offset_of(i);
+    const TemporalSet element = blk.TimeAt(cp.var_t, r);
+    EXPECT_EQ(blk.TimeIsSingleRun(cp.var_t, r), element.runs().size() == 1);
+    out[var_o ? run.term(i, cp.var_o) : 1] = element;
+  }
+  return out;
+}
+
+TEST(ScanCoalesceTest, SplitCopiesBecomeOneRunAndGapsSpill) {
+  const std::vector<TemporalTriple> data = SplitHistory();
+  for (bool compress : {false, true}) {
+    TemporalGraph graph(TemporalGraphOptions{.block_capacity = 16,
+                                             .compress_leaves = compress});
+    ASSERT_TRUE(graph.Load(data).ok());
+    if (compress) graph.CompressAll();
+
+    const std::map<TermId, TemporalSet> all =
+        ScanSplitTriples(graph, true, Interval::All());
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all.at(1), TemporalSet(Interval(10, kChrononNow)));
+    EXPECT_EQ(all.at(2), TemporalSet::FromIntervals(
+                             {Interval(20, 300), Interval(500, 900)}));
+
+    // Clipped to the window, the copies still make one run per side of
+    // the gap.
+    const std::map<TermId, TemporalSet> mid =
+        ScanSplitTriples(graph, true, Interval(100, 600));
+    ASSERT_EQ(mid.size(), 2u);
+    EXPECT_EQ(mid.at(1), TemporalSet(Interval(100, 600)));
+    EXPECT_EQ(mid.at(2), TemporalSet::FromIntervals(
+                             {Interval(100, 300), Interval(500, 600)}));
+
+    // No variable key component: every fragment is one group.
+    const std::map<TermId, TemporalSet> one =
+        ScanSplitTriples(graph, false, Interval(50, 700));
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one.at(1), TemporalSet(Interval(50, 700)));
+  }
+}
+
+TEST(ScanCoalesceTest, EpochDropsFragmentsClippedToEmpty) {
+  // Over the split base, the overlay retracts (1 1 1) at 950 and asserts
+  // it again at 980: the base-live copy closes at 950.
+  auto base = std::make_shared<TemporalGraph>(
+      TemporalGraphOptions{.block_capacity = 16, .compress_leaves = true});
+  ASSERT_TRUE(base->Load(SplitHistory()).ok());
+  const Epoch epoch(base,
+                    DeltaChunk::Push(nullptr, {Delta{1, false, {1, 1, 1}, 950},
+                                               Delta{2, true, {1, 1, 1}, 980}}),
+                    1000);
+  const std::map<TermId, TemporalSet> all =
+      ScanSplitTriples(epoch, true, Interval::All());
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all.at(1), TemporalSet::FromIntervals(
+                           {Interval(10, 950), Interval(980, kChrononNow)}));
+  // In [960, 1000) the closed base copy clips to empty and is dropped;
+  // the overlay run is left as one inline run.
+  const std::map<TermId, TemporalSet> late =
+      ScanSplitTriples(epoch, false, Interval(960, 1000));
+  ASSERT_EQ(late.size(), 1u);
+  EXPECT_EQ(late.at(1), TemporalSet(Interval(980, 1000)));
 }
 
 // --- full-validity scans against the coalesced history ---
