@@ -3,7 +3,8 @@
 // on a hot serving loop. Configurations:
 //   plain            — uncompressed MVBT, no cache
 //   compressed       — delta-compressed leaves, cache off
-//   compressed_cache — plus the sharded decoded-leaf cache
+//   compressed_cache — plus decoded leaf images, kept on their nodes
+//                      and evicted by CLOCK within the cache budget
 // The headline ratio is compressed / compressed_cache on the repeated
 // workload. Every config must return the same rows as the first one,
 // compared as a fingerprint of the sorted (triple, interval) rows; the

@@ -1,6 +1,7 @@
 #include "optimizer/char_set.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -50,86 +51,58 @@ void CharSetCatalog::Build(const std::vector<TemporalTriple>& triples,
 
   sort_pairs(predicate, object);
   for_each_run([&](TermId p, size_t i, size_t j) {
-    PredStats& stats = pred_stats_[p];
-    stats.occurrences += j - i;
-    stats.distinct_objects = distinct_values(i, j);
+    pred_stats_[p].distinct_objects = distinct_values(i, j);
   });
   sort_pairs(predicate, subject);
   for_each_run([&](TermId p, size_t i, size_t j) {
     pred_stats_[p].distinct_subjects = distinct_values(i, j);
   });
 
-  // Group subjects by distinct predicate set, with per-predicate
-  // occurrence totals aligned with the set, and rank sets by popularity;
-  // only the top `max_sets` stay distinct.
-  struct Group {
-    std::vector<TermId> subjects;
-    std::vector<uint64_t> occurrences;
-  };
-  std::map<std::vector<TermId>, Group> groups;
+  // Group subjects by distinct predicate set and rank sets by
+  // popularity; only the top `max_sets` stay distinct.
+  std::map<std::vector<TermId>, std::vector<TermId>> groups;  // -> subjects
   sort_pairs(subject, predicate);
   std::vector<TermId> preds;
-  std::vector<uint64_t> occ;
   size_t subjects = 0;
   for_each_run([&](TermId s, size_t i, size_t j) {
     ++subjects;
     preds.clear();
-    occ.clear();
     for (size_t k = i; k < j; ++k) {
-      if (is_new_value(i, k)) {
-        preds.push_back(pairs[k].second);
-        occ.push_back(0);
-      }
-      ++occ.back();
+      if (is_new_value(i, k)) preds.push_back(pairs[k].second);
     }
-    Group& g = groups[preds];
-    g.subjects.push_back(s);
-    g.occurrences.resize(occ.size());
-    for (size_t k = 0; k < occ.size(); ++k) g.occurrences[k] += occ[k];
+    groups[preds].push_back(s);
   });
   subject_to_set_.reserve(subjects);
   pairs.clear();
   pairs.shrink_to_fit();
 
-  using GroupEntry = std::pair<const std::vector<TermId>, Group>;
+  using GroupEntry = std::pair<const std::vector<TermId>, std::vector<TermId>>;
   std::vector<const GroupEntry*> ranked;
   ranked.reserve(groups.size());
   for (const auto& g : groups) ranked.push_back(&g);
   std::sort(ranked.begin(), ranked.end(), [](const auto* a, const auto* b) {
-    return a->second.subjects.size() > b->second.subjects.size();
+    return a->second.size() > b->second.size();
   });
 
+  // Sets past `kept` merge into one overflow set holding the union of
+  // their predicates.
   const size_t kept = std::min(max_sets, ranked.size());
-  const bool has_overflow = kept < ranked.size();
-  sets_.resize(kept + (has_overflow ? 1 : 0));
+  sets_.resize(kept + (kept < ranked.size() ? 1 : 0));
   std::set<TermId> overflow_preds;
-
-  auto account = [&](CharSetId id, const GroupEntry& g) {
-    SetStats& stats = sets_[id];
-    for (TermId s : g.second.subjects) subject_to_set_.emplace(s, id);
-    stats.distinct_subjects += g.second.subjects.size();
-    for (size_t k = 0; k < g.first.size(); ++k) {
-      stats.occurrences[g.first[k]] += g.second.occurrences[k];
-    }
-  };
-
-  for (size_t i = 0; i < kept; ++i) {
-    const CharSetId id = static_cast<CharSetId>(i);
-    sets_[id].predicates = ranked[i]->first;
-    for (TermId p : ranked[i]->first) pred_to_sets_[p].push_back(id);
-    account(id, *ranked[i]);
-  }
-  if (has_overflow) {
-    const CharSetId overflow = static_cast<CharSetId>(kept);
-    for (size_t i = kept; i < ranked.size(); ++i) {
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    const CharSetId id = static_cast<CharSetId>(std::min(i, kept));
+    for (TermId s : ranked[i]->second) subject_to_set_.emplace(s, id);
+    if (i < kept) {
+      sets_[id] = ranked[i]->first;
+    } else {
       overflow_preds.insert(ranked[i]->first.begin(), ranked[i]->first.end());
-      account(overflow, *ranked[i]);
     }
-    sets_[overflow].predicates.assign(overflow_preds.begin(),
-                                      overflow_preds.end());
-    for (TermId p : sets_[overflow].predicates) {
-      pred_to_sets_[p].push_back(overflow);
-    }
+  }
+  if (kept < ranked.size()) {
+    sets_[kept].assign(overflow_preds.begin(), overflow_preds.end());
+  }
+  for (CharSetId id = 0; id < sets_.size(); ++id) {
+    for (TermId p : sets_[id]) pred_to_sets_[p].push_back(id);
   }
 }
 
@@ -151,10 +124,8 @@ const CharSetCatalog::PredStats* CharSetCatalog::pred_stats(TermId p) const {
 
 size_t CharSetCatalog::MemoryUsage() const {
   size_t bytes = sizeof(*this);
-  for (const SetStats& s : sets_) {
-    bytes += s.predicates.capacity() * sizeof(TermId) +
-             s.occurrences.size() * (sizeof(TermId) + sizeof(uint64_t) +
-                                     3 * sizeof(void*));
+  for (const std::vector<TermId>& preds : sets_) {
+    bytes += preds.capacity() * sizeof(TermId);
   }
   bytes += subject_to_set_.size() * (sizeof(TermId) + sizeof(CharSetId) +
                                      2 * sizeof(void*));

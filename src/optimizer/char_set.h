@@ -1,13 +1,14 @@
 // Characteristic sets (Neumann & Moerkotte, ICDE 2011; paper §6.1):
 // semantically similar subjects share the same set of predicates. The
-// catalog maps each subject to its characteristic set and records, per
-// set, the distinct-subject count and per-predicate occurrence counts —
-// the statistics behind the paper's join-cardinality formula.
+// catalog maps each subject to its characteristic set and each set to
+// its predicates, and keeps per-predicate distinct subjects and objects.
+// The per-set subject and occurrence counts of the paper's
+// join-cardinality formula vary with time, so they come from the
+// temporal histogram (histogram.h), keyed by the catalog's set ids.
 #ifndef RDFTX_OPTIMIZER_CHAR_SET_H_
 #define RDFTX_OPTIMIZER_CHAR_SET_H_
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -38,18 +39,14 @@ class CharSetCatalog {
   /// Characteristic sets whose predicate set contains `p`.
   const std::vector<CharSetId>& SetsWithPredicate(TermId p) const;
 
-  struct SetStats {
-    std::vector<TermId> predicates;           // sorted
-    uint64_t distinct_subjects = 0;
-    std::map<TermId, uint64_t> occurrences;   // per predicate
-  };
-
-  const SetStats& stats(CharSetId id) const { return sets_[id]; }
+  /// The predicates of a characteristic set, sorted.
+  const std::vector<TermId>& predicates(CharSetId id) const {
+    return sets_[id];
+  }
   size_t set_count() const { return sets_.size(); }
 
   /// Global per-predicate statistics (for object-bound patterns).
   struct PredStats {
-    uint64_t occurrences = 0;
     uint64_t distinct_subjects = 0;
     uint64_t distinct_objects = 0;
   };
@@ -62,7 +59,7 @@ class CharSetCatalog {
   size_t MemoryUsage() const;
 
  private:
-  std::vector<SetStats> sets_;
+  std::vector<std::vector<TermId>> sets_;  // predicates per set
   std::unordered_map<TermId, CharSetId> subject_to_set_;
   std::unordered_map<TermId, std::vector<CharSetId>> pred_to_sets_;
   std::unordered_map<TermId, PredStats> pred_stats_;

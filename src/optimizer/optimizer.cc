@@ -1,6 +1,7 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <deque>
@@ -21,15 +22,36 @@ constexpr double kTemporalSelectivity = 0.25;
 /// table is 2^n).
 constexpr size_t kMaxDpPatterns = 14;
 
+// Distinct values of the variable in `slot` of `cp`: the bound
+// predicate's distinct subjects or objects, else the graph's.
+double DistinctOfVar(const CharSetCatalog& catalog, const CompiledPattern& cp,
+                     int slot) {
+  const auto* ps = cp.var_p < 0 ? catalog.pred_stats(cp.spec.p) : nullptr;
+  if (slot == cp.var_s) {
+    if (ps != nullptr) return std::max<double>(1.0, ps->distinct_subjects);
+    return std::max<double>(1.0, catalog.total_subjects());
+  }
+  if (slot == cp.var_o) {
+    if (ps != nullptr) return std::max<double>(1.0, ps->distinct_objects);
+    return std::max<double>(1.0, catalog.total_objects());
+  }
+  if (slot == cp.var_p) {
+    return std::max<double>(1.0, catalog.total_predicates());
+  }
+  return 1.0;
+}
+
 }  // namespace
 
-// The histogram counts of one call, over the union of the
-// characteristic sets its patterns can touch: the sets holding each
-// constant predicate of an unbound-subject pattern, plus each bound
+// The planning facts of one call. The histogram counts cover the union
+// of the characteristic sets its patterns can touch: the sets holding
+// each constant predicate of an unbound-subject pattern, plus each bound
 // subject's set. A column (one predicate's occurrences, or the subject
 // counts, in one window) is filled on first use by one batched sweep of
-// the histogram and then read by every estimate of the call. A table
-// lives on its caller's stack, so the optimizer stays immutable.
+// the histogram and then read by every estimate of the call. MakeTable
+// adds each pattern's scan estimate, which patterns connect, and each
+// pattern's key slots with their distinct counts, once per call. A
+// table lives on its caller's stack, so the optimizer stays immutable.
 struct QueryOptimizer::Table {
   Table(const CharSetCatalog* catalog, const TemporalHistogram* histogram,
         std::span<const CompiledPattern> patterns, uint32_t mask);
@@ -54,6 +76,11 @@ struct QueryOptimizer::Table {
     Interval window;
     std::vector<double> values;
   };
+  /// One key-position variable of a pattern and its distinct values.
+  struct Key {
+    int slot;
+    double distinct;
+  };
 
   static constexpr uint32_t kNotInTable = ~0u;
 
@@ -69,6 +96,12 @@ struct QueryOptimizer::Table {
   std::vector<uint64_t> pred_bits;
   std::deque<Column> occurrences;   // deque: references stay valid
   std::deque<Column> subjects;
+
+  // Per pattern in MakeTable's mask (0 or empty for the others):
+  std::vector<double> scan;            // EstimatePattern
+  std::vector<uint32_t> neighbors;     // bit j iff it shares a variable
+                                       // with pattern j
+  std::vector<std::vector<Key>> keys;  // key slots, in s, p, o order
 };
 
 QueryOptimizer::Table::Table(const CharSetCatalog* catalog,
@@ -103,7 +136,7 @@ QueryOptimizer::Table::Table(const CharSetCatalog* catalog,
   // all get a bit; the predicates of bound_sets follow them.
   const size_t bit_preds = preds.size();
   for (CharSetId cs : bound_sets) {
-    for (TermId p : catalog->stats(cs).predicates) add_pred(p);
+    for (TermId p : catalog->predicates(cs)) add_pred(p);
   }
   for (CharSetId cs = 0; cs < index.size(); ++cs) {
     if (index[cs] == kNotInTable) continue;
@@ -155,6 +188,30 @@ QueryOptimizer::QueryOptimizer(const CharSetCatalog* catalog,
                                const TemporalHistogram* histogram)
     : catalog_(catalog), histogram_(histogram) {}
 
+QueryOptimizer::Table QueryOptimizer::MakeTable(const CompiledQuery& cq,
+                                                uint32_t mask) const {
+  const size_t n = cq.patterns.size();
+  Table table(catalog_, histogram_, cq.patterns, mask);
+  table.scan.assign(n, 0.0);
+  table.neighbors.assign(n, 0);
+  table.keys.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!(mask & (1u << i))) continue;
+    const CompiledPattern& cp = cq.patterns[i];
+    table.scan[i] = PatternCard(cp, &table);
+    for (size_t j = 0; j < n; ++j) {
+      if ((mask & (1u << j)) && cp.SharesVariable(cq.patterns[j])) {
+        table.neighbors[i] |= 1u << j;
+      }
+    }
+    for (int slot : cp.KeySlots()) {
+      table.keys[i].push_back(Table::Key{slot,
+                                         DistinctOfVar(*catalog_, cp, slot)});
+    }
+  }
+  return table;
+}
+
 double QueryOptimizer::EstimatePattern(const CompiledPattern& cp) const {
   Table table(catalog_, histogram_, std::span(&cp, 1), 1);
   return PatternCard(cp, &table);
@@ -168,106 +225,72 @@ double QueryOptimizer::PatternCard(const CompiledPattern& cp,
   const bool o = cp.var_o < 0;
   const Interval& w = cp.spec.time;
 
+  double card;
   if (s) {
     CharSetId cs = catalog_->SetOf(cp.spec.s);
     if (cs == kNoCharSet) return 0.0;
-    const auto& stats = catalog_->stats(cs);
     const size_t set = table->SetIndex(cs);
     double subjects = std::max(1.0, table->Subjects(w)[set]);
     auto per_subject = [&](TermId pred) {
       return table->Occurrences(table->PredIndex(pred), w)[set] / subjects;
     };
-    double card;
     if (p) {
       card = per_subject(cp.spec.p);
     } else {
       card = 0.0;
-      for (TermId pred : stats.predicates) card += per_subject(pred);
+      for (TermId pred : catalog_->predicates(cs)) card += per_subject(pred);
     }
-    if (o) {
-      // Constant object: scale by object selectivity of the predicate(s).
-      double distinct = 2.0;
-      if (p) {
-        const auto* ps = catalog_->pred_stats(cp.spec.p);
-        if (ps != nullptr && ps->distinct_objects > 0) {
-          distinct = static_cast<double>(ps->distinct_objects);
-        }
-      } else {
-        distinct = std::max<double>(2.0,
-                                    static_cast<double>(
-                                        catalog_->total_objects()));
-      }
-      card /= distinct;
-    }
-    return std::max(card, 0.001);
-  }
-  if (p) {
+  } else if (p) {
     // The sum over the predicate's sets, in ascending set order.
     const size_t j = table->PredIndex(cp.spec.p);
     const std::vector<double>& occurrences = table->Occurrences(j, w);
-    double card = 0.0;
+    card = 0.0;
     for (uint32_t set : table->holders[j]) card += occurrences[set];
-    if (o) {
-      const auto* ps = catalog_->pred_stats(cp.spec.p);
-      double distinct =
-          ps != nullptr && ps->distinct_objects > 0
-              ? static_cast<double>(ps->distinct_objects)
-              : 2.0;
-      card /= distinct;
-    }
-    return std::max(card, 0.001);
+  } else {
+    card = static_cast<double>(catalog_->total_triples());
   }
-  // Subject and predicate unbound.
-  double total = static_cast<double>(catalog_->total_triples());
   if (o) {
-    total /= std::max<double>(
-        2.0, static_cast<double>(catalog_->total_objects()));
+    // Constant object: scale by the object selectivity of the bound
+    // predicate, else of the whole graph.
+    double distinct = 2.0;
+    if (p) {
+      const auto* ps = catalog_->pred_stats(cp.spec.p);
+      if (ps != nullptr && ps->distinct_objects > 0) {
+        distinct = static_cast<double>(ps->distinct_objects);
+      }
+    } else {
+      distinct = std::max<double>(
+          2.0, static_cast<double>(catalog_->total_objects()));
+    }
+    card /= distinct;
   }
-  return std::max(total, 0.001);
-}
-
-double QueryOptimizer::DistinctOfVar(const CompiledPattern& cp,
-                                     int slot) const {
-  const bool p_bound = cp.var_p < 0;
-  const auto* ps = p_bound ? catalog_->pred_stats(cp.spec.p) : nullptr;
-  if (slot == cp.var_s) {
-    if (ps != nullptr) return std::max<double>(1.0, ps->distinct_subjects);
-    return std::max<double>(1.0, catalog_->total_subjects());
-  }
-  if (slot == cp.var_o) {
-    if (ps != nullptr) return std::max<double>(1.0, ps->distinct_objects);
-    return std::max<double>(1.0, catalog_->total_objects());
-  }
-  if (slot == cp.var_p) {
-    return std::max<double>(1.0, catalog_->total_predicates());
-  }
-  return 1.0;
+  return std::max(card, 0.001);
 }
 
 double QueryOptimizer::JoinSelectivity(const CompiledQuery& cq,
-                                       uint32_t mask, int next) const {
-  const CompiledPattern& np = cq.patterns[static_cast<size_t>(next)];
+                                       const Table& table, uint32_t mask,
+                                       int next) {
+  const size_t n = static_cast<size_t>(next);
   double sel = 1.0;
   // Key-variable equalities: 1 / max(distinct on either side).
-  for (int slot : np.KeySlots()) {
+  for (const Table::Key& key : table.keys[n]) {
     double left_distinct = 0.0;
-    for (size_t i = 0; i < cq.patterns.size(); ++i) {
-      if (!(mask & (1u << i))) continue;
-      const CompiledPattern& lp = cq.patterns[i];
-      std::vector<int> ls = lp.KeySlots();
-      if (std::find(ls.begin(), ls.end(), slot) == ls.end()) continue;
-      double d = DistinctOfVar(lp, slot);
-      left_distinct = left_distinct == 0.0 ? d : std::min(left_distinct, d);
+    for (uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+      for (const Table::Key& lk : table.keys[std::countr_zero(rest)]) {
+        if (lk.slot != key.slot) continue;
+        left_distinct = left_distinct == 0.0
+                            ? lk.distinct
+                            : std::min(left_distinct, lk.distinct);
+        break;
+      }
     }
-    if (left_distinct > 0.0) {
-      sel /= std::max(left_distinct, DistinctOfVar(np, slot));
-    }
+    if (left_distinct > 0.0) sel /= std::max(left_distinct, key.distinct);
   }
   // Shared temporal variables: fixed overlap selectivity.
-  if (np.var_t >= 0) {
-    for (size_t i = 0; i < cq.patterns.size(); ++i) {
-      if ((mask & (1u << i)) &&
-          cq.patterns[i].var_t == np.var_t) {
+  const int var_t = cq.patterns[n].var_t;
+  if (var_t >= 0) {
+    for (uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+      if (cq.patterns[std::countr_zero(rest)].var_t == var_t) {
         sel *= kTemporalSelectivity;
         break;
       }
@@ -278,16 +301,11 @@ double QueryOptimizer::JoinSelectivity(const CompiledQuery& cq,
 
 double QueryOptimizer::EstimateSubsetCard(const CompiledQuery& cq,
                                           uint32_t mask) const {
-  Table table(catalog_, histogram_, cq.patterns, mask);
-  std::vector<double> scan(cq.patterns.size(), 0.0);
-  for (size_t i = 0; i < cq.patterns.size(); ++i) {
-    if (mask & (1u << i)) scan[i] = PatternCard(cq.patterns[i], &table);
-  }
-  return SubsetCard(cq, mask, scan, &table);
+  Table table = MakeTable(cq, mask);
+  return SubsetCard(cq, mask, &table);
 }
 
 double QueryOptimizer::SubsetCard(const CompiledQuery& cq, uint32_t mask,
-                                  const std::vector<double>& scan,
                                   Table* table) const {
   // Subject-star special case: every pattern shares one subject
   // variable and has a constant predicate -> the characteristic-set
@@ -342,39 +360,23 @@ double QueryOptimizer::SubsetCard(const CompiledQuery& cq, uint32_t mask,
     return total;
   }
 
-  // General case: build up with pairwise independence.
+  // General case: build up with pairwise independence, each step taking
+  // the lowest pattern connected to those built, else the lowest left.
   double card = 0.0;
   uint32_t built = 0;
+  uint32_t reach = 0;  // patterns connected to `built`
   while (built != mask) {
-    int next = -1;
-    for (size_t i = 0; i < cq.patterns.size(); ++i) {
-      uint32_t bit = 1u << i;
-      if (!(mask & bit) || (built & bit)) continue;
-      if (built == 0) {
-        next = static_cast<int>(i);
-        break;
-      }
-      bool connected = false;
-      for (size_t j = 0; j < cq.patterns.size(); ++j) {
-        if ((built & (1u << j)) &&
-            cq.patterns[i].SharesVariable(cq.patterns[j])) {
-          connected = true;
-          break;
-        }
-      }
-      if (connected) {
-        next = static_cast<int>(i);
-        break;
-      }
-      if (next < 0) next = static_cast<int>(i);
-    }
-    const double np_card = scan[static_cast<size_t>(next)];
+    const uint32_t left = mask & ~built;
+    const uint32_t connected = left & reach;
+    const int next = std::countr_zero(connected != 0 ? connected : left);
+    const double np_card = table->scan[static_cast<size_t>(next)];
     if (built == 0) {
       card = np_card;
     } else {
-      card = card * np_card * JoinSelectivity(cq, built, next);
+      card = card * np_card * JoinSelectivity(cq, *table, built, next);
     }
     built |= 1u << next;
+    reach |= table->neighbors[static_cast<size_t>(next)];
   }
   return card;
 }
@@ -383,22 +385,18 @@ double QueryOptimizer::EstimateOrderCost(const CompiledQuery& cq,
                                          const std::vector<int>& order) const {
   // Left-deep hash-join chain: pay each scan, each build+probe, and
   // each intermediate's cardinality.
-  Table table(catalog_, histogram_, cq.patterns, ~0u);
-  std::vector<double> scan(cq.patterns.size());
-  for (size_t i = 0; i < cq.patterns.size(); ++i) {
-    scan[i] = PatternCard(cq.patterns[i], &table);
-  }
+  Table table = MakeTable(cq, ~0u);
   double cost = 0.0;
   uint32_t mask = 0;
   double card = 0.0;
   for (size_t k = 0; k < order.size(); ++k) {
-    const double step = scan[static_cast<size_t>(order[k])];
+    const double step = table.scan[static_cast<size_t>(order[k])];
     cost += step;
     uint32_t new_mask = mask | (1u << order[k]);
     if (k == 0) {
       card = step;
     } else {
-      double out = SubsetCard(cq, new_mask, scan, &table);
+      double out = SubsetCard(cq, new_mask, &table);
       cost += card + out;  // build side + output
       card = out;
     }
@@ -413,8 +411,8 @@ std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
   if (n > kMaxDpPatterns) {
     return engine::QueryEngine::GreedyOrder(cq);
   }
-  // Left-deep DP over subsets (bottom-up, avoiding cross products when
-  // a connected extension exists).
+  // Left-deep DP over subsets (bottom-up, extending only by patterns
+  // connected to the subset when any unused one is).
   const uint32_t full = (1u << n) - 1;
   struct State {
     double cost = std::numeric_limits<double>::infinity();
@@ -426,55 +424,35 @@ std::vector<int> QueryOptimizer::ChooseOrder(const CompiledQuery& cq) const {
   // Every estimate is computed once per call: each pattern's scan, and
   // each subset's cardinality (NaN until first needed). All of them read
   // their histogram counts from one table.
-  Table table(catalog_, histogram_, cq.patterns, full);
-  std::vector<double> scan(n);
+  Table table = MakeTable(cq, full);
   std::vector<double> subset_card(full + 1,
                                   std::numeric_limits<double>::quiet_NaN());
   for (size_t i = 0; i < n; ++i) {
     uint32_t m = 1u << i;
-    scan[i] = PatternCard(cq.patterns[i], &table);
-    dp[m].cost = scan[i];
-    dp[m].card = scan[i];
+    dp[m].cost = table.scan[i];
+    dp[m].card = table.scan[i];
     dp[m].last = static_cast<int>(i);
   }
   for (uint32_t mask = 1; mask <= full; ++mask) {
-    if (std::isinf(dp[mask].cost) || mask == 0) continue;
-    // Does any unused pattern connect to `mask`?
-    bool has_connected = false;
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t bit = 1u << i;
-      if (mask & bit) continue;
-      for (size_t j = 0; j < n; ++j) {
-        if ((mask & (1u << j)) &&
-            cq.patterns[i].SharesVariable(cq.patterns[j])) {
-          has_connected = true;
-          break;
-        }
-      }
-      if (has_connected) break;
+    if (std::isinf(dp[mask].cost)) continue;
+    const uint32_t unused = full & ~mask;
+    uint32_t connected = 0;
+    for (uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+      connected |= table.neighbors[std::countr_zero(rest)];
     }
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t bit = 1u << i;
-      if (mask & bit) continue;
-      if (has_connected) {
-        bool connected = false;
-        for (size_t j = 0; j < n; ++j) {
-          if ((mask & (1u << j)) &&
-              cq.patterns[i].SharesVariable(cq.patterns[j])) {
-            connected = true;
-            break;
-          }
-        }
-        if (!connected) continue;
-      }
-      uint32_t next_mask = mask | bit;
+    connected &= unused;
+    for (uint32_t rest = connected != 0 ? connected : unused; rest != 0;
+         rest &= rest - 1) {
+      const int i = std::countr_zero(rest);
+      const uint32_t next_mask = mask | (1u << i);
       double& out = subset_card[next_mask];
-      if (std::isnan(out)) out = SubsetCard(cq, next_mask, scan, &table);
-      double cost = dp[mask].cost + scan[i] + dp[mask].card + out;
+      if (std::isnan(out)) out = SubsetCard(cq, next_mask, &table);
+      double cost = dp[mask].cost + table.scan[static_cast<size_t>(i)] +
+                    dp[mask].card + out;
       if (cost < dp[next_mask].cost) {
         dp[next_mask].cost = cost;
         dp[next_mask].card = out;
-        dp[next_mask].last = static_cast<int>(i);
+        dp[next_mask].last = i;
         dp[next_mask].prev = mask;
       }
     }

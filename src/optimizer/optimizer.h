@@ -39,18 +39,18 @@ class QueryOptimizer {
   engine::JoinOrderProvider AsProvider() const;
 
  private:
-  /// Every histogram count one call's estimates read (optimizer.cc).
+  /// Every planning fact one call's estimates read (optimizer.cc).
   struct Table;
 
+  /// The table of the patterns in `mask`, with their scan estimates.
+  Table MakeTable(const engine::CompiledQuery& cq, uint32_t mask) const;
   /// EstimatePattern, reading counts from `table`.
   double PatternCard(const engine::CompiledPattern& cp, Table* table) const;
-  /// EstimateSubsetCard given every pattern's EstimatePattern in `scan`
-  /// (only the entries in `mask` are read) and counts from `table`.
+  /// EstimateSubsetCard over a table built for a superset of `mask`.
   double SubsetCard(const engine::CompiledQuery& cq, uint32_t mask,
-                    const std::vector<double>& scan, Table* table) const;
-  double DistinctOfVar(const engine::CompiledPattern& cp, int slot) const;
-  double JoinSelectivity(const engine::CompiledQuery& cq, uint32_t mask,
-                         int next) const;
+                    Table* table) const;
+  static double JoinSelectivity(const engine::CompiledQuery& cq,
+                                const Table& table, uint32_t mask, int next);
 
   const CharSetCatalog* catalog_;
   const TemporalHistogram* histogram_;
