@@ -322,6 +322,59 @@ TEST(RunOperatorsTest, HashJoinRunsCrossProductOnNoSharedSlots) {
             SortedKeys(HashJoinRows(left, right, none), vars));
 }
 
+TEST(RunOperatorsTest, LeftHashJoinRunsMatchesTupleLeftJoin) {
+  const std::vector<VarInfo> vars = MakeVars(3, true);
+  BlockPool pool;
+  for (uint64_t seed : {21u, 22u, 23u}) {
+    Rng rng(seed);
+    // Left binds {0,1,t} and sometimes leaves key 1 unbound (an earlier
+    // OPTIONAL's miss), right binds {1,2,t}: shared key slot 1, shared
+    // temporal slot 3, so unmatched left rows pass through.
+    std::vector<Row> left, right;
+    for (int i = 0; i < 300; ++i) {
+      Row row = RandomRow(4, vars, &rng);
+      row.terms[2] = kInvalidTerm;
+      if (rng.Uniform(10) == 0) row.terms[1] = kInvalidTerm;
+      left.push_back(std::move(row));
+    }
+    for (int i = 0; i < 200; ++i) {
+      Row row = RandomRow(4, vars, &rng);
+      row.terms[0] = kInvalidTerm;
+      right.push_back(std::move(row));
+    }
+    const std::vector<int> shared = {1};
+    BlockRun lrun, rrun;
+    AppendRowsToRun(left, vars, &pool, &lrun);
+    AppendRowsToRun(right, vars, &pool, &rrun);
+    BlockRun out = LeftHashJoinRuns(lrun, rrun, shared, vars, &pool);
+    EXPECT_EQ(SortedKeys(RunToRows(out, vars), vars),
+              SortedKeys(LeftHashJoinRows(left, right, shared), vars))
+        << "seed " << seed;
+  }
+}
+
+TEST(RunOperatorsTest, GatherRunCopiesTheSelectedRowsInOrder) {
+  const std::vector<VarInfo> vars = MakeVars(2, true);
+  BlockPool pool;
+  Rng rng(41);
+  std::vector<Row> rows;
+  for (int i = 0; i < 2500; ++i) rows.push_back(RandomRow(3, vars, &rng));
+  BlockRun run;
+  AppendRowsToRun(rows, vars, &pool, &run);
+  const std::vector<Row> all = RunToRows(run, vars);
+  // A random selection in random order, with repeats.
+  RowSelection sel;
+  for (int i = 0; i < 1800; ++i) {
+    sel.push_back(static_cast<uint32_t>(rng.Uniform(rows.size())));
+  }
+  const BlockRun gathered = GatherRun(run, sel, vars, &pool);
+  const std::vector<Row> got = RunToRows(gathered, vars);
+  ASSERT_EQ(got.size(), sel.size());
+  for (size_t q = 0; q < sel.size(); ++q) {
+    EXPECT_EQ(got[q], all[sel[q]]) << "row " << q;
+  }
+}
+
 // --- vectorized scan vs tuple scan ---
 
 class VectorizedScanTest : public ::testing::Test {
