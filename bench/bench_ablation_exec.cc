@@ -102,13 +102,13 @@ uint64_t TupleScanPass(const TemporalGraph& store, const ScanWorkload& w) {
   return rows;
 }
 
-uint64_t VectorizedScanPass(const TemporalGraph& store, const ScanWorkload& w,
-                            engine::BlockPool* pool) {
+uint64_t VectorizedScanPass(const TemporalGraph& store,
+                            const ScanWorkload& w) {
   uint64_t rows = 0;
   for (const engine::CompiledPattern& cp : w.patterns) {
     engine::BlockRun run;
     engine::VectorizedScan(store, cp, w.vars.size(), w.vars,
-                           /*sort_slot=*/-1, pool, &run, nullptr);
+                           /*sort_slot=*/-1, &run, nullptr);
     rows += run.size();
   }
   return rows;
@@ -226,12 +226,11 @@ double RunDataset(const char* name, Fixture f, JsonReport* report) {
        "speedup"});
 
   // --- point / range scan classes ---
-  engine::BlockPool pool;
   for (bool point : {true, false}) {
     const char* cls = point ? "point" : "range";
     const ScanWorkload w = MakeScanWorkload(f, point, point ? 7 : 8);
     const uint64_t tuple_rows = TupleScanPass(store, w);
-    const uint64_t vec_rows = VectorizedScanPass(store, w, &pool);
+    const uint64_t vec_rows = VectorizedScanPass(store, w);
     if (tuple_rows != vec_rows || tuple_rows == 0) {
       std::fprintf(stderr, "%s/%s row mismatch: tuple %llu vs vectorized %llu\n",
                    name, cls, static_cast<unsigned long long>(tuple_rows),
@@ -242,7 +241,7 @@ double RunDataset(const char* name, Fixture f, JsonReport* report) {
       for (int r = 0; r < kRuns; ++r) TupleScanPass(store, w);
     });
     const double vec_s = BestOf3([&] {
-      for (int r = 0; r < kRuns; ++r) VectorizedScanPass(store, w, &pool);
+      for (int r = 0; r < kRuns; ++r) VectorizedScanPass(store, w);
     });
     const double tuple_rps = tuple_rows * kRuns / tuple_s;
     const double vec_rps = vec_rows * kRuns / vec_s;

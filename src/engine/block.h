@@ -1,282 +1,143 @@
-// Columnar binding blocks of the vectorized execution mode: operators
-// exchange fixed-capacity chunks whose bindings are stored column-major
-// (one TermId array per variable plus parallel start/end interval
-// columns), so filters and joins touch dense arrays instead of chasing
-// per-row vectors.
+// The row store of the vectorized execution mode: a BlockRun holds the
+// (partial) solutions that operators exchange as one flat, growable
+// array of rows. The cell of row i and variable slot v sits at index
+// i * num_vars + v of three parallel vectors (term id, interval start,
+// interval end), so the operators, which all read whole rows, touch one
+// contiguous stretch of each.
 //
 // Temporal elements are stored inline when they are a single run —
-// tstart/tend hold the half-open interval, tstart == tend means empty —
+// start/end hold the half-open interval, start == end means empty —
 // which covers almost every binding. The rare multi-run element spills
-// into a per-block side table, with (index + 1) stashed in the time
-// slot's otherwise-unused term column. All time accessors go through
+// into a per-run side table, with (index + 1) stashed in the time
+// slot's otherwise-unused term cell. All time accessors go through
 // SetTime*/TimeAt, which keep the encoding consistent.
-//
-// Blocks come from a BlockPool and are held through the RAII BlockHandle
-// (moving a handle transfers the block; destruction returns it to the
-// pool's free list). Never allocate a BindingBlock directly — the
-// project lint bans `new BindingBlock` in src/engine/ and the analyzer
-// checks that acquired handles are owned, so blocks cannot leak across
-// the many early returns of the executor.
 #ifndef RDFTX_ENGINE_BLOCK_H_
 #define RDFTX_ENGINE_BLOCK_H_
 
 #include <cstddef>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "dict/dictionary.h"
 #include "temporal/temporal_set.h"
 #include "util/date.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace rdftx::engine {
 
-class BlockPool;
-
-/// One fixed-capacity columnar chunk of (partial) solutions.
-class BindingBlock {
+/// A sequence of rows flowing between vectorized operators. Move-only,
+/// so an accidental deep copy fails to compile.
+class BlockRun {
  public:
-  static constexpr size_t kCapacity = 1024;
+  BlockRun() = default;
+  explicit BlockRun(size_t num_vars) : num_vars_(num_vars) {}
+  BlockRun(BlockRun&&) = default;
+  BlockRun& operator=(BlockRun&&) = default;
+  BlockRun(const BlockRun&) = delete;
+  BlockRun& operator=(const BlockRun&) = delete;
 
-  explicit BindingBlock(size_t num_vars) { Reset(num_vars); }
-
-  /// Reinitializes for reuse: `num_vars` columns, zero rows, all cells
-  /// unbound (terms kInvalidTerm, times empty).
-  void Reset(size_t num_vars) {
-    num_vars_ = num_vars;
-    count_ = 0;
-    terms_.assign(num_vars * kCapacity, kInvalidTerm);
-    tstart_.assign(num_vars * kCapacity, 0);
-    tend_.assign(num_vars * kCapacity, 0);
-    extra_.clear();
-  }
-
-  size_t size() const { return count_; }
-  bool full() const { return count_ == kCapacity; }
-  size_t num_vars() const { return num_vars_; }
-
-  /// Appends an all-unbound row; returns its index. Caller fills cells.
-  size_t AppendRow() { return count_++; }
-
-  /// Column base pointers, one contiguous kCapacity-long array per
-  /// variable slot — the arrays util/simd.h primitives run over.
-  TermId* term_col(int v) {
-    return terms_.data() + static_cast<size_t>(v) * kCapacity;
-  }
-  const TermId* term_col(int v) const {
-    return terms_.data() + static_cast<size_t>(v) * kCapacity;
-  }
-  Chronon* start_col(int v) {
-    return tstart_.data() + static_cast<size_t>(v) * kCapacity;
-  }
-  const Chronon* start_col(int v) const {
-    return tstart_.data() + static_cast<size_t>(v) * kCapacity;
-  }
-  Chronon* end_col(int v) {
-    return tend_.data() + static_cast<size_t>(v) * kCapacity;
-  }
-  const Chronon* end_col(int v) const {
-    return tend_.data() + static_cast<size_t>(v) * kCapacity;
-  }
-
-  // --- temporal element encoding (time-variable slots only) ---
-
-  /// Binds time slot `v` of `row` to the single run [s, e).
-  void SetTimeRun(int v, size_t row, Chronon s, Chronon e) {
-    term_col(v)[row] = 0;
-    start_col(v)[row] = s;
-    end_col(v)[row] = e;
-  }
-
-  /// Binds time slot `v` of `row` to `set` (any number of runs).
-  void SetTime(int v, size_t row, const TemporalSet& set) {
-    if (set.runs().size() == 1) {
-      const Interval& run = set.runs()[0];
-      SetTimeRun(v, row, run.start, run.end);
-      return;
-    }
-    if (set.empty()) {
-      SetTimeRun(v, row, 0, 0);
-      return;
-    }
-    extra_.push_back(set);
-    term_col(v)[row] = static_cast<TermId>(extra_.size());
-    // Keep the inline columns at the element's hull so cheap overlap
-    // prefilters stay sound even for spilled elements.
-    start_col(v)[row] = set.Start();
-    end_col(v)[row] = set.End();
-  }
-
-  bool TimeEmpty(int v, size_t row) const {
-    return term_col(v)[row] == 0 && start_col(v)[row] == end_col(v)[row];
-  }
-
-  /// True when the element is exactly the inline run (no side table).
-  bool TimeIsSingleRun(int v, size_t row) const {
-    return term_col(v)[row] == 0;
-  }
-
-  /// Spilled multi-run element; only valid when !TimeIsSingleRun.
-  const TemporalSet& TimeExtra(int v, size_t row) const {
-    return extra_[term_col(v)[row] - 1];
-  }
-
-  /// Materializes the element of time slot `v` at `row`.
-  TemporalSet TimeAt(int v, size_t row) const {
-    const TermId code = term_col(v)[row];
-    if (code != 0) return extra_[code - 1];
-    const Chronon s = start_col(v)[row];
-    const Chronon e = end_col(v)[row];
-    // >= (not ==): an inverted pair could only come from a bug in an
-    // operator writing the columns, but it must degrade to the empty
-    // set rather than construct an inverted Interval — and the widened
-    // guard lets rdftx-analyzer prove s < e for the construction below.
-    if (s >= e) return TemporalSet();
-    return TemporalSet(Interval(s, e));
-  }
-
- private:
-  size_t num_vars_ = 0;
-  size_t count_ = 0;
-  // Column-major storage: slot v's column spans [v*kCapacity, (v+1)*kCapacity).
-  std::vector<TermId> terms_;
-  std::vector<Chronon> tstart_;
-  std::vector<Chronon> tend_;
-  // Multi-run temporal elements (index + 1 lives in the term column).
-  std::vector<TemporalSet> extra_;
-};
-
-/// Move-only owner of one pooled BindingBlock; returns it to the pool on
-/// destruction. Must not outlive its BlockPool.
-class BlockHandle {
- public:
-  BlockHandle() = default;
-  BlockHandle(BlockHandle&& o) noexcept
-      : block_(std::exchange(o.block_, nullptr)),
-        pool_(std::exchange(o.pool_, nullptr)) {}
-  BlockHandle& operator=(BlockHandle&& o) noexcept {
-    if (this != &o) {
-      ReleaseToPool();
-      block_ = std::exchange(o.block_, nullptr);
-      pool_ = std::exchange(o.pool_, nullptr);
-    }
-    return *this;
-  }
-  BlockHandle(const BlockHandle&) = delete;
-  BlockHandle& operator=(const BlockHandle&) = delete;
-  ~BlockHandle() { ReleaseToPool(); }
-
-  BindingBlock* get() const { return block_; }
-  BindingBlock* operator->() const { return block_; }
-  BindingBlock& operator*() const { return *block_; }
-  explicit operator bool() const { return block_ != nullptr; }
-
- private:
-  friend class BlockPool;
-  BlockHandle(BindingBlock* block, BlockPool* pool)
-      : block_(block), pool_(pool) {}
-
-  void ReleaseToPool();
-
-  BindingBlock* block_ = nullptr;
-  BlockPool* pool_ = nullptr;
-};
-
-/// Thread-safe free list of BindingBlocks. One pool serves all queries
-/// of an engine, so block storage is recycled instead of reallocated per
-/// scan. Blocks are handed out exclusively through BlockHandle.
-class BlockPool {
- public:
-  /// Upper bound on retained free blocks; beyond it, released blocks are
-  /// destroyed so an occasional huge query doesn't pin its peak memory.
-  static constexpr size_t kMaxFree = 64;
-
-  BlockPool() = default;
-  BlockPool(const BlockPool&) = delete;
-  BlockPool& operator=(const BlockPool&) = delete;
-
-  /// Hands out a reset block with `num_vars` columns.
-  BlockHandle Acquire(size_t num_vars) {
-    std::unique_ptr<BindingBlock> block;
-    {
-      util::MutexLock lock(&mu_);
-      if (!free_.empty()) {
-        block = std::move(free_.back());
-        free_.pop_back();
-      }
-    }
-    if (block == nullptr) {
-      block = std::make_unique<BindingBlock>(num_vars);
-    } else {
-      block->Reset(num_vars);
-    }
-    return BlockHandle(block.release(), this);
-  }
-
-  /// Free blocks currently pooled (tests).
-  size_t free_blocks() const {
-    util::MutexLock lock(&mu_);
-    return free_.size();
-  }
-
- private:
-  friend class BlockHandle;
-
-  void Release(BindingBlock* block) {
-    std::unique_ptr<BindingBlock> owned(block);
-    util::MutexLock lock(&mu_);
-    if (free_.size() < kMaxFree) free_.push_back(std::move(owned));
-  }
-
-  mutable util::Mutex mu_ LEAF_MUTEX{"BlockPool::mu_"};
-  std::vector<std::unique_ptr<BindingBlock>> free_ GUARDED_BY(mu_);
-};
-
-inline void BlockHandle::ReleaseToPool() {
-  if (block_ != nullptr) {
-    pool_->Release(block_);
-    block_ = nullptr;
-    pool_ = nullptr;
-  }
-}
-
-/// A sequence of blocks flowing between vectorized operators. Every
-/// block except the last is full, so row i lives at block i / kCapacity,
-/// offset i % kCapacity.
-struct BlockRun {
-  std::vector<BlockHandle> blocks;
   /// Key-variable slot whose term column is globally nondecreasing
   /// across the run, or -1 when no ordering is guaranteed. Merge joins
   /// require both inputs sorted by the join slot.
   int sorted_by = -1;
 
-  size_t size() const {
-    if (blocks.empty()) return 0;
-    return (blocks.size() - 1) * BindingBlock::kCapacity +
-           blocks.back()->size();
-  }
-  bool empty() const { return blocks.empty() || size() == 0; }
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
 
-  BindingBlock& block_of(size_t i) const {
-    return *blocks[i / BindingBlock::kCapacity];
-  }
-  static size_t offset_of(size_t i) { return i % BindingBlock::kCapacity; }
-
-  TermId term(size_t i, int v) const {
-    return block_of(i).term_col(v)[offset_of(i)];
+  /// Makes room for `rows` rows in all, so appends up to there do not
+  /// reallocate.
+  void Reserve(size_t rows) {
+    terms_.reserve(rows * num_vars_);
+    tstart_.reserve(rows * num_vars_);
+    tend_.reserve(rows * num_vars_);
   }
 
-  /// Appends one all-unbound row, growing by a pooled block when the
-  /// tail block is full; returns (block, row index within block).
-  std::pair<BindingBlock*, size_t> Append(BlockPool* pool, size_t num_vars) {
-    if (blocks.empty() || blocks.back()->full()) {
-      blocks.push_back(pool->Acquire(num_vars));
+  /// Appends an all-unbound row (terms kInvalidTerm, times empty);
+  /// returns its index. Caller fills cells.
+  size_t AppendRow() {
+    terms_.resize(terms_.size() + num_vars_, kInvalidTerm);
+    tstart_.resize(tstart_.size() + num_vars_, 0);
+    tend_.resize(tend_.size() + num_vars_, 0);
+    return rows_++;
+  }
+
+  TermId term(size_t i, int v) const { return terms_[Index(i, v)]; }
+  void set_term(size_t i, int v, TermId id) { terms_[Index(i, v)] = id; }
+
+  // --- temporal element encoding (time-variable slots only) ---
+
+  /// Binds time slot `v` of row `i` to the single run [s, e).
+  void SetTimeRun(size_t i, int v, Chronon s, Chronon e) {
+    const size_t c = Index(i, v);
+    terms_[c] = 0;
+    tstart_[c] = s;
+    tend_[c] = e;
+  }
+
+  /// Binds time slot `v` of row `i` to `set` (any number of runs).
+  void SetTime(size_t i, int v, const TemporalSet& set) {
+    if (set.runs().size() == 1) {
+      const Interval& run = set.runs()[0];
+      SetTimeRun(i, v, run.start, run.end);
+      return;
     }
-    BindingBlock* blk = blocks.back().get();
-    return {blk, blk->AppendRow()};
+    if (set.empty()) {
+      SetTimeRun(i, v, 0, 0);
+      return;
+    }
+    extra_.push_back(set);
+    const size_t c = Index(i, v);
+    terms_[c] = static_cast<TermId>(extra_.size());
+    // Keep the inline cells at the element's hull so cheap overlap
+    // prefilters stay sound even for spilled elements.
+    tstart_[c] = set.Start();
+    tend_[c] = set.End();
   }
+
+  bool TimeEmpty(size_t i, int v) const {
+    const size_t c = Index(i, v);
+    return terms_[c] == 0 && tstart_[c] == tend_[c];
+  }
+
+  /// True when the element is exactly the inline run (no side table).
+  bool TimeIsSingleRun(size_t i, int v) const {
+    return terms_[Index(i, v)] == 0;
+  }
+
+  /// The inline run's bounds, or a spilled element's hull.
+  Chronon TimeStart(size_t i, int v) const { return tstart_[Index(i, v)]; }
+  Chronon TimeEnd(size_t i, int v) const { return tend_[Index(i, v)]; }
+
+  /// Spilled multi-run element; only valid when !TimeIsSingleRun.
+  const TemporalSet& TimeExtra(size_t i, int v) const {
+    return extra_[terms_[Index(i, v)] - 1];
+  }
+
+  /// Materializes the element of time slot `v` at row `i`.
+  TemporalSet TimeAt(size_t i, int v) const {
+    const size_t c = Index(i, v);
+    if (terms_[c] != 0) return extra_[terms_[c] - 1];
+    const Chronon s = tstart_[c];
+    const Chronon e = tend_[c];
+    // >= (not ==): an inverted pair could only come from a bug in an
+    // operator writing the cells, but it must degrade to the empty set
+    // rather than construct an inverted Interval — and the widened guard
+    // lets rdftx-analyzer prove s < e for the construction below.
+    if (s >= e) return TemporalSet();
+    return TemporalSet(Interval(s, e));
+  }
+
+ private:
+  size_t Index(size_t i, int v) const {
+    return i * num_vars_ + static_cast<size_t>(v);
+  }
+
+  size_t num_vars_ = 0;
+  size_t rows_ = 0;
+  // Row-major cells: row i, slot v at i * num_vars_ + v.
+  std::vector<TermId> terms_;
+  std::vector<Chronon> tstart_;
+  std::vector<Chronon> tend_;
+  // Multi-run temporal elements (index + 1 lives in the term cell).
+  std::vector<TemporalSet> extra_;
 };
 
 }  // namespace rdftx::engine

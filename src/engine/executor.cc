@@ -255,7 +255,7 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
       }
       const BlockRun group =
           EvalGroup(opt, cq, ctx, run, nullptr, shared, &stats);
-      run = LeftHashJoinRuns(run, group, shared, cq.vars, &block_pool_);
+      run = LeftHashJoinRuns(run, group, shared, cq.vars);
       stats.join_output_rows += run.size();
       for (int slot : block_bound) main_bound.insert(slot);
     }
@@ -322,12 +322,10 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
     // slot means the row cannot contribute.
     if (cq.optionals.empty()) {
       std::erase_if(sel, [&](uint32_t i) {
-        const BindingBlock& blk = run.block_of(i);
-        const size_t r = BlockRun::offset_of(i);
         for (int slot : cq.projection) {
           if (cq.vars[static_cast<size_t>(slot)].is_time
-                  ? blk.TimeEmpty(slot, r)
-                  : blk.term_col(slot)[r] == kInvalidTerm) {
+                  ? run.TimeEmpty(i, slot)
+                  : run.term(i, slot) == kInvalidTerm) {
             return true;
           }
         }
@@ -337,15 +335,13 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
     if (!topk) DistinctRows(run, cq.projection, cq.vars, &sel);
     result.rows.reserve(sel.size());
     for (uint32_t i : sel) {
-      const BindingBlock& blk = run.block_of(i);
-      const size_t r = BlockRun::offset_of(i);
       std::vector<Cell> cells(cq.projection.size());
       for (size_t c = 0; c < cells.size(); ++c) {
         const int slot = cq.projection[c];
         if (cq.vars[static_cast<size_t>(slot)].is_time) {
           cells[c].is_time = true;
-          cells[c].time = blk.TimeAt(slot, r);
-        } else if (const TermId id = blk.term_col(slot)[r];
+          cells[c].time = run.TimeAt(i, slot);
+        } else if (const TermId id = run.term(i, slot);
                    id != kInvalidTerm) {
           cells[c].term = dict_->Decode(id);
         }
@@ -414,9 +410,8 @@ BlockRun QueryEngine::RunChain(const std::vector<CompiledPattern>& patterns,
     }
     BlockRun right;
     VectorizedScan(*store_, pattern(step), num_vars, vars, sort_req[step],
-                   &block_pool_, &right, stats,
-                   step == 0 ? first_filter
-                             : (filter ? &*filter : nullptr));
+                   &right, stats,
+                   step == 0 ? first_filter : (filter ? &*filter : nullptr));
     if (step == 0) {
       acc = std::move(right);
     } else {
@@ -424,21 +419,21 @@ BlockRun QueryEngine::RunChain(const std::vector<CompiledPattern>& patterns,
       bool merged = false;
       if (s >= 0) {
         if (right.sorted_by != s) {  // defensive; scans honor sort_req
-          right = SortRun(right, s, vars, &block_pool_);
+          right = SortRun(right, s, vars);
           ++stats->sort_steps;
         }
         if (acc.sorted_by != s && acc.size() <= kAccSortMax) {
-          acc = SortRun(acc, s, vars, &block_pool_);
+          acc = SortRun(acc, s, vars);
           ++stats->sort_steps;
         }
         if (acc.sorted_by == s) {
-          acc = MergeJoinRuns(acc, right, s, vars, &block_pool_);
+          acc = MergeJoinRuns(acc, right, s, vars);
           ++stats->merge_join_steps;
           merged = true;
         }
       }
       if (!merged) {
-        acc = HashJoinRuns(acc, right, shared[step], vars, &block_pool_);
+        acc = HashJoinRuns(acc, right, shared[step], vars);
         ++stats->hash_join_steps;
       }
       stats->join_output_rows += acc.size();
@@ -482,7 +477,7 @@ BlockRun QueryEngine::EvalGroup(const CompiledOptional& group,
     std::iota(sel.begin(), sel.end(), 0u);
     ApplyFilters(group.filters, run, ctx, &sel);
     if (sel.size() < run.size()) {
-      run = GatherRun(run, sel, cq.vars, &block_pool_);
+      run = GatherRun(run, sel, cq.vars);
     }
   }
   return run;

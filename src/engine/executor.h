@@ -31,9 +31,10 @@ using JoinOrderProvider =
 
 /// A query engine over an immutable-after-load store. A query runs
 /// entirely on the thread that calls Execute(). Execute() is safe to
-/// call concurrently from any number of threads: every query carries its
-/// own ExecStats (returned in ResultSet::stats) and the engine mutates no
-/// shared state on the read path.
+/// call concurrently from any number of threads: every query builds its
+/// own runs and carries its own ExecStats (returned in
+/// ResultSet::stats), and the engine has no mutable member, so the read
+/// path mutates no shared state.
 class QueryEngine {
  public:
   QueryEngine(const TemporalStore* store, const Dictionary* dict,
@@ -97,12 +98,6 @@ class QueryEngine {
   const Dictionary* dict_;
   EngineOptions options_;
   JoinOrderProvider join_order_provider_;
-  /// Recycles binding blocks across queries (internally synchronized,
-  /// so concurrent Execute calls share it safely). It is shared rather
-  /// than made per query because warm blocks are what make it pay: a
-  /// pool per Run was slower on wiki-mix (DESIGN.md §13, "Pooling
-  /// discipline").
-  mutable BlockPool block_pool_;
 };
 
 }  // namespace rdftx::engine

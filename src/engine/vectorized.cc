@@ -21,20 +21,16 @@ namespace {
 
 /// Copies row `i` of `src` onto the end of `out`.
 void CopyRow(const BlockRun& src, size_t i, const std::vector<VarInfo>& vars,
-             BlockPool* pool, BlockRun* out) {
-  const BindingBlock& sb = src.block_of(i);
-  const size_t sr = BlockRun::offset_of(i);
-  auto [blk, r] = out->Append(pool, vars.size());
+             BlockRun* out) {
+  const size_t r = out->AppendRow();
   for (size_t v = 0; v < vars.size(); ++v) {
     const int vi = static_cast<int>(v);
-    if (vars[v].is_time) {
-      if (sb.TimeIsSingleRun(vi, sr)) {
-        blk->SetTimeRun(vi, r, sb.start_col(vi)[sr], sb.end_col(vi)[sr]);
-      } else {
-        blk->SetTime(vi, r, sb.TimeExtra(vi, sr));
-      }
+    if (!vars[v].is_time) {
+      out->set_term(r, vi, src.term(i, vi));
+    } else if (src.TimeIsSingleRun(i, vi)) {
+      out->SetTimeRun(r, vi, src.TimeStart(i, vi), src.TimeEnd(i, vi));
     } else {
-      blk->term_col(vi)[r] = sb.term_col(vi)[sr];
+      out->SetTime(r, vi, src.TimeExtra(i, vi));
     }
   }
 }
@@ -45,8 +41,7 @@ void CopyRow(const BlockRun& src, size_t i, const std::vector<VarInfo>& vars,
 /// row actually carries a multi-run element.
 class RowMerger {
  public:
-  RowMerger(const std::vector<VarInfo>& vars, BlockPool* pool)
-      : vars_(vars), pool_(pool) {
+  explicit RowMerger(const std::vector<VarInfo>& vars) {
     for (size_t v = 0; v < vars.size(); ++v) {
       (vars[v].is_time ? time_slots_ : key_slots_)
           .push_back(static_cast<int>(v));
@@ -58,54 +53,49 @@ class RowMerger {
   /// empty.
   bool Merge(const BlockRun& a, size_t i, const BlockRun& b, size_t j,
              BlockRun* out) {
-    const BindingBlock& ba = a.block_of(i);
-    const size_t ra = BlockRun::offset_of(i);
-    const BindingBlock& bb = b.block_of(j);
-    const size_t rb = BlockRun::offset_of(j);
-
     // Stage the temporal merges first: a row is dropped before any of
     // it is written.
     merged_.clear();
     for (int v : time_slots_) {
-      const bool a_empty = ba.TimeEmpty(v, ra);
-      const bool b_empty = bb.TimeEmpty(v, rb);
+      const bool a_empty = a.TimeEmpty(i, v);
+      const bool b_empty = b.TimeEmpty(j, v);
       if (a_empty && b_empty) continue;  // stays unbound
       MergedTime m;
       m.v = v;
       if (!a_empty && !b_empty) {
-        if (ba.TimeIsSingleRun(v, ra) && bb.TimeIsSingleRun(v, rb)) {
-          m.s = std::max(ba.start_col(v)[ra], bb.start_col(v)[rb]);
-          m.e = std::min(ba.end_col(v)[ra], bb.end_col(v)[rb]);
+        if (a.TimeIsSingleRun(i, v) && b.TimeIsSingleRun(j, v)) {
+          m.s = std::max(a.TimeStart(i, v), b.TimeStart(j, v));
+          m.e = std::min(a.TimeEnd(i, v), b.TimeEnd(j, v));
           if (m.s >= m.e) return false;
         } else {
-          m.set = ba.TimeAt(v, ra).Intersect(bb.TimeAt(v, rb));
+          m.set = a.TimeAt(i, v).Intersect(b.TimeAt(j, v));
           if (m.set.empty()) return false;
           m.use_set = true;
         }
       } else {
-        const BindingBlock& src = a_empty ? bb : ba;
-        const size_t r = a_empty ? rb : ra;
-        if (src.TimeIsSingleRun(v, r)) {
-          m.s = src.start_col(v)[r];
-          m.e = src.end_col(v)[r];
+        const BlockRun& src = a_empty ? b : a;
+        const size_t r = a_empty ? j : i;
+        if (src.TimeIsSingleRun(r, v)) {
+          m.s = src.TimeStart(r, v);
+          m.e = src.TimeEnd(r, v);
         } else {
-          m.set = src.TimeExtra(v, r);
+          m.set = src.TimeExtra(r, v);
           m.use_set = true;
         }
       }
       merged_.push_back(std::move(m));
     }
 
-    auto [blk, r] = out->Append(pool_, vars_.size());
+    const size_t r = out->AppendRow();
     for (int v : key_slots_) {
-      const TermId t = ba.term_col(v)[ra];
-      blk->term_col(v)[r] = t != kInvalidTerm ? t : bb.term_col(v)[rb];
+      const TermId t = a.term(i, v);
+      out->set_term(r, v, t != kInvalidTerm ? t : b.term(j, v));
     }
     for (const MergedTime& m : merged_) {
       if (m.use_set) {
-        blk->SetTime(m.v, r, m.set);
+        out->SetTime(r, m.v, m.set);
       } else {
-        blk->SetTimeRun(m.v, r, m.s, m.e);
+        out->SetTimeRun(r, m.v, m.s, m.e);
       }
     }
     return true;
@@ -120,8 +110,6 @@ class RowMerger {
     TemporalSet set;
   };
 
-  const std::vector<VarInfo>& vars_;
-  BlockPool* pool_;
   std::vector<int> time_slots_;
   std::vector<int> key_slots_;
   std::vector<MergedTime> merged_;
@@ -150,34 +138,28 @@ bool RunKeysMatch(const BlockRun& a, size_t i, const BlockRun& b, size_t j,
 /// leaves it unbound.
 bool TimesCompatible(const BlockRun& a, size_t i, const BlockRun& b,
                      size_t j, int v) {
-  const BindingBlock& ba = a.block_of(i);
-  const size_t ra = BlockRun::offset_of(i);
-  const BindingBlock& bb = b.block_of(j);
-  const size_t rb = BlockRun::offset_of(j);
-  if (ba.TimeEmpty(v, ra) || bb.TimeEmpty(v, rb)) return true;
-  if (ba.TimeIsSingleRun(v, ra) && bb.TimeIsSingleRun(v, rb)) {
-    return std::max(ba.start_col(v)[ra], bb.start_col(v)[rb]) <
-           std::min(ba.end_col(v)[ra], bb.end_col(v)[rb]);
+  if (a.TimeEmpty(i, v) || b.TimeEmpty(j, v)) return true;
+  if (a.TimeIsSingleRun(i, v) && b.TimeIsSingleRun(j, v)) {
+    return std::max(a.TimeStart(i, v), b.TimeStart(j, v)) <
+           std::min(a.TimeEnd(i, v), b.TimeEnd(j, v));
   }
-  return !ba.TimeAt(v, ra).Intersect(bb.TimeAt(v, rb)).empty();
+  return !a.TimeAt(i, v).Intersect(b.TimeAt(j, v)).empty();
 }
 
 /// Hash of run[i]'s values in `slots`, consistent with ValuesEqual.
 uint64_t ValuesHash(const BlockRun& run, size_t i,
                     const std::vector<int>& slots,
                     const std::vector<VarInfo>& vars) {
-  const BindingBlock& b = run.block_of(i);
-  const size_t r = BlockRun::offset_of(i);
   uint64_t h = 0x9E3779B97F4A7C15ull;
   for (int v : slots) {
     if (!vars[static_cast<size_t>(v)].is_time) {
-      h = Mix(h, b.term_col(v)[r]);
-    } else if (b.TimeEmpty(v, r)) {
+      h = Mix(h, run.term(i, v));
+    } else if (run.TimeEmpty(i, v)) {
       h = Mix(h, 0);
-    } else if (b.TimeIsSingleRun(v, r)) {
-      h = Mix(Mix(h, b.start_col(v)[r]), b.end_col(v)[r]);
+    } else if (run.TimeIsSingleRun(i, v)) {
+      h = Mix(Mix(h, run.TimeStart(i, v)), run.TimeEnd(i, v));
     } else {
-      for (const Interval& run_iv : b.TimeExtra(v, r).runs()) {
+      for (const Interval& run_iv : run.TimeExtra(i, v).runs()) {
         h = Mix(Mix(h, run_iv.start), run_iv.end);
       }
     }
@@ -186,33 +168,29 @@ uint64_t ValuesHash(const BlockRun& run, size_t i,
 }
 
 /// Value equality of run[i] and run[j] on `slots`. A spilled temporal
-/// element always has two or more runs (BindingBlock::SetTime keeps one
-/// run inline), so inline and spilled elements never compare equal.
+/// element always has two or more runs (BlockRun::SetTime keeps one run
+/// inline), so inline and spilled elements never compare equal.
 bool ValuesEqual(const BlockRun& run, size_t i, size_t j,
                  const std::vector<int>& slots,
                  const std::vector<VarInfo>& vars) {
-  const BindingBlock& a = run.block_of(i);
-  const size_t ra = BlockRun::offset_of(i);
-  const BindingBlock& b = run.block_of(j);
-  const size_t rb = BlockRun::offset_of(j);
   for (int v : slots) {
     if (!vars[static_cast<size_t>(v)].is_time) {
-      if (a.term_col(v)[ra] != b.term_col(v)[rb]) return false;
+      if (run.term(i, v) != run.term(j, v)) return false;
       continue;
     }
-    const bool ae = a.TimeEmpty(v, ra);
-    if (ae || b.TimeEmpty(v, rb)) {
-      if (ae != b.TimeEmpty(v, rb)) return false;
+    const bool empty = run.TimeEmpty(i, v);
+    if (empty || run.TimeEmpty(j, v)) {
+      if (empty != run.TimeEmpty(j, v)) return false;
       continue;
     }
-    const bool as = a.TimeIsSingleRun(v, ra);
-    if (as != b.TimeIsSingleRun(v, rb)) return false;
-    if (as) {
-      if (a.start_col(v)[ra] != b.start_col(v)[rb] ||
-          a.end_col(v)[ra] != b.end_col(v)[rb]) {
+    const bool single = run.TimeIsSingleRun(i, v);
+    if (single != run.TimeIsSingleRun(j, v)) return false;
+    if (single) {
+      if (run.TimeStart(i, v) != run.TimeStart(j, v) ||
+          run.TimeEnd(i, v) != run.TimeEnd(j, v)) {
         return false;
       }
-    } else if (!(a.TimeExtra(v, ra) == b.TimeExtra(v, rb))) {
+    } else if (!(run.TimeExtra(i, v) == run.TimeExtra(j, v))) {
       return false;
     }
   }
@@ -281,8 +259,8 @@ void RadixOrder(const std::vector<const uint64_t*>& cols, size_t n,
 
 void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                     size_t num_vars, const std::vector<VarInfo>& vars,
-                    int sort_slot, BlockPool* pool, BlockRun* out,
-                    ExecStats* stats, const KeyFilter* key_filter) {
+                    int sort_slot, BlockRun* out, ExecStats* stats,
+                    const KeyFilter* key_filter) {
   // A live Epoch scans as its base graph plus one overlay patch.
   const auto* graph = dynamic_cast<const TemporalGraph*>(&store);
   const auto* epoch =
@@ -295,18 +273,21 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
     // store-agnostic.
     std::vector<Row> rows;
     ScanToRows(store, cp, num_vars, vars, &rows, stats);
-    if (sort_slot >= 0 && (cp.var_s == sort_slot || cp.var_p == sort_slot ||
-                           cp.var_o == sort_slot)) {
+    const bool sort = sort_slot >= 0 && (cp.var_s == sort_slot ||
+                                         cp.var_p == sort_slot ||
+                                         cp.var_o == sort_slot);
+    if (sort) {
       const size_t ss = static_cast<size_t>(sort_slot);
       std::stable_sort(rows.begin(), rows.end(),
                        [ss](const Row& x, const Row& y) {
                          return x.terms[ss] < y.terms[ss];
                        });
-      out->sorted_by = sort_slot;
     }
-    AppendRowsToRun(rows, vars, pool, out);
+    *out = RowsToRun(rows, vars);
+    if (sort) out->sorted_by = sort_slot;
     return;
   }
+  *out = BlockRun(num_vars);
 
   if (stats != nullptr) ++stats->patterns_scanned;
   if (cp.never_matches || cp.spec.time.empty()) return;
@@ -456,8 +437,9 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
   RadixOrder(cols, total, &idx);
   out->sorted_by = col_slots.empty() ? -1 : col_slots[0];
 
-  std::vector<Interval> runs;  // one group's runs, reused across groups
-  size_t emitted = 0;
+  // A group becomes a row when one of its runs meets the window. The
+  // groups are found first so the run reserves its exact size.
+  std::vector<std::pair<uint32_t, uint32_t>> groups;  // [g, h) in idx
   for (size_t g = 0; g < total;) {
     const uint32_t f0 = idx[g];
     size_t h = g + 1;
@@ -467,17 +449,22 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                                     })) {
       ++h;
     }
-    bool meets = false;
-    for (size_t q = g; q < h && !meets; ++q) {
-      meets = MeetsWindow(cp, fstart[idx[q]], fend[idx[q]]);
+    for (size_t q = g; q < h; ++q) {
+      if (MeetsWindow(cp, fstart[idx[q]], fend[idx[q]])) {
+        groups.emplace_back(g, h);
+        break;
+      }
     }
-    if (!meets) {
-      g = h;
-      continue;
-    }
-    auto [blk, r] = out->Append(pool, num_vars);
+    g = h;
+  }
+  out->Reserve(groups.size());
+
+  std::vector<Interval> runs;  // one group's runs, reused across groups
+  for (const auto& [g, h] : groups) {
+    const uint32_t f0 = idx[g];
+    const size_t r = out->AppendRow();
     for (int x = 0; x < 3; ++x) {
-      if (slots[x] >= 0) blk->term_col(slots[x])[r] = keys[x][f0];
+      if (slots[x] >= 0) out->set_term(r, slots[x], keys[x][f0]);
     }
     if (cp.var_t >= 0) {
       // Clip to the scan window (a no-op under all of history) and
@@ -489,48 +476,47 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
       }
       TemporalSet::Coalesce(&runs);
       if (runs.size() == 1) {
-        blk->SetTimeRun(cp.var_t, r, runs[0].start, runs[0].end);
+        out->SetTimeRun(r, cp.var_t, runs[0].start, runs[0].end);
       } else {
-        blk->SetTime(cp.var_t, r, TemporalSet::FromIntervals(runs));
+        out->SetTime(r, cp.var_t, TemporalSet::FromIntervals(runs));
       }
     }
-    ++emitted;
-    g = h;
   }
   scan.fragments_gathered += total;
   if (stats != nullptr) {
-    stats->rows_scanned += emitted;
+    stats->rows_scanned += groups.size();
     stats->key_filtered_fragments += key_filtered;
     stats->scan.MergeFrom(scan);
   }
 }
 
 BlockRun SortRun(const BlockRun& in, int slot,
-                 const std::vector<VarInfo>& vars, BlockPool* pool) {
+                 const std::vector<VarInfo>& vars) {
   const size_t n = in.size();
   std::vector<TermId> keys(n);
   for (size_t i = 0; i < n; ++i) keys[i] = in.term(i, slot);
   std::vector<uint32_t> idx;
   RadixOrder({keys.data()}, n, &idx);
-  BlockRun out = GatherRun(in, idx, vars, pool);
+  BlockRun out = GatherRun(in, idx, vars);
   out.sorted_by = slot;
   return out;
 }
 
 BlockRun GatherRun(const BlockRun& in, const RowSelection& rows,
-                   const std::vector<VarInfo>& vars, BlockPool* pool) {
-  BlockRun out;
-  for (uint32_t i : rows) CopyRow(in, i, vars, pool, &out);
+                   const std::vector<VarInfo>& vars) {
+  BlockRun out(vars.size());
+  out.Reserve(rows.size());
+  for (uint32_t i : rows) CopyRow(in, i, vars, &out);
   return out;
 }
 
 BlockRun MergeJoinRuns(const BlockRun& left, const BlockRun& right, int slot,
-                       const std::vector<VarInfo>& vars, BlockPool* pool) {
-  BlockRun out;
+                       const std::vector<VarInfo>& vars) {
+  BlockRun out(vars.size());
   out.sorted_by = slot;
   const size_t na = left.size();
   const size_t nb = right.size();
-  RowMerger merger(vars, pool);
+  RowMerger merger(vars);
   size_t i = 0;
   size_t j = 0;
   while (i < na && j < nb) {
@@ -559,8 +545,8 @@ BlockRun MergeJoinRuns(const BlockRun& left, const BlockRun& right, int slot,
 
 BlockRun HashJoinRuns(const BlockRun& left, const BlockRun& right,
                       const std::vector<int>& shared_key_slots,
-                      const std::vector<VarInfo>& vars, BlockPool* pool) {
-  BlockRun out;
+                      const std::vector<VarInfo>& vars) {
+  BlockRun out(vars.size());
   if (left.empty() || right.empty()) return out;
   const BlockRun& build = left.size() <= right.size() ? left : right;
   const BlockRun& probe = left.size() <= right.size() ? right : left;
@@ -570,7 +556,7 @@ BlockRun HashJoinRuns(const BlockRun& left, const BlockRun& right,
     table.emplace(RunRowHash(build, i, shared_key_slots),
                   static_cast<uint32_t>(i));
   }
-  RowMerger merger(vars, pool);
+  RowMerger merger(vars);
   for (size_t j = 0, n = probe.size(); j < n; ++j) {
     auto [lo, hi] = table.equal_range(RunRowHash(probe, j, shared_key_slots));
     for (auto it = lo; it != hi; ++it) {
@@ -584,15 +570,15 @@ BlockRun HashJoinRuns(const BlockRun& left, const BlockRun& right,
 
 BlockRun LeftHashJoinRuns(const BlockRun& left, const BlockRun& right,
                           const std::vector<int>& shared_key_slots,
-                          const std::vector<VarInfo>& vars, BlockPool* pool) {
-  BlockRun out;
+                          const std::vector<VarInfo>& vars) {
+  BlockRun out(vars.size());
   std::unordered_multimap<uint64_t, uint32_t> table;
   table.reserve(right.size());
   for (size_t j = 0, n = right.size(); j < n; ++j) {
     table.emplace(RunRowHash(right, j, shared_key_slots),
                   static_cast<uint32_t>(j));
   }
-  RowMerger merger(vars, pool);
+  RowMerger merger(vars);
   for (size_t i = 0, n = left.size(); i < n; ++i) {
     bool matched = false;
     auto [lo, hi] = table.equal_range(RunRowHash(left, i, shared_key_slots));
@@ -601,7 +587,7 @@ BlockRun LeftHashJoinRuns(const BlockRun& left, const BlockRun& right,
       if (!RunKeysMatch(left, i, right, j, shared_key_slots)) continue;
       matched |= merger.Merge(left, i, right, j, &out);
     }
-    if (!matched) CopyRow(left, i, vars, pool, &out);
+    if (!matched) CopyRow(left, i, vars, &out);
   }
   return out;
 }
@@ -678,15 +664,13 @@ void DistinctRows(const BlockRun& run, const std::vector<int>& slots,
 
 void LoadRow(const BlockRun& run, size_t i, const std::vector<VarInfo>& vars,
              Row* row) {
-  const BindingBlock& blk = run.block_of(i);
-  const size_t r = BlockRun::offset_of(i);
   for (size_t v = 0; v < vars.size(); ++v) {
     const int vi = static_cast<int>(v);
     if (vars[v].is_time) {
       row->terms[v] = kInvalidTerm;
-      row->times[v] = blk.TimeAt(vi, r);
+      row->times[v] = run.TimeAt(i, vi);
     } else {
-      row->terms[v] = blk.term_col(vi)[r];
+      row->terms[v] = run.term(i, vi);
     }
   }
 }
@@ -703,21 +687,22 @@ std::vector<Row> RunToRows(const BlockRun& run,
   return rows;
 }
 
-void AppendRowsToRun(const std::vector<Row>& rows,
-                     const std::vector<VarInfo>& vars, BlockPool* pool,
-                     BlockRun* out) {
-  const size_t nv = vars.size();
+BlockRun RowsToRun(const std::vector<Row>& rows,
+                   const std::vector<VarInfo>& vars) {
+  BlockRun out(vars.size());
+  out.Reserve(rows.size());
   for (const Row& row : rows) {
-    auto [blk, r] = out->Append(pool, nv);
-    for (size_t v = 0; v < nv; ++v) {
+    const size_t r = out.AppendRow();
+    for (size_t v = 0; v < vars.size(); ++v) {
       const int vi = static_cast<int>(v);
       if (vars[v].is_time) {
-        if (!row.times[v].empty()) blk->SetTime(vi, r, row.times[v]);
+        if (!row.times[v].empty()) out.SetTime(r, vi, row.times[v]);
       } else {
-        blk->term_col(vi)[r] = row.terms[v];
+        out.set_term(r, vi, row.terms[v]);
       }
     }
   }
+  return out;
 }
 
 }  // namespace rdftx::engine

@@ -1,10 +1,11 @@
 // Vectorized (batch-at-a-time) physical operators: index scans that
 // filter whole leaf columns with util/simd.h masks and emit sorted
-// BlockRuns, a sort-merge join over index-sorted runs, a columnar hash
-// join for the shapes merge cannot serve, and the run operators of the
-// query tail (left join, semi/anti-join, selection, duplicate
-// elimination). QueryEngine composes them into the engine's one
-// pipeline.
+// BlockRuns, a sort-merge join over index-sorted runs, a hash join for
+// the shapes merge cannot serve, and the run operators of the query tail
+// (left join, semi/anti-join, selection, duplicate elimination).
+// QueryEngine composes them into the engine's one pipeline. Every
+// operator builds its output run itself, so none of them shares state
+// with another query.
 #ifndef RDFTX_ENGINE_VECTORIZED_H_
 #define RDFTX_ENGINE_VECTORIZED_H_
 
@@ -56,8 +57,9 @@ class KeyFilter {
 /// equality) and, when given and the pattern binds its slot, the key
 /// filter; gathers the survivors' variable components and runs through a
 /// selection vector, groups fragments per triple with one RadixOrder over
-/// the variable components, and appends one row per matching triple to
-/// `out`, its runs clipped to the scan window and coalesced (one inline
+/// the variable components, and fills `out` (replacing what it held) with
+/// one row per matching triple, its runs clipped to the scan window and
+/// coalesced (one inline
 /// run, or a multi-run element only where the runs have gaps); a
 /// full-validity pattern scans all of history and keeps a triple when
 /// one of its runs meets the window (ScanSpec).
@@ -77,8 +79,8 @@ class KeyFilter {
 /// and the oracle always checks the filtered path.
 void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                     size_t num_vars, const std::vector<VarInfo>& vars,
-                    int sort_slot, BlockPool* pool, BlockRun* out,
-                    ExecStats* stats, const KeyFilter* key_filter = nullptr);
+                    int sort_slot, BlockRun* out, ExecStats* stats,
+                    const KeyFilter* key_filter = nullptr);
 
 /// Stable LSD radix order over key columns: fills `pos` with 0..n-1
 /// arranged so that the tuples (cols[0][i], cols[1][i], ...) ascend, the
@@ -92,11 +94,11 @@ void RadixOrder(const std::vector<const uint64_t*>& cols, size_t n,
 /// Stable-sorts a run by the term column of key slot `slot` (RadixOrder
 /// over that column).
 BlockRun SortRun(const BlockRun& in, int slot,
-                 const std::vector<VarInfo>& vars, BlockPool* pool);
+                 const std::vector<VarInfo>& vars);
 
 /// Copies rows `rows` of `in`, in that order, into a new run.
 BlockRun GatherRun(const BlockRun& in, const RowSelection& rows,
-                   const std::vector<VarInfo>& vars, BlockPool* pool);
+                   const std::vector<VarInfo>& vars);
 
 /// Sort-merge join over two runs sorted by key slot `slot`
 /// (sorted_by == slot on both). Within each equal-key group the cross
@@ -105,13 +107,13 @@ BlockRun GatherRun(const BlockRun& in, const RowSelection& rows,
 /// and an empty intersection drops the row. Output stays sorted by
 /// `slot`.
 BlockRun MergeJoinRuns(const BlockRun& left, const BlockRun& right, int slot,
-                       const std::vector<VarInfo>& vars, BlockPool* pool);
+                       const std::vector<VarInfo>& vars);
 
 /// Hash join over runs on `shared_key_slots` (term equality; cross
 /// product when empty), with the same merge semantics as HashJoinRows.
 BlockRun HashJoinRuns(const BlockRun& left, const BlockRun& right,
                       const std::vector<int>& shared_key_slots,
-                      const std::vector<VarInfo>& vars, BlockPool* pool);
+                      const std::vector<VarInfo>& vars);
 
 /// Left outer hash join for OPTIONAL groups, with the semantics of
 /// LeftHashJoinRows: a left row joins every right row with equal terms
@@ -120,7 +122,7 @@ BlockRun HashJoinRuns(const BlockRun& left, const BlockRun& right,
 /// is kept once with the right side's variables unbound.
 BlockRun LeftHashJoinRuns(const BlockRun& left, const BlockRun& right,
                           const std::vector<int>& shared_key_slots,
-                          const std::vector<VarInfo>& vars, BlockPool* pool);
+                          const std::vector<VarInfo>& vars);
 
 /// Semi-join (anti-join when `negated`) for FILTER [NOT] EXISTS: keeps
 /// the rows `sel` of `left` that have (lack) a compatible row in
@@ -145,13 +147,43 @@ void DistinctRows(const BlockRun& run, const std::vector<int>& slots,
 void LoadRow(const BlockRun& run, size_t i, const std::vector<VarInfo>& vars,
              Row* row);
 
-/// Boundary converters between the columnar and row representations,
-/// for callers of the row operators (the engine itself stays columnar).
+/// Boundary converters between runs and Rows, for callers of the row
+/// operators (the engine itself stays on runs).
 std::vector<Row> RunToRows(const BlockRun& run,
                            const std::vector<VarInfo>& vars);
-void AppendRowsToRun(const std::vector<Row>& rows,
-                     const std::vector<VarInfo>& vars, BlockPool* pool,
-                     BlockRun* out);
+BlockRun RowsToRun(const std::vector<Row>& rows,
+                   const std::vector<VarInfo>& vars);
+
+// --- Kept only for the frozen end-to-end benchmark (perfbench/) ---
+// perfbench still passes a block pool to these four operators. The pool
+// holds nothing and the overloads ignore it. Nothing in the library, its
+// tests or its benches calls them; they go at the next change to the
+// benchmark.
+struct BlockPool {};
+
+inline void VectorizedScan(const TemporalStore& store,
+                           const CompiledPattern& cp, size_t num_vars,
+                           const std::vector<VarInfo>& vars, int sort_slot,
+                           BlockPool* /*pool*/, BlockRun* out,
+                           ExecStats* stats) {
+  VectorizedScan(store, cp, num_vars, vars, sort_slot, out, stats);
+}
+inline BlockRun SortRun(const BlockRun& in, int slot,
+                        const std::vector<VarInfo>& vars,
+                        BlockPool* /*pool*/) {
+  return SortRun(in, slot, vars);
+}
+inline BlockRun MergeJoinRuns(const BlockRun& left, const BlockRun& right,
+                              int slot, const std::vector<VarInfo>& vars,
+                              BlockPool* /*pool*/) {
+  return MergeJoinRuns(left, right, slot, vars);
+}
+inline BlockRun HashJoinRuns(const BlockRun& left, const BlockRun& right,
+                             const std::vector<int>& shared_key_slots,
+                             const std::vector<VarInfo>& vars,
+                             BlockPool* /*pool*/) {
+  return HashJoinRuns(left, right, shared_key_slots, vars);
+}
 
 }  // namespace rdftx::engine
 

@@ -8,8 +8,10 @@
 // rectangles, carrying dominance bases forward with the uniform-
 // distribution approximation of the paper's leafEntrySplit (Fig. 6).
 // Estimation combines the frozen base value v with the current count c
-// scaled by the covered-area ratio (§6.3). Setting cm = 1 degenerates to
-// (nearly) the exact MVSBT behaviour.
+// scaled by the covered-area ratio (§6.3). Only the whole-domain count
+// is exact, because every split conserves the shares. Per-key counts
+// stay approximate even at cm = 1 with strictly increasing times: each
+// split spreads the carried base over its key range.
 //
 // Like MVSBT, points must arrive in nondecreasing time order, which the
 // transaction-time setting guarantees.

@@ -1,7 +1,7 @@
-// Unit tests of the vectorized execution layer: BindingBlock time
-// encoding, BlockPool/BlockHandle RAII, columnar leaf decode, the
-// sorted-run operators (sort, merge join, hash join) against the tuple
-// operators on randomized inputs, VectorizedScan against ScanToRows on
+// Unit tests of the vectorized execution layer: the BlockRun time
+// encoding, columnar leaf decode, the run operators (sort, gather, merge
+// join, hash join, left join) against the tuple operators on randomized
+// inputs, VectorizedScan against ScanToRows on
 // random graphs and over live Epochs (base graph plus overlay), and the
 // executor's merge/hash/sort choices and join counters against the
 // NaiveStore oracle.
@@ -30,77 +30,45 @@
 namespace rdftx::engine {
 namespace {
 
-// --- BindingBlock encoding ---
+// --- BlockRun encoding ---
 
-TEST(BindingBlockTest, TimeEncodingRoundTrips) {
-  BlockPool pool;
-  BlockHandle h = pool.Acquire(2);
-  const size_t r0 = h->AppendRow();
-  const size_t r1 = h->AppendRow();
-  const size_t r2 = h->AppendRow();
+TEST(BlockRunTest, TimeEncodingRoundTrips) {
+  BlockRun run(2);
+  const size_t r0 = run.AppendRow();
+  const size_t r1 = run.AppendRow();
+  const size_t r2 = run.AppendRow();
 
   // Single run: inline, no side table.
-  h->SetTimeRun(1, r0, 10, 20);
-  EXPECT_TRUE(h->TimeIsSingleRun(1, r0));
-  EXPECT_FALSE(h->TimeEmpty(1, r0));
-  EXPECT_EQ(h->TimeAt(1, r0), TemporalSet(Interval(10, 20)));
+  run.SetTimeRun(r0, 1, 10, 20);
+  EXPECT_TRUE(run.TimeIsSingleRun(r0, 1));
+  EXPECT_FALSE(run.TimeEmpty(r0, 1));
+  EXPECT_EQ(run.TimeAt(r0, 1), TemporalSet(Interval(10, 20)));
 
-  // Multi-run: spills, inline columns keep the hull.
+  // Multi-run: spills, inline cells keep the hull.
   TemporalSet multi = TemporalSet::FromIntervals({{5, 8}, {12, 30}});
-  h->SetTime(1, r1, multi);
-  EXPECT_FALSE(h->TimeIsSingleRun(1, r1));
-  EXPECT_EQ(h->TimeAt(1, r1), multi);
-  EXPECT_EQ(h->start_col(1)[r1], 5u);
-  EXPECT_EQ(h->end_col(1)[r1], 30u);
+  run.SetTime(r1, 1, multi);
+  EXPECT_FALSE(run.TimeIsSingleRun(r1, 1));
+  EXPECT_EQ(run.TimeAt(r1, 1), multi);
+  EXPECT_EQ(run.TimeStart(r1, 1), 5u);
+  EXPECT_EQ(run.TimeEnd(r1, 1), 30u);
 
   // Empty set and untouched rows read as unbound.
-  h->SetTime(1, r2, TemporalSet());
-  EXPECT_TRUE(h->TimeEmpty(1, r2));
-  EXPECT_TRUE(h->TimeAt(1, r2).empty());
+  run.SetTime(r2, 1, TemporalSet());
+  EXPECT_TRUE(run.TimeEmpty(r2, 1));
+  EXPECT_TRUE(run.TimeAt(r2, 1).empty());
+  EXPECT_EQ(run.term(r2, 0), kInvalidTerm);
 
   // A single-run set routed through SetTime stays inline.
-  const size_t r3 = h->AppendRow();
-  h->SetTime(1, r3, TemporalSet(Interval(3, 4)));
-  EXPECT_TRUE(h->TimeIsSingleRun(1, r3));
-  EXPECT_EQ(h->TimeAt(1, r3), TemporalSet(Interval(3, 4)));
-}
+  const size_t r3 = run.AppendRow();
+  run.SetTime(r3, 1, TemporalSet(Interval(3, 4)));
+  EXPECT_TRUE(run.TimeIsSingleRun(r3, 1));
+  EXPECT_EQ(run.TimeAt(r3, 1), TemporalSet(Interval(3, 4)));
+  EXPECT_TRUE(run.TimeEmpty(r3, 0));
 
-TEST(BindingBlockTest, PoolRecyclesThroughHandles) {
-  BlockPool pool;
-  EXPECT_EQ(pool.free_blocks(), 0u);
-  {
-    BlockHandle a = pool.Acquire(3);
-    BlockHandle b = pool.Acquire(1);
-    EXPECT_EQ(a->num_vars(), 3u);
-    EXPECT_EQ(b->num_vars(), 1u);
-    // Moving transfers ownership; the source releases nothing twice.
-    BlockHandle c = std::move(a);
-    EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-    EXPECT_TRUE(static_cast<bool>(c));
-    EXPECT_EQ(pool.free_blocks(), 0u);
-  }
-  EXPECT_EQ(pool.free_blocks(), 2u);
-  // Reacquiring reuses a pooled block, reset to the new column count.
-  BlockHandle d = pool.Acquire(5);
-  EXPECT_EQ(pool.free_blocks(), 1u);
-  EXPECT_EQ(d->num_vars(), 5u);
-  EXPECT_EQ(d->size(), 0u);
-  EXPECT_EQ(d->term_col(4)[BindingBlock::kCapacity - 1], kInvalidTerm);
-}
-
-TEST(BindingBlockTest, RunAppendSpansBlocks) {
-  BlockPool pool;
-  BlockRun run;
-  const size_t total = BindingBlock::kCapacity + 5;
-  for (size_t i = 0; i < total; ++i) {
-    auto [blk, r] = run.Append(&pool, 1);
-    blk->term_col(0)[r] = i + 1;
-  }
-  EXPECT_EQ(run.blocks.size(), 2u);
-  EXPECT_EQ(run.size(), total);
-  for (size_t i = 0; i < total; ++i) {
-    EXPECT_EQ(run.term(i, 0), i + 1);
-  }
+  // Earlier rows keep their cells as the run grows.
+  EXPECT_EQ(run.size(), 4u);
+  EXPECT_EQ(run.TimeAt(r0, 1), TemporalSet(Interval(10, 20)));
+  EXPECT_EQ(run.TimeAt(r1, 1), multi);
 }
 
 // --- columnar leaf decode ---
@@ -239,14 +207,12 @@ TEST(RadixOrderTest, MatchesStableSortOnDuplicateHeavyColumns) {
 TEST(RunOperatorsTest, SortRunOrdersBySlotAndKeepsRows) {
   Rng rng(91);
   const std::vector<VarInfo> vars = MakeVars(2, true);
-  BlockPool pool;
   std::vector<Row> rows;
   for (int i = 0; i < 2500; ++i) rows.push_back(RandomRow(3, vars, &rng));
-  BlockRun run;
-  AppendRowsToRun(rows, vars, &pool, &run);
+  BlockRun run = RowsToRun(rows, vars);
   ASSERT_EQ(run.size(), rows.size());
 
-  BlockRun sorted = SortRun(run, 1, vars, &pool);
+  BlockRun sorted = SortRun(run, 1, vars);
   EXPECT_EQ(sorted.sorted_by, 1);
   ASSERT_EQ(sorted.size(), rows.size());
   for (size_t i = 1; i < sorted.size(); ++i) {
@@ -258,7 +224,6 @@ TEST(RunOperatorsTest, SortRunOrdersBySlotAndKeepsRows) {
 
 TEST(RunOperatorsTest, MergeAndHashJoinsMatchTupleHashJoin) {
   const std::vector<VarInfo> vars = MakeVars(3, true);
-  BlockPool pool;
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
     Rng rng(seed);
     // Left binds slots {0,1,t}, right binds {1,2,t}: shared key slot 1,
@@ -278,13 +243,12 @@ TEST(RunOperatorsTest, MergeAndHashJoinsMatchTupleHashJoin) {
     const std::vector<std::string> want =
         SortedKeys(HashJoinRows(left, right, shared), vars);
 
-    BlockRun lrun, rrun;
-    AppendRowsToRun(left, vars, &pool, &lrun);
-    AppendRowsToRun(right, vars, &pool, &rrun);
+    BlockRun lrun = RowsToRun(left, vars);
+    BlockRun rrun = RowsToRun(right, vars);
 
-    BlockRun lsorted = SortRun(lrun, 1, vars, &pool);
-    BlockRun rsorted = SortRun(rrun, 1, vars, &pool);
-    BlockRun merged = MergeJoinRuns(lsorted, rsorted, 1, vars, &pool);
+    BlockRun lsorted = SortRun(lrun, 1, vars);
+    BlockRun rsorted = SortRun(rrun, 1, vars);
+    BlockRun merged = MergeJoinRuns(lsorted, rsorted, 1, vars);
     EXPECT_EQ(merged.sorted_by, 1);
     EXPECT_EQ(SortedKeys(RunToRows(merged, vars), vars), want)
         << "merge join, seed " << seed;
@@ -292,7 +256,7 @@ TEST(RunOperatorsTest, MergeAndHashJoinsMatchTupleHashJoin) {
       EXPECT_LE(merged.term(i - 1, 1), merged.term(i, 1));
     }
 
-    BlockRun hashed = HashJoinRuns(lrun, rrun, shared, vars, &pool);
+    BlockRun hashed = HashJoinRuns(lrun, rrun, shared, vars);
     EXPECT_EQ(SortedKeys(RunToRows(hashed, vars), vars), want)
         << "hash join, seed " << seed;
   }
@@ -300,7 +264,6 @@ TEST(RunOperatorsTest, MergeAndHashJoinsMatchTupleHashJoin) {
 
 TEST(RunOperatorsTest, HashJoinRunsCrossProductOnNoSharedSlots) {
   const std::vector<VarInfo> vars = MakeVars(2, true);
-  BlockPool pool;
   Rng rng(31);
   std::vector<Row> left, right;
   for (int i = 0; i < 40; ++i) {
@@ -314,17 +277,15 @@ TEST(RunOperatorsTest, HashJoinRunsCrossProductOnNoSharedSlots) {
     right.push_back(std::move(row));
   }
   const std::vector<int> none;
-  BlockRun lrun, rrun;
-  AppendRowsToRun(left, vars, &pool, &lrun);
-  AppendRowsToRun(right, vars, &pool, &rrun);
-  BlockRun out = HashJoinRuns(lrun, rrun, none, vars, &pool);
+  BlockRun lrun = RowsToRun(left, vars);
+  BlockRun rrun = RowsToRun(right, vars);
+  BlockRun out = HashJoinRuns(lrun, rrun, none, vars);
   EXPECT_EQ(SortedKeys(RunToRows(out, vars), vars),
             SortedKeys(HashJoinRows(left, right, none), vars));
 }
 
 TEST(RunOperatorsTest, LeftHashJoinRunsMatchesTupleLeftJoin) {
   const std::vector<VarInfo> vars = MakeVars(3, true);
-  BlockPool pool;
   for (uint64_t seed : {21u, 22u, 23u}) {
     Rng rng(seed);
     // Left binds {0,1,t} and sometimes leaves key 1 unbound (an earlier
@@ -343,10 +304,9 @@ TEST(RunOperatorsTest, LeftHashJoinRunsMatchesTupleLeftJoin) {
       right.push_back(std::move(row));
     }
     const std::vector<int> shared = {1};
-    BlockRun lrun, rrun;
-    AppendRowsToRun(left, vars, &pool, &lrun);
-    AppendRowsToRun(right, vars, &pool, &rrun);
-    BlockRun out = LeftHashJoinRuns(lrun, rrun, shared, vars, &pool);
+    BlockRun lrun = RowsToRun(left, vars);
+    BlockRun rrun = RowsToRun(right, vars);
+    BlockRun out = LeftHashJoinRuns(lrun, rrun, shared, vars);
     EXPECT_EQ(SortedKeys(RunToRows(out, vars), vars),
               SortedKeys(LeftHashJoinRows(left, right, shared), vars))
         << "seed " << seed;
@@ -355,19 +315,17 @@ TEST(RunOperatorsTest, LeftHashJoinRunsMatchesTupleLeftJoin) {
 
 TEST(RunOperatorsTest, GatherRunCopiesTheSelectedRowsInOrder) {
   const std::vector<VarInfo> vars = MakeVars(2, true);
-  BlockPool pool;
   Rng rng(41);
   std::vector<Row> rows;
   for (int i = 0; i < 2500; ++i) rows.push_back(RandomRow(3, vars, &rng));
-  BlockRun run;
-  AppendRowsToRun(rows, vars, &pool, &run);
+  BlockRun run = RowsToRun(rows, vars);
   const std::vector<Row> all = RunToRows(run, vars);
   // A random selection in random order, with repeats.
   RowSelection sel;
   for (int i = 0; i < 1800; ++i) {
     sel.push_back(static_cast<uint32_t>(rng.Uniform(rows.size())));
   }
-  const BlockRun gathered = GatherRun(run, sel, vars, &pool);
+  const BlockRun gathered = GatherRun(run, sel, vars);
   const std::vector<Row> got = RunToRows(gathered, vars);
   ASSERT_EQ(got.size(), sel.size());
   for (size_t q = 0; q < sel.size(); ++q) {
@@ -404,7 +362,6 @@ class VectorizedScanTest : public ::testing::Test {
 
 TEST_F(VectorizedScanTest, MatchesScanToRowsOnAllPatternShapes) {
   Rng rng(556);
-  BlockPool pool;
   for (int round = 0; round < 3; ++round) {
     for (uint64_t mask = 0; mask < 8; ++mask) {
       const TemporalTriple& tt = data_[rng.Uniform(data_.size())];
@@ -441,8 +398,8 @@ TEST_F(VectorizedScanTest, MatchesScanToRowsOnAllPatternShapes) {
 
       ExecStats stats;
       BlockRun run;
-      VectorizedScan(graph_, cp, num_vars, vars, /*sort_slot=*/-1, &pool,
-                     &run, &stats);
+      VectorizedScan(graph_, cp, num_vars, vars, /*sort_slot=*/-1, &run,
+                     &stats);
       EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
                 SortedKeys(want, vars))
           << "mask " << mask;
@@ -452,8 +409,8 @@ TEST_F(VectorizedScanTest, MatchesScanToRowsOnAllPatternShapes) {
       // A requested ordering on a bound key slot is honored.
       if (cp.var_o >= 0) {
         BlockRun sorted_run;
-        VectorizedScan(graph_, cp, num_vars, vars, cp.var_o, &pool,
-                       &sorted_run, nullptr);
+        VectorizedScan(graph_, cp, num_vars, vars, cp.var_o, &sorted_run,
+                       nullptr);
         EXPECT_EQ(sorted_run.sorted_by, cp.var_o);
         for (size_t i = 1; i < sorted_run.size(); ++i) {
           EXPECT_LE(sorted_run.term(i - 1, cp.var_o),
@@ -476,9 +433,8 @@ TEST_F(VectorizedScanTest, RepeatedVariableSlotsFilterEquality) {
                                      {"p", false, false}};
   std::vector<Row> want;
   ScanToRows(graph_, cp, 2, vars, &want);
-  BlockPool pool;
   BlockRun run;
-  VectorizedScan(graph_, cp, 2, vars, -1, &pool, &run, nullptr);
+  VectorizedScan(graph_, cp, 2, vars, -1, &run, nullptr);
   EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), SortedKeys(want, vars));
 }
 
@@ -486,7 +442,6 @@ TEST_F(VectorizedScanTest, RepeatedVariableSlotsFilterEquality) {
 
 TEST_F(VectorizedScanTest, KeyFilterKeepsEveryMatchingRowAndTheSortOrder) {
   Rng rng(557);
-  BlockPool pool;
   const std::vector<VarInfo> vars = {
       {"s", false, false}, {"o", false, false}, {"t", true, false}};
   // The filter on the subject slot, then on the object slot: the two
@@ -510,8 +465,8 @@ TEST_F(VectorizedScanTest, KeyFilterKeepsEveryMatchingRowAndTheSortOrder) {
 
       ExecStats all_stats, some_stats;
       BlockRun all, some;
-      VectorizedScan(graph_, cp, 3, vars, slot, &pool, &all, &all_stats);
-      VectorizedScan(graph_, cp, 3, vars, slot, &pool, &some, &some_stats,
+      VectorizedScan(graph_, cp, 3, vars, slot, &all, &all_stats);
+      VectorizedScan(graph_, cp, 3, vars, slot, &some, &some_stats,
                      &filter);
       EXPECT_EQ(some.sorted_by, slot);
       for (size_t i = 1; i < some.size(); ++i) {
@@ -557,22 +512,19 @@ TEST_F(VectorizedScanTest, KeyFilterOnASlotThePatternDoesNotBindIsIgnored) {
       {"s", false, false}, {"o", false, false}, {"x", false, false}};
   KeyFilter filter(2);  // ?x: bound elsewhere, not by this pattern
   filter.Add(1);
-  BlockPool pool;
   BlockRun all, some;
   ExecStats stats;
-  VectorizedScan(graph_, cp, 3, vars, -1, &pool, &all, nullptr);
-  VectorizedScan(graph_, cp, 3, vars, -1, &pool, &some, &stats, &filter);
+  VectorizedScan(graph_, cp, 3, vars, -1, &all, nullptr);
+  VectorizedScan(graph_, cp, 3, vars, -1, &some, &stats, &filter);
   EXPECT_EQ(SortedKeys(RunToRows(some, vars), vars),
             SortedKeys(RunToRows(all, vars), vars));
   EXPECT_EQ(stats.key_filtered_fragments, 0u);
 }
 
 TEST(KeyFilterTest, FromRunDeclinesUnboundKeys) {
-  BlockPool pool;
-  BlockRun run;
+  BlockRun run(1);
   for (TermId id : {TermId{5}, TermId{9}, kInvalidTerm}) {
-    auto [blk, r] = run.Append(&pool, 1);
-    blk->term_col(0)[r] = id;
+    run.set_term(run.AppendRow(), 0, id);
   }
   EXPECT_FALSE(KeyFilter::FromRun(run, 0, nullptr).has_value());
   const RowSelection bound = {0, 1};
@@ -722,7 +674,6 @@ class EpochScanTest : public ::testing::Test {
 
 TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
   Rng rng(559);
-  BlockPool pool;
   for (int round = 0; round < 4; ++round) {
     for (uint64_t mask = 0; mask < 8; ++mask) {
       const Triple& t = events_[rng.Uniform(events_.size())].t;
@@ -761,8 +712,8 @@ TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
 
         ExecStats stats;
         BlockRun run;
-        VectorizedScan(*epoch, cp, num_vars, vars, /*sort_slot=*/-1, &pool,
-                       &run, &stats);
+        VectorizedScan(*epoch, cp, num_vars, vars, /*sort_slot=*/-1, &run,
+                       &stats);
         EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
                   SortedKeys(want, vars))
             << "mask " << mask;
@@ -771,8 +722,8 @@ TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
         // A requested ordering on a bound key slot is honored.
         if (cp.var_o >= 0) {
           BlockRun sorted_run;
-          VectorizedScan(*epoch, cp, num_vars, vars, cp.var_o, &pool,
-                         &sorted_run, nullptr);
+          VectorizedScan(*epoch, cp, num_vars, vars, cp.var_o, &sorted_run,
+                         nullptr);
           EXPECT_EQ(sorted_run.sorted_by, cp.var_o);
           for (size_t i = 1; i < sorted_run.size(); ++i) {
             EXPECT_LE(sorted_run.term(i - 1, cp.var_o),
@@ -788,7 +739,6 @@ TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
 
 TEST_F(EpochScanTest, KeyFilterDropsOverlayRowsAndCountsThem) {
   Rng rng(560);
-  BlockPool pool;
   const std::vector<VarInfo> vars = {
       {"s", false, false}, {"o", false, false}, {"t", true, false}};
   uint64_t overlay_dropped = 0;
@@ -817,7 +767,7 @@ TEST_F(EpochScanTest, KeyFilterDropsOverlayRowsAndCountsThem) {
         }
         ExecStats stats;
         BlockRun got;
-        VectorizedScan(*epoch, cp, 3, vars, slot, &pool, &got, &stats,
+        VectorizedScan(*epoch, cp, 3, vars, slot, &got, &stats,
                        &filter);
         EXPECT_EQ(SortedKeys(RunToRows(got, vars), vars),
                   SortedKeys(want, vars));
@@ -849,7 +799,6 @@ TEST_F(EpochScanTest, RepeatedVariablePatternOverAnEpoch) {
   cp.var_t = 2;
   const std::vector<VarInfo> vars = {
       {"x", false, false}, {"p", false, false}, {"t", true, false}};
-  BlockPool pool;
   Rng rng(561);
   for (const Interval window :
        {Interval::All(), RandomWindow(&rng), RandomWindow(&rng)}) {
@@ -861,7 +810,7 @@ TEST_F(EpochScanTest, RepeatedVariablePatternOverAnEpoch) {
       EXPECT_EQ(SortedKeys(want, vars), SortedKeys(oracle, vars));
       EXPECT_FALSE(want.empty()) << window.ToString();
       BlockRun run;
-      VectorizedScan(*epoch, cp, 3, vars, -1, &pool, &run, nullptr);
+      VectorizedScan(*epoch, cp, 3, vars, -1, &run, nullptr);
       EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
                 SortedKeys(want, vars));
     }
@@ -885,11 +834,10 @@ TEST(EpochScanWindowTest, BaseRunClosedBeforeTheWindowIsDropped) {
   cp.var_t = 2;
   const std::vector<VarInfo> vars = {
       {"p", false, false}, {"o", false, false}, {"t", true, false}};
-  BlockPool pool;
   auto scan = [&](Interval window) {
     cp.spec.time = window;
     BlockRun run;
-    VectorizedScan(epoch, cp, 3, vars, -1, &pool, &run, nullptr);
+    VectorizedScan(epoch, cp, 3, vars, -1, &run, nullptr);
     return RunToRows(run, vars);
   };
   const std::vector<Row> late = scan({40, 50});
@@ -945,19 +893,16 @@ std::map<TermId, TemporalSet> ScanSplitTriples(const TemporalStore& store,
   vars.push_back({"t", true, false});
   std::vector<Row> want;
   ScanToRows(store, cp, vars.size(), vars, &want);
-  BlockPool pool;
   BlockRun run;
   ExecStats stats;
-  VectorizedScan(store, cp, vars.size(), vars, -1, &pool, &run, &stats);
+  VectorizedScan(store, cp, vars.size(), vars, -1, &run, &stats);
   EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), SortedKeys(want, vars))
       << window.ToString();
   EXPECT_GT(stats.scan.fragments_gathered, run.size()) << window.ToString();
   std::map<TermId, TemporalSet> out;
   for (size_t i = 0; i < run.size(); ++i) {
-    const BindingBlock& blk = run.block_of(i);
-    const size_t r = BlockRun::offset_of(i);
-    const TemporalSet element = blk.TimeAt(cp.var_t, r);
-    EXPECT_EQ(blk.TimeIsSingleRun(cp.var_t, r), element.runs().size() == 1);
+    const TemporalSet element = run.TimeAt(i, cp.var_t);
+    EXPECT_EQ(run.TimeIsSingleRun(i, cp.var_t), element.runs().size() == 1);
     out[var_o ? run.term(i, cp.var_o) : 1] = element;
   }
   return out;
@@ -1095,7 +1040,6 @@ TEST_F(VectorizedScanTest, FullValidityMatchesTheCoalescedHistory) {
                                            .compress_leaves = false});
   ASSERT_TRUE(plain.Load(data_).ok());
   Rng rng(562);
-  BlockPool pool;
   size_t nonempty = 0;
   for (int round = 0; round < 4; ++round) {
     for (uint64_t mask = 0; mask < 8; ++mask) {
@@ -1116,8 +1060,8 @@ TEST_F(VectorizedScanTest, FullValidityMatchesTheCoalescedHistory) {
         EXPECT_EQ(SortedKeys(rows, vars), want) << "mask " << mask;
         for (int sort_slot : {-1, cp.var_o}) {
           BlockRun run;
-          VectorizedScan(*graph, cp, vars.size(), vars, sort_slot, &pool,
-                         &run, nullptr);
+          VectorizedScan(*graph, cp, vars.size(), vars, sort_slot, &run,
+                         nullptr);
           EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), want)
               << "mask " << mask << ", sort slot " << sort_slot;
         }
@@ -1129,7 +1073,6 @@ TEST_F(VectorizedScanTest, FullValidityMatchesTheCoalescedHistory) {
 
 TEST_F(VectorizedScanTest, FullValidityWithRepeatedVariablesAndAKeyFilter) {
   Rng rng(563);
-  BlockPool pool;
   // {?x ?p ?x ?t}: subject must equal object.
   CompiledPattern rep;
   rep.var_s = 0;
@@ -1147,7 +1090,7 @@ TEST_F(VectorizedScanTest, FullValidityWithRepeatedVariablesAndAKeyFilter) {
     ScanToRows(graph_, rep, 3, rep_vars, &rows);
     EXPECT_EQ(SortedKeys(rows, rep_vars), want);
     BlockRun run;
-    VectorizedScan(graph_, rep, 3, rep_vars, -1, &pool, &run, nullptr);
+    VectorizedScan(graph_, rep, 3, rep_vars, -1, &run, nullptr);
     EXPECT_EQ(SortedKeys(RunToRows(run, rep_vars), rep_vars), want);
   }
 
@@ -1168,7 +1111,7 @@ TEST_F(VectorizedScanTest, FullValidityWithRepeatedVariablesAndAKeyFilter) {
         filter.Add(rng.Uniform(slot == 0 ? 40 : 60) + 1);
       }
       BlockRun run;
-      VectorizedScan(graph_, cp, 3, vars, slot, &pool, &run, nullptr,
+      VectorizedScan(graph_, cp, 3, vars, slot, &run, nullptr,
                      &filter);
       EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
                 FullValidityRows(data_, cp, vars, &filter))
@@ -1180,7 +1123,6 @@ TEST_F(VectorizedScanTest, FullValidityWithRepeatedVariablesAndAKeyFilter) {
 TEST_F(EpochScanTest, FullValidityMatchesTheCoalescedHistory) {
   const std::vector<TemporalTriple> history = IntervalsFrom(events_.size());
   Rng rng(564);
-  BlockPool pool;
   size_t nonempty = 0;
   for (int round = 0; round < 4; ++round) {
     for (uint64_t mask = 0; mask < 8; ++mask) {
@@ -1197,7 +1139,7 @@ TEST_F(EpochScanTest, FullValidityMatchesTheCoalescedHistory) {
         ScanToRows(*epoch, cp, vars.size(), vars, &rows);
         EXPECT_EQ(SortedKeys(rows, vars), want) << "mask " << mask;
         BlockRun run;
-        VectorizedScan(*epoch, cp, vars.size(), vars, cp.var_o, &pool, &run,
+        VectorizedScan(*epoch, cp, vars.size(), vars, cp.var_o, &run,
                        nullptr);
         EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), want)
             << "mask " << mask;
@@ -1242,10 +1184,9 @@ TEST(EpochScanWindowTest, FullValidityKeepsRunsOutsideTheWindow) {
   std::vector<Row> rows;
   ScanToRows(epoch, cp, 3, vars, &rows);
   EXPECT_EQ(SortedKeys(rows, vars), SortedKeys(want, vars));
-  BlockPool pool;
   for (int sort_slot : {-1, 0}) {
     BlockRun run;
-    VectorizedScan(epoch, cp, 3, vars, sort_slot, &pool, &run, nullptr);
+    VectorizedScan(epoch, cp, 3, vars, sort_slot, &run, nullptr);
     EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), SortedKeys(want, vars));
   }
 }

@@ -14,14 +14,6 @@ Rules (see DESIGN.md "Static analysis & lock discipline"):
   nondeterminism  No wall-clock / RNG calls in src/ outside
                   src/util/rng.* and src/util/date.*. Query results and
                   index layout must be a function of the input alone.
-  raw-binding-block
-                  No direct BindingBlock allocation (`new BindingBlock`,
-                  make_unique<BindingBlock>) in src/engine/ outside
-                  src/engine/block.h. Blocks come from BlockPool::Acquire
-                  and are owned through the RAII BlockHandle, so they are
-                  returned to the pool on every path out of an operator.
-                  rdftx-analyzer's block-handle check enforces the owning
-                  side (an Acquire result must not be discarded).
   nodiscard-meta  src/util/status.h keeps Status and Result<T> marked
                   [[nodiscard]] (the compiler enforces "no Status
                   constructed and dropped" from there).
@@ -95,10 +87,6 @@ RAW_MUTEX_RE = re.compile(
 # (function signatures) and `f(void)` never match.
 VOID_SUPPRESS_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_(]")
 
-RAW_BINDING_BLOCK_RE = re.compile(
-    r"\bnew\s+(?:engine\s*::\s*)?BindingBlock\b"
-    r"|\bmake_unique\s*<\s*(?:engine\s*::\s*)?BindingBlock\b")
-
 NONDETERMINISM_RE = re.compile(
     r"(system_clock|steady_clock|high_resolution_clock)\s*::\s*now\b"
     r"|\bstd::random_device\b"
@@ -142,9 +130,6 @@ def rule_applies(rule, rel):
         if not rel.startswith("src/"):
             return False
         return not re.match(r"src/util/(rng|date)\.(h|cc)$", rel)
-    if rule == "raw-binding-block":
-        # The pool's own home is the one place allowed to allocate.
-        return rel.startswith("src/engine/") and rel != "src/engine/block.h"
     raise ValueError(rule)
 
 
@@ -166,7 +151,6 @@ def textual_findings(root):
                 ("raw-mutex", RAW_MUTEX_RE),
                 ("void-suppress", VOID_SUPPRESS_RE),
                 ("nondeterminism", NONDETERMINISM_RE),
-                ("raw-binding-block", RAW_BINDING_BLOCK_RE),
             ):
                 if rule_applies(rule, rel) and regex.search(line):
                     findings.append(
