@@ -59,10 +59,9 @@ class KeyFilter {
 /// selection vector, groups fragments per triple with one RadixOrder over
 /// the variable components, and fills `out` (replacing what it held) with
 /// one row per matching triple, its runs clipped to the scan window and
-/// coalesced (one inline
-/// run, or a multi-run element only where the runs have gaps); a
-/// full-validity pattern scans all of history and keeps a triple when
-/// one of its runs meets the window (ScanSpec).
+/// coalesced (one inline run, or a multi-run element only where the runs
+/// have gaps); a full-validity pattern scans all of history and keeps a
+/// triple when one of its runs meets the window (ScanSpec).
 ///
 /// Rows come out in key order: the term of `sort_slot` leads when this
 /// pattern binds it, otherwise the first variable component (s, p, o
