@@ -437,9 +437,10 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
   RadixOrder(cols, total, &idx);
   out->sorted_by = col_slots.empty() ? -1 : col_slots[0];
 
-  // A group becomes a row when one of its runs meets the window. The
-  // groups are found first so the run reserves its exact size.
-  std::vector<std::pair<uint32_t, uint32_t>> groups;  // [g, h) in idx
+  // A group of fragments becomes at most one row.
+  out->Reserve(total);
+  std::vector<Interval> runs;  // one group's runs, reused across groups
+  size_t emitted = 0;
   for (size_t g = 0; g < total;) {
     const uint32_t f0 = idx[g];
     size_t h = g + 1;
@@ -449,19 +450,14 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                                     })) {
       ++h;
     }
-    for (size_t q = g; q < h; ++q) {
-      if (MeetsWindow(cp, fstart[idx[q]], fend[idx[q]])) {
-        groups.emplace_back(g, h);
-        break;
-      }
+    bool meets = false;
+    for (size_t q = g; q < h && !meets; ++q) {
+      meets = MeetsWindow(cp, fstart[idx[q]], fend[idx[q]]);
     }
-    g = h;
-  }
-  out->Reserve(groups.size());
-
-  std::vector<Interval> runs;  // one group's runs, reused across groups
-  for (const auto& [g, h] : groups) {
-    const uint32_t f0 = idx[g];
+    if (!meets) {
+      g = h;
+      continue;
+    }
     const size_t r = out->AppendRow();
     for (int x = 0; x < 3; ++x) {
       if (slots[x] >= 0) out->set_term(r, slots[x], keys[x][f0]);
@@ -481,10 +477,12 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
         out->SetTime(r, cp.var_t, TemporalSet::FromIntervals(runs));
       }
     }
+    ++emitted;
+    g = h;
   }
   scan.fragments_gathered += total;
   if (stats != nullptr) {
-    stats->rows_scanned += groups.size();
+    stats->rows_scanned += emitted;
     stats->key_filtered_fragments += key_filtered;
     stats->scan.MergeFrom(scan);
   }
