@@ -1,9 +1,9 @@
 // The row store of the vectorized execution mode: a BlockRun holds the
 // (partial) solutions that operators exchange as one flat, growable
-// array of rows. The cell of row i and variable slot v sits at index
-// i * num_vars + v of three parallel vectors (term id, interval start,
-// interval end), so the operators, which all read whole rows, touch one
-// contiguous stretch of each.
+// array of rows. Each cell holds a term id and an interval (start, end),
+// and the cell of row i and variable slot v sits at index
+// i * num_vars + v, so the operators, which all read whole rows, touch
+// one contiguous stretch of memory per row.
 //
 // Temporal elements are stored inline when they are a single run —
 // start/end hold the half-open interval, start == end means empty —
@@ -44,32 +44,23 @@ class BlockRun {
 
   /// Makes room for `rows` rows in all, so appends up to there do not
   /// reallocate.
-  void Reserve(size_t rows) {
-    terms_.reserve(rows * num_vars_);
-    tstart_.reserve(rows * num_vars_);
-    tend_.reserve(rows * num_vars_);
-  }
+  void Reserve(size_t rows) { cells_.reserve(rows * num_vars_); }
 
   /// Appends an all-unbound row (terms kInvalidTerm, times empty);
   /// returns its index. Caller fills cells.
   size_t AppendRow() {
-    terms_.resize(terms_.size() + num_vars_, kInvalidTerm);
-    tstart_.resize(tstart_.size() + num_vars_, 0);
-    tend_.resize(tend_.size() + num_vars_, 0);
+    cells_.resize(cells_.size() + num_vars_);
     return rows_++;
   }
 
-  TermId term(size_t i, int v) const { return terms_[Index(i, v)]; }
-  void set_term(size_t i, int v, TermId id) { terms_[Index(i, v)] = id; }
+  TermId term(size_t i, int v) const { return At(i, v).term; }
+  void set_term(size_t i, int v, TermId id) { At(i, v).term = id; }
 
   // --- temporal element encoding (time-variable slots only) ---
 
   /// Binds time slot `v` of row `i` to the single run [s, e).
   void SetTimeRun(size_t i, int v, Chronon s, Chronon e) {
-    const size_t c = Index(i, v);
-    terms_[c] = 0;
-    tstart_[c] = s;
-    tend_[c] = e;
+    At(i, v) = Cell{0, s, e};
   }
 
   /// Binds time slot `v` of row `i` to `set` (any number of runs).
@@ -84,39 +75,35 @@ class BlockRun {
       return;
     }
     extra_.push_back(set);
-    const size_t c = Index(i, v);
-    terms_[c] = static_cast<TermId>(extra_.size());
-    // Keep the inline cells at the element's hull so cheap overlap
+    // Keep the inline interval at the element's hull so cheap overlap
     // prefilters stay sound even for spilled elements.
-    tstart_[c] = set.Start();
-    tend_[c] = set.End();
+    At(i, v) = Cell{static_cast<TermId>(extra_.size()), set.Start(),
+                    set.End()};
   }
 
   bool TimeEmpty(size_t i, int v) const {
-    const size_t c = Index(i, v);
-    return terms_[c] == 0 && tstart_[c] == tend_[c];
+    const Cell& c = At(i, v);
+    return c.term == 0 && c.start == c.end;
   }
 
   /// True when the element is exactly the inline run (no side table).
-  bool TimeIsSingleRun(size_t i, int v) const {
-    return terms_[Index(i, v)] == 0;
-  }
+  bool TimeIsSingleRun(size_t i, int v) const { return At(i, v).term == 0; }
 
   /// The inline run's bounds, or a spilled element's hull.
-  Chronon TimeStart(size_t i, int v) const { return tstart_[Index(i, v)]; }
-  Chronon TimeEnd(size_t i, int v) const { return tend_[Index(i, v)]; }
+  Chronon TimeStart(size_t i, int v) const { return At(i, v).start; }
+  Chronon TimeEnd(size_t i, int v) const { return At(i, v).end; }
 
   /// Spilled multi-run element; only valid when !TimeIsSingleRun.
   const TemporalSet& TimeExtra(size_t i, int v) const {
-    return extra_[terms_[Index(i, v)] - 1];
+    return extra_[At(i, v).term - 1];
   }
 
   /// Materializes the element of time slot `v` at row `i`.
   TemporalSet TimeAt(size_t i, int v) const {
-    const size_t c = Index(i, v);
-    if (terms_[c] != 0) return extra_[terms_[c] - 1];
-    const Chronon s = tstart_[c];
-    const Chronon e = tend_[c];
+    const Cell& c = At(i, v);
+    if (c.term != 0) return extra_[c.term - 1];
+    const Chronon s = c.start;
+    const Chronon e = c.end;
     // >= (not ==): an inverted pair could only come from a bug in an
     // operator writing the cells, but it must degrade to the empty set
     // rather than construct an inverted Interval — and the widened guard
@@ -126,16 +113,25 @@ class BlockRun {
   }
 
  private:
-  size_t Index(size_t i, int v) const {
-    return i * num_vars_ + static_cast<size_t>(v);
+  /// One variable slot of one row. A fresh cell is unbound: term
+  /// kInvalidTerm (0) and the empty interval.
+  struct Cell {
+    TermId term = kInvalidTerm;
+    Chronon start = 0;
+    Chronon end = 0;
+  };
+
+  Cell& At(size_t i, int v) {
+    return cells_[i * num_vars_ + static_cast<size_t>(v)];
+  }
+  const Cell& At(size_t i, int v) const {
+    return cells_[i * num_vars_ + static_cast<size_t>(v)];
   }
 
   size_t num_vars_ = 0;
   size_t rows_ = 0;
-  // Row-major cells: row i, slot v at i * num_vars_ + v.
-  std::vector<TermId> terms_;
-  std::vector<Chronon> tstart_;
-  std::vector<Chronon> tend_;
+  // Row-major: row i, slot v at i * num_vars_ + v.
+  std::vector<Cell> cells_;
   // Multi-run temporal elements (index + 1 lives in the term cell).
   std::vector<TemporalSet> extra_;
 };
