@@ -102,8 +102,7 @@ uint64_t TupleScanPass(const TemporalGraph& store, const ScanWorkload& w) {
   return rows;
 }
 
-uint64_t VectorizedScanPass(const TemporalGraph& store,
-                            const ScanWorkload& w) {
+uint64_t VectorizedScanPass(const TemporalGraph& store, const ScanWorkload& w) {
   uint64_t rows = 0;
   for (const engine::CompiledPattern& cp : w.patterns) {
     engine::BlockRun run;

@@ -78,7 +78,7 @@ struct ExecStats {
   uint64_t result_rows = 0;
   /// Physical join/sort choices the main chain actually took: joins
   /// executed as sort-merge over index-sorted runs, joins that fell back
-  /// to the columnar hash join, and explicit run sorts performed to
+  /// to the hash join, and explicit run sorts performed to
   /// establish a merge order.
   uint64_t merge_join_steps = 0;
   uint64_t hash_join_steps = 0;

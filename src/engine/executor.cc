@@ -232,8 +232,8 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
   ctx.now = options_.now != 0 ? options_.now : store_->last_time();
   if (ctx.now == 0) ctx.now = kChrononMax;
 
-  // The scan/join chain over the plan order, then the tail on its
-  // columnar output: OPTIONAL left joins, FILTER, EXISTS, and one sink.
+  // The scan/join chain over the plan order, then the tail on the run
+  // it produces: OPTIONAL left joins, FILTER, EXISTS, and one sink.
   BlockRun run = RunChain(cq.patterns, order, cq.vars, nullptr, &stats);
 
   // OPTIONAL groups, in declaration order: each group is evaluated for

@@ -1,10 +1,10 @@
 // Unit tests of the vectorized execution layer: the BlockRun time
 // encoding, columnar leaf decode, the run operators (sort, gather, merge
 // join, hash join, left join) against the tuple operators on randomized
-// inputs, VectorizedScan against ScanToRows on
-// random graphs and over live Epochs (base graph plus overlay), and the
-// executor's merge/hash/sort choices and join counters against the
-// NaiveStore oracle.
+// inputs, VectorizedScan against ScanToRows on random graphs and over
+// live Epochs (base graph plus overlay), and the executor's
+// merge/hash/sort choices and join counters against the NaiveStore
+// oracle.
 #include "engine/vectorized.h"
 
 #include <gtest/gtest.h>
@@ -466,8 +466,7 @@ TEST_F(VectorizedScanTest, KeyFilterKeepsEveryMatchingRowAndTheSortOrder) {
       ExecStats all_stats, some_stats;
       BlockRun all, some;
       VectorizedScan(graph_, cp, 3, vars, slot, &all, &all_stats);
-      VectorizedScan(graph_, cp, 3, vars, slot, &some, &some_stats,
-                     &filter);
+      VectorizedScan(graph_, cp, 3, vars, slot, &some, &some_stats, &filter);
       EXPECT_EQ(some.sorted_by, slot);
       for (size_t i = 1; i < some.size(); ++i) {
         EXPECT_LE(some.term(i - 1, slot), some.term(i, slot));
@@ -767,8 +766,7 @@ TEST_F(EpochScanTest, KeyFilterDropsOverlayRowsAndCountsThem) {
         }
         ExecStats stats;
         BlockRun got;
-        VectorizedScan(*epoch, cp, 3, vars, slot, &got, &stats,
-                       &filter);
+        VectorizedScan(*epoch, cp, 3, vars, slot, &got, &stats, &filter);
         EXPECT_EQ(SortedKeys(RunToRows(got, vars), vars),
                   SortedKeys(want, vars));
         EXPECT_EQ(got.sorted_by, slot);
@@ -1111,8 +1109,7 @@ TEST_F(VectorizedScanTest, FullValidityWithRepeatedVariablesAndAKeyFilter) {
         filter.Add(rng.Uniform(slot == 0 ? 40 : 60) + 1);
       }
       BlockRun run;
-      VectorizedScan(graph_, cp, 3, vars, slot, &run, nullptr,
-                     &filter);
+      VectorizedScan(graph_, cp, 3, vars, slot, &run, nullptr, &filter);
       EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars),
                 FullValidityRows(data_, cp, vars, &filter))
           << "slot " << slot << ", round " << round;
@@ -1139,8 +1136,7 @@ TEST_F(EpochScanTest, FullValidityMatchesTheCoalescedHistory) {
         ScanToRows(*epoch, cp, vars.size(), vars, &rows);
         EXPECT_EQ(SortedKeys(rows, vars), want) << "mask " << mask;
         BlockRun run;
-        VectorizedScan(*epoch, cp, vars.size(), vars, cp.var_o, &run,
-                       nullptr);
+        VectorizedScan(*epoch, cp, vars.size(), vars, cp.var_o, &run, nullptr);
         EXPECT_EQ(SortedKeys(RunToRows(run, vars), vars), want)
             << "mask " << mask;
       }
