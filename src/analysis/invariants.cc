@@ -188,7 +188,8 @@ Status ValidateCoalescedRuns(const std::vector<Interval>& runs) {
 }
 
 Status ValidateTemporalSet(const TemporalSet& set) {
-  return ValidateCoalescedRuns(set.runs());
+  const std::span<const Interval> runs = set.runs();
+  return ValidateCoalescedRuns({runs.begin(), runs.end()});
 }
 
 Status ValidateMvbt(const Mvbt& tree) {
@@ -361,8 +362,7 @@ Status ValidateMvbt(const Mvbt& tree) {
                                   key.ToString());
       }
     }
-    RDFTX_RETURN_IF_ERROR(
-        ValidateCoalescedRuns(TemporalSet::FromIntervals(iv).runs()));
+    RDFTX_RETURN_IF_ERROR(ValidateTemporalSet(TemporalSet::FromIntervals(iv)));
   }
   return Status::OK();
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -230,6 +232,129 @@ TEST_P(TemporalSetPropertyTest, MatchesBitsetModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TemporalSetPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// Reference: a set kept as a plain normalized std::vector<Interval>,
+// rebuilt through its points after every operation, so it shares no
+// code with TemporalSet.
+constexpr Chronon kRefDomain = 120;
+
+std::vector<Interval> RefRuns(const std::vector<bool>& points) {
+  std::vector<Interval> runs;
+  for (Chronon t = 0; t < kRefDomain; ++t) {
+    if (!points[t]) continue;
+    if (!runs.empty() && runs.back().end == t) {
+      runs.back().end = t + 1;
+    } else {
+      runs.push_back({t, t + 1});
+    }
+  }
+  return runs;
+}
+
+std::vector<bool> RefPoints(const std::vector<Interval>& runs) {
+  std::vector<bool> points(kRefDomain, false);
+  for (const Interval& iv : runs) {
+    for (Chronon t = iv.start; t < iv.end; ++t) points[t] = true;
+  }
+  return points;
+}
+
+std::vector<Interval> RefAdd(const std::vector<Interval>& runs, Interval iv) {
+  std::vector<Interval> all = runs;
+  all.push_back(iv);
+  return RefRuns(RefPoints(all));
+}
+
+std::vector<Interval> RefIntersect(const std::vector<Interval>& a,
+                                   const std::vector<Interval>& b) {
+  const std::vector<bool> pa = RefPoints(a), pb = RefPoints(b);
+  std::vector<bool> both(kRefDomain);
+  for (Chronon t = 0; t < kRefDomain; ++t) both[t] = pa[t] && pb[t];
+  return RefRuns(both);
+}
+
+// Random Add, FromIntervals, Intersect, copy and move sequences over a
+// small pool of sets whose sizes cross 0, 1 and two or more runs (the
+// inline / heap boundary); every set must match its reference.
+class TemporalSetReferenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TemporalSetReferenceTest, MatchesVectorReference) {
+  Rng rng(GetParam());
+  constexpr size_t kPool = 4;
+  std::vector<TemporalSet> sets(kPool);
+  std::vector<std::vector<Interval>> refs(kPool);
+  auto random_interval = [&] {
+    const auto s = static_cast<Chronon>(rng.Uniform(kRefDomain));
+    const uint64_t len = rng.Uniform(4) == 0 ? rng.Uniform(60) : rng.Uniform(8);
+    return Interval(s, static_cast<Chronon>(
+                           std::min<uint64_t>(s + len, kRefDomain)));
+  };
+  size_t seen[3] = {0, 0, 0};  // sets with 0, 1, >= 2 runs
+  for (int step = 0; step < 3000; ++step) {
+    const size_t k = rng.Uniform(kPool);
+    const size_t a = rng.Uniform(kPool);
+    const size_t b = rng.Uniform(kPool);
+    switch (rng.Uniform(7)) {
+      case 0:
+      case 1: {
+        const Interval iv = random_interval();
+        sets[k].Add(iv);
+        if (!iv.empty()) refs[k] = RefAdd(refs[k], iv);
+        break;
+      }
+      case 2: {
+        std::vector<Interval> ivs;
+        for (uint64_t n = rng.Uniform(5); n > 0; --n) {
+          ivs.push_back(random_interval());
+        }
+        sets[k] = TemporalSet::FromIntervals(ivs);
+        refs[k] = RefRuns(RefPoints(ivs));
+        break;
+      }
+      case 3:
+        sets[k] = sets[a].Intersect(sets[b]);
+        refs[k] = RefIntersect(refs[a], refs[b]);
+        break;
+      case 4: {
+        const TemporalSet copy(sets[a]);
+        sets[k] = copy;
+        refs[k] = refs[a];
+        break;
+      }
+      case 5: {
+        const std::vector<Interval> ref = refs[a];
+        TemporalSet moved(std::move(sets[a]));
+        EXPECT_TRUE(sets[a].empty());  // a moved-from set is empty
+        refs[a].clear();
+        sets[k] = std::move(moved);
+        refs[k] = ref;
+        break;
+      }
+      default: {
+        TemporalSet& self = sets[k];
+        sets[k] = self;
+        break;
+      }
+    }
+    for (size_t i = 0; i < kPool; ++i) {
+      const std::vector<Interval> got(sets[i].runs().begin(),
+                                      sets[i].runs().end());
+      ASSERT_EQ(got, refs[i]) << "step " << step << " set " << i;
+      ++seen[std::min<size_t>(got.size(), 2)];
+      for (size_t j = 0; j < kPool; ++j) {
+        EXPECT_EQ(sets[i] == sets[j], refs[i] == refs[j]);
+      }
+    }
+    const auto t = static_cast<Chronon>(rng.Uniform(kRefDomain));
+    EXPECT_EQ(sets[k].Contains(t), RefPoints(refs[k])[t]) << "t=" << t;
+  }
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[2], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TemporalSetReferenceTest,
+                         ::testing::Values(11, 12, 13));
 
 }  // namespace
 }  // namespace rdftx
