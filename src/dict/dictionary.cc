@@ -1,7 +1,5 @@
 #include "dict/dictionary.h"
 
-#include <cassert>
-
 namespace rdftx {
 
 TermId Dictionary::Intern(std::string_view term) {
@@ -18,11 +16,6 @@ TermId Dictionary::Intern(std::string_view term) {
 TermId Dictionary::Lookup(std::string_view term) const {
   auto it = index_.find(term);
   return it == index_.end() ? kInvalidTerm : it->second;
-}
-
-const std::string& Dictionary::Decode(TermId id) const {
-  assert(id != kInvalidTerm && id < terms_.size());
-  return terms_[id];
 }
 
 Result<std::string> Dictionary::SafeDecode(TermId id) const {

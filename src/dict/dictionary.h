@@ -5,6 +5,7 @@
 #ifndef RDFTX_DICT_DICTIONARY_H_
 #define RDFTX_DICT_DICTIONARY_H_
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -34,7 +35,15 @@ class Dictionary {
   TermId Lookup(std::string_view term) const;
 
   /// Returns the string for a valid id; asserts on invalid ids in debug.
-  const std::string& Decode(TermId id) const;
+  const std::string& Decode(TermId id) const {
+    assert(id != kInvalidTerm && id < terms_.size());
+    return terms_[id];
+  }
+
+  /// Starts loading the string of `id` (a valid id or kInvalidTerm)
+  /// into the cache, so a loop that decodes ids in random order can
+  /// overlap its misses: prefetch a few ids ahead of each Decode.
+  void Prefetch(TermId id) const { __builtin_prefetch(&terms_[id]); }
 
   /// Decode that returns an error instead of asserting.
   Result<std::string> SafeDecode(TermId id) const;

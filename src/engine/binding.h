@@ -4,7 +4,11 @@
 #ifndef RDFTX_ENGINE_BINDING_H_
 #define RDFTX_ENGINE_BINDING_H_
 
+#include <deque>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dict/dictionary.h"
@@ -40,14 +44,18 @@ struct Row {
   bool operator==(const Row&) const = default;
 };
 
-/// One projected result cell: a term or a temporal element.
+/// One projected result cell: a term or a temporal element. A cell
+/// copies no text: `term` views the Dictionary's copy of the term, or
+/// text its ResultSet keeps (ResultSet::Keep).
 struct Cell {
   bool is_time = false;
-  std::string term;   // decoded term text
+  std::string_view term;  // decoded term text; empty when unbound
   TemporalSet time;
 
   bool operator==(const Cell&) const = default;
-  std::string ToString() const { return is_time ? time.ToString() : term; }
+  std::string ToString() const {
+    return is_time ? time.ToString() : std::string(term);
+  }
 
   /// Appends a canonical type-tagged fingerprint (raw term text / raw
   /// run endpoints, never the display rendering) plus a separator to
@@ -59,7 +67,67 @@ struct Cell {
 
 /// The concatenated fingerprints of a row's cells: the duplicate
 /// elimination and tie-break key for result rows.
-std::string RowFingerprint(const std::vector<Cell>& cells);
+std::string RowFingerprint(std::span<const Cell> cells);
+
+/// Result rows: one row-major table of `width` cells per row, so a
+/// result of any size is one allocation. Row i is the span
+/// `(*this)[i]`; a range-for visits the rows in order. The row count is
+/// kept apart from the cells, so a zero-width result (a query with no
+/// variable) still counts its rows.
+class RowTable {
+ public:
+  class Iterator {
+   public:
+    Iterator(const RowTable* table, size_t row) : table_(table), row_(row) {}
+    std::span<const Cell> operator*() const { return (*table_)[row_]; }
+    Iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    const RowTable* table_;
+    size_t row_;
+  };
+
+  RowTable() = default;
+  explicit RowTable(size_t width) : width_(width) {}
+
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+
+  std::span<const Cell> operator[](size_t i) const {
+    return {cells_.data() + i * width_, width_};
+  }
+  std::span<Cell> operator[](size_t i) {
+    return {cells_.data() + i * width_, width_};
+  }
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, rows_}; }
+
+  /// Appends a row of unbound cells and returns it for filling.
+  std::span<Cell> AppendRow() {
+    cells_.resize(cells_.size() + width_);
+    return (*this)[rows_++];
+  }
+  void pop_back() {
+    cells_.resize(cells_.size() - width_);
+    --rows_;
+  }
+  void reserve(size_t rows) { cells_.reserve(rows * width_); }
+
+  /// Keeps the rows `rows[0]`, `rows[1]`, ... in that order and drops
+  /// the others.
+  void Reorder(std::span<const uint32_t> rows);
+
+  bool operator==(const RowTable&) const = default;
+
+ private:
+  size_t width_ = 0;
+  size_t rows_ = 0;
+  std::vector<Cell> cells_;  // row i, column c at i * width_ + c
+};
 
 /// Per-query execution counters, owned by the query that produced them
 /// (the engine itself holds no cross-query mutable state).
@@ -99,13 +167,27 @@ struct ExecStats {
 };
 
 /// Query result: named columns over rows of cells, plus the execution
-/// counters of the query that produced it.
-struct ResultSet {
+/// counters of the query that produced it. Term cells view the
+/// Dictionary the query was decoded with, so a ResultSet (and any copy
+/// of it) is valid for as long as that Dictionary is, whether or not
+/// the QueryEngine still exists.
+class ResultSet {
+ public:
   std::vector<std::string> columns;
-  std::vector<std::vector<Cell>> rows;
+  RowTable rows;
   ExecStats stats;
 
+  /// Keeps `text`, a term the engine computed (an aggregate's value),
+  /// and returns a view of it that lives as long as this result or any
+  /// copy of it. Only the code that builds a result calls it.
+  std::string_view Keep(std::string text);
+
   std::string ToString() const;
+
+ private:
+  // Computed term text, shared by copies of the result: once a result
+  // is built nothing is added, so the views stay valid in every copy.
+  std::shared_ptr<std::deque<std::string>> kept_;
 };
 
 }  // namespace rdftx::engine

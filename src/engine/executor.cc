@@ -1,6 +1,8 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -57,10 +59,11 @@ void MergeStats(const ExecStats& in, ExecStats* out) {
 void Cell::AppendFingerprint(std::string* out) const {
   if (is_time) {
     out->push_back('T');
+    char buf[16];  // a Chronon has at most 10 digits
     for (const Interval& run : time.runs()) {
-      out->append(std::to_string(run.start));
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), run.start).ptr);
       out->push_back(',');
-      out->append(std::to_string(run.end));
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), run.end).ptr);
       out->push_back(';');
     }
   } else {
@@ -70,10 +73,26 @@ void Cell::AppendFingerprint(std::string* out) const {
   out->push_back('\x1F');
 }
 
-std::string RowFingerprint(const std::vector<Cell>& cells) {
+std::string RowFingerprint(std::span<const Cell> cells) {
   std::string fp;
   for (const Cell& cell : cells) cell.AppendFingerprint(&fp);
   return fp;
+}
+
+void RowTable::Reorder(std::span<const uint32_t> rows) {
+  std::vector<Cell> cells;
+  cells.reserve(rows.size() * width_);
+  for (const uint32_t i : rows) {
+    const std::span<Cell> row = (*this)[i];
+    std::move(row.begin(), row.end(), std::back_inserter(cells));
+  }
+  cells_ = std::move(cells);
+  rows_ = rows.size();
+}
+
+std::string_view ResultSet::Keep(std::string text) {
+  if (!kept_) kept_ = std::make_shared<std::deque<std::string>>();
+  return kept_->emplace_back(std::move(text));
 }
 
 QueryEngine::QueryEngine(const TemporalStore* store, const Dictionary* dict,
@@ -174,15 +193,18 @@ Result<ResultSet> QueryEngine::Execute(const sparqlt::Query& query) const {
     }
     ResultSet merged;
     merged.columns = query.select;
+    merged.rows = RowTable(query.select.size());
     std::set<std::string> seen;
     for (size_t i = 0; i < nb; ++i) {
       Result<ResultSet> rs =
           Run(query.union_branches[i], compiled[i], orders[i]);
       if (!rs.ok()) return rs.status();
       MergeStats(rs->stats, &merged.stats);
-      for (auto& row : rs->rows) {
+      // A branch has no aggregates, so its cells view the Dictionary
+      // and outlive the branch result.
+      for (const std::span<const Cell> row : rs->rows) {
         if (seen.insert(RowFingerprint(row)).second) {
-          merged.rows.push_back(std::move(row));
+          std::ranges::copy(row, merged.rows.AppendRow().begin());
         }
       }
     }
@@ -333,9 +355,28 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
       });
     }
     if (!topk) DistinctRows(run, cq.projection, cq.vars, &sel);
+    // The sink: one table for every row; a term cell views the
+    // Dictionary's copy and a one-run time cell holds its run inline,
+    // so a row costs no allocation. The ids of one row sit at random
+    // places in the Dictionary, so the terms of the row kPrefetchRows
+    // ahead are prefetched while this one is decoded.
+    constexpr size_t kPrefetchRows = 8;
+    std::vector<int> term_slots;
+    for (int slot : cq.projection) {
+      if (!cq.vars[static_cast<size_t>(slot)].is_time) {
+        term_slots.push_back(slot);
+      }
+    }
+    result.rows = RowTable(cq.projection.size());
     result.rows.reserve(sel.size());
-    for (uint32_t i : sel) {
-      std::vector<Cell> cells(cq.projection.size());
+    for (size_t k = 0; k < sel.size(); ++k) {
+      if (k + kPrefetchRows < sel.size()) {
+        for (int slot : term_slots) {
+          dict_->Prefetch(run.term(sel[k + kPrefetchRows], slot));
+        }
+      }
+      const uint32_t i = sel[k];
+      const std::span<Cell> cells = result.rows.AppendRow();
       for (size_t c = 0; c < cells.size(); ++c) {
         const int slot = cq.projection[c];
         if (cq.vars[static_cast<size_t>(slot)].is_time) {
@@ -346,7 +387,6 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
           cells[c].term = dict_->Decode(id);
         }
       }
-      result.rows.push_back(std::move(cells));
     }
   }
   RDFTX_RETURN_IF_ERROR(ApplyOrderAndSlice(query.order_by, query.limit,
@@ -490,7 +530,7 @@ std::string ResultSet::ToString() const {
     out += "?" + columns[i];
   }
   out += "\n";
-  for (const auto& row : rows) {
+  for (const std::span<const Cell> row : rows) {
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out += "\t";
       out += row[i].ToString();

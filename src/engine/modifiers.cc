@@ -4,8 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "engine/operators.h"
@@ -15,7 +18,7 @@ namespace {
 
 /// Numeric-aware term comparison: unbound (empty) first, then numbers
 /// in value order, then the rest in byte order.
-int CompareTermStrings(const std::string& a, const std::string& b) {
+int CompareTermStrings(std::string_view a, std::string_view b) {
   if (a.empty() || b.empty()) {
     return static_cast<int>(!a.empty()) - static_cast<int>(!b.empty());
   }
@@ -49,8 +52,8 @@ std::string FormatBoundary(Chronon c, bool exclusive_end) {
 
 int CompareCells(const Cell& a, const Cell& b) {
   if (a.is_time || b.is_time) {
-    const auto& ra = a.time.runs();
-    const auto& rb = b.time.runs();
+    const std::span<const Interval> ra = a.time.runs();
+    const std::span<const Interval> rb = b.time.runs();
     const size_t n = std::min(ra.size(), rb.size());
     for (size_t i = 0; i < n; ++i) {
       if (ra[i].start != rb[i].start) {
@@ -77,30 +80,41 @@ Status ApplyOrderAndSlice(const std::vector<sparqlt::OrderKey>& order_by,
     keys.emplace_back(static_cast<size_t>(it - rs->columns.begin()),
                       k.descending);
   }
-  auto cmp = [&keys](const std::vector<Cell>& a,
-                     const std::vector<Cell>& b) {
+  // Sort a permutation of the rows. Ties break on the row fingerprint,
+  // built at most once per row and only for rows that tie.
+  RowTable& rows = rs->rows;
+  const size_t n = rows.size();
+  std::vector<std::string> fps(n);
+  std::vector<bool> have_fp(n, false);
+  auto fingerprint = [&](uint32_t i) -> const std::string& {
+    if (!have_fp[i]) {
+      fps[i] = RowFingerprint(rows[i]);
+      have_fp[i] = true;
+    }
+    return fps[i];
+  };
+  auto cmp = [&](uint32_t a, uint32_t b) {
     for (const auto& [col, descending] : keys) {
-      int c = CompareCells(a[col], b[col]);
+      const int c = CompareCells(rows[a][col], rows[b][col]);
       if (c != 0) return descending ? c > 0 : c < 0;
     }
-    return RowFingerprint(a) < RowFingerprint(b);
+    return fingerprint(a) < fingerprint(b);
   };
-  auto& rows = rs->rows;
-  const size_t n = rows.size();
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
   const size_t skip =
       offset > 0 ? std::min(n, static_cast<size_t>(offset)) : 0;
   size_t want = n;
   if (limit >= 0) want = std::min(n, skip + static_cast<size_t>(limit));
   if (want < n) {
     // Heap select: only the first offset+limit positions are ordered.
-    std::partial_sort(rows.begin(),
-                      rows.begin() + static_cast<ptrdiff_t>(want),
-                      rows.end(), cmp);
-    rows.resize(want);
+    std::partial_sort(order.begin(),
+                      order.begin() + static_cast<ptrdiff_t>(want),
+                      order.end(), cmp);
   } else {
-    std::sort(rows.begin(), rows.end(), cmp);
+    std::sort(order.begin(), order.end(), cmp);
   }
-  rows.erase(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(skip));
+  rows.Reorder(std::span<const uint32_t>(order).subspan(skip, want - skip));
   return Status::OK();
 }
 
@@ -149,12 +163,12 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
 
   // Per-aggregate running state within one group.
   struct AggState {
-    int64_t count = 0;        // kCount
-    double sum = 0;           // kSum / kDurSum
-    uint64_t duration = 0;    // kDurCount
-    bool has_value = false;   // kMin / kMax seeded
-    std::string best_term;    // kMin / kMax over key variables
-    Chronon best_chronon = 0; // kMin / kMax over time variables
+    int64_t count = 0;           // kCount
+    double sum = 0;              // kSum / kDurSum
+    uint64_t duration = 0;       // kDurCount
+    bool has_value = false;      // kMin / kMax seeded
+    std::string_view best_term;  // kMin / kMax over key variables
+    Chronon best_chronon = 0;    // kMin / kMax over time variables
   };
   struct Group {
     std::vector<Cell> key_cells;  // projected grouping columns
@@ -227,12 +241,12 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
             }
           } else {
             if (term == kInvalidTerm) break;
-            std::string text = dict.Decode(term);
+            const std::string_view text = dict.Decode(term);
             const int c = st.has_value
                               ? CompareTermStrings(text, st.best_term)
                               : 0;
             if (!st.has_value || (is_min ? c < 0 : c > 0)) {
-              st.best_term = std::move(text);
+              st.best_term = text;
               st.has_value = true;
             }
           }
@@ -262,40 +276,43 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
     g.aggs.resize(cq.aggregates.size());
   }
 
+  // Computed values are kept by the result; grouping cells and MIN/MAX
+  // terms view the Dictionary.
+  rs.rows = RowTable(rs.columns.size());
+  rs.rows.reserve(groups.size());
   for (auto& [key, g] : groups) {
-    std::vector<Cell> out = std::move(g.key_cells);
+    const std::span<Cell> out = rs.rows.AppendRow();
+    std::ranges::move(g.key_cells, out.begin());
     for (size_t a = 0; a < cq.aggregates.size(); ++a) {
       const CompiledAggregate& agg = cq.aggregates[a];
       const AggState& st = g.aggs[a];
       const bool arg_is_time =
           agg.var >= 0 && cq.vars[static_cast<size_t>(agg.var)].is_time;
-      Cell cell;
+      Cell& cell = out[cq.projection.size() + a];
       switch (agg.fn) {
         case sparqlt::AggregateFn::kCount:
-          cell.term = std::to_string(st.count);
+          cell.term = rs.Keep(std::to_string(st.count));
           break;
         case sparqlt::AggregateFn::kSum:
         case sparqlt::AggregateFn::kDurSum:
-          cell.term = FormatNumeric(st.sum);
+          cell.term = rs.Keep(FormatNumeric(st.sum));
           break;
         case sparqlt::AggregateFn::kDurCount:
-          cell.term = std::to_string(st.duration);
+          cell.term = rs.Keep(std::to_string(st.duration));
           break;
         case sparqlt::AggregateFn::kMin:
         case sparqlt::AggregateFn::kMax:
           if (!st.has_value) break;  // unbound cell
           if (arg_is_time) {
-            cell.term = FormatBoundary(
+            cell.term = rs.Keep(FormatBoundary(
                 st.best_chronon,
-                /*exclusive_end=*/agg.fn == sparqlt::AggregateFn::kMax);
+                /*exclusive_end=*/agg.fn == sparqlt::AggregateFn::kMax));
           } else {
             cell.term = st.best_term;
           }
           break;
       }
-      out.push_back(std::move(cell));
     }
-    rs.rows.push_back(std::move(out));
   }
   stats->agg_groups += rs.rows.size();
   return rs;

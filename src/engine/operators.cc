@@ -54,7 +54,8 @@ struct Value {
   bool boolean = false;
   int64_t num = 0;
   Chronon chronon = 0;
-  std::string str;
+  // A term's Dictionary copy or a string literal of the query.
+  std::string_view str;
   const TemporalSet* time = nullptr;
 };
 
@@ -334,13 +335,21 @@ class Evaluator {
       return CompareScalar(l.num, op, r.num);
     }
     // Mixed numeric/string comparisons go through doubles when both
-    // sides parse as numbers, else lexicographic.
-    auto as_string = [](const Value& v) -> std::string {
-      if (v.kind == Value::Kind::kInt) return std::to_string(v.num);
-      if (v.kind == Value::Kind::kChronon) return FormatChronon(v.chronon);
-      return v.str;
+    // sides parse as numbers, else lexicographic. Only numbers and
+    // dates are rendered; strings are compared in place.
+    auto as_string = [](const Value& v, std::string* buf) {
+      if (v.kind == Value::Kind::kInt) {
+        *buf = std::to_string(v.num);
+      } else if (v.kind == Value::Kind::kChronon) {
+        *buf = FormatChronon(v.chronon);
+      } else {
+        return v.str;
+      }
+      return std::string_view(*buf);
     };
-    std::string ls = as_string(l), rs = as_string(r);
+    std::string lbuf, rbuf;
+    const std::string_view ls = as_string(l, &lbuf);
+    const std::string_view rs = as_string(r, &rbuf);
     double ln, rn;
     if (ParseNumeric(ls, &ln) && ParseNumeric(rs, &rn)) {
       return CompareDouble(ln, op, rn);
@@ -430,11 +439,23 @@ class Evaluator {
 
 }  // namespace
 
-bool ParseNumeric(const std::string& s, double* out) {
+bool ParseNumeric(std::string_view s, double* out) {
   if (s.empty()) return false;
+  // strtod needs a terminated string; a view is copied to one, on the
+  // stack when it is short.
+  char small[64];
+  std::string large;
+  const char* text = small;
+  if (s.size() < sizeof(small)) {
+    s.copy(small, s.size());
+    small[s.size()] = '\0';
+  } else {
+    large.assign(s);
+    text = large.c_str();
+  }
   char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
+  const double v = std::strtod(text, &end);
+  if (end != text + s.size()) return false;
   *out = v;
   return true;
 }

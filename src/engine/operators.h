@@ -5,6 +5,7 @@
 #define RDFTX_ENGINE_OPERATORS_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/binding.h"
@@ -32,7 +33,7 @@ bool EvalPredicate(const sparqlt::Expr& expr, const Row& row,
 /// True when `s` parses in full as a number (strtod), which is then
 /// stored in `out`; FILTER comparisons, ORDER BY and the numeric
 /// aggregates all read term text through it.
-bool ParseNumeric(const std::string& s, double* out);
+bool ParseNumeric(std::string_view s, double* out);
 
 /// True when `t` holds equal terms wherever the pattern repeats a
 /// variable ({?x ?p ?x}, ...).

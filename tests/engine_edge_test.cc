@@ -31,7 +31,7 @@ TEST_F(EdgeFixture, NumericComparisonOnObjects) {
       "SELECT ?s ?v { ?s size ?v ?t . FILTER(?v < 10.5) }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::string> values;
-  for (const auto& row : r->rows) values.insert(row[1].term);
+  for (const auto& row : r->rows) values.emplace(row[1].term);
   EXPECT_EQ(values, (std::set<std::string>{"10", "9.5"}));
 }
 
@@ -70,7 +70,7 @@ TEST_F(EdgeFixture, NotOperator) {
       "SELECT ?s ?v { ?s size ?v ?t . FILTER(!(?v = 10)) }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::string> values;
-  for (const auto& row : r->rows) values.insert(row[1].term);
+  for (const auto& row : r->rows) values.emplace(row[1].term);
   EXPECT_EQ(values, (std::set<std::string>{"250", "9.5"}));
 }
 
@@ -79,7 +79,7 @@ TEST_F(EdgeFixture, TEndNowDetectsLiveFacts) {
       "SELECT ?s ?v { ?s size ?v ?t . FILTER(TEND(?t) = now) }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::string> values;
-  for (const auto& row : r->rows) values.insert(row[1].term);
+  for (const auto& row : r->rows) values.emplace(row[1].term);
   EXPECT_EQ(values, (std::set<std::string>{"250", "9.5"}));
 }
 

@@ -96,7 +96,7 @@ TEST_F(PaperExamplesTest, Example3LongServingPresidentsBefore2010) {
   )");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::string> people;
-  for (const auto& row : r->rows) people.insert(row[0].term);
+  for (const auto& row : r->rows) people.emplace(row[0].term);
   // Napolitano started 2013 (fails YEAR <= 2010); all earlier presidents
   // served > 1 year before 2010.
   EXPECT_EQ(people, (std::set<std::string>{"Mark_Yudof", "Robert_Dynes",
@@ -175,7 +175,7 @@ TEST_F(PaperExamplesTest, TotalLengthAndOr) {
   )");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::string> people;
-  for (const auto& row : r->rows) people.insert(row[0].term);
+  for (const auto& row : r->rows) people.emplace(row[0].term);
   // Atkinson served ~8 years; Napolitano started in 2013.
   EXPECT_EQ(people, (std::set<std::string>{"Richard_Atkinson",
                                            "Janet_Napolitano"}));

@@ -39,7 +39,7 @@ class TemporalFilterTest : public ::testing::Test {
     EXPECT_TRUE(r.ok()) << filter << " " << r.status().ToString();
     std::set<std::string> out;
     if (r.ok()) {
-      for (const auto& row : r->rows) out.insert(row[0].term);
+      for (const auto& row : r->rows) out.emplace(row[0].term);
     }
     return out;
   }

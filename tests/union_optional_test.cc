@@ -39,7 +39,7 @@ TEST_F(UnionOptionalFixture, OptionalKeepsUnmatchedRows) {
   )");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::pair<std::string, std::string>> got;
-  for (const auto& row : r->rows) got.insert({row[0].term, row[1].term});
+  for (const auto& row : r->rows) got.emplace(row[0].term, row[1].term);
   EXPECT_TRUE(got.contains({"Springfield", "Quimby"}));
   EXPECT_TRUE(got.contains({"Springfield", "Terwilliger"}));
   EXPECT_TRUE(got.contains({"Shelbyville", ""}));  // unbound mayor
@@ -61,7 +61,7 @@ TEST_F(UnionOptionalFixture, OptionalTemporalJoinIntersects) {
   // scan window excludes him, so only one optional match exists, but
   // the population row survives regardless.
   std::set<std::string> whos;
-  for (const auto& row : r->rows) whos.insert(row[0].term);
+  for (const auto& row : r->rows) whos.emplace(row[0].term);
   EXPECT_TRUE(whos.contains("Quimby"));
   EXPECT_FALSE(whos.contains("Terwilliger"));
 }
@@ -75,7 +75,7 @@ TEST_F(UnionOptionalFixture, UnionMergesBranches) {
   )");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::string> cities;
-  for (const auto& row : r->rows) cities.insert(row[0].term);
+  for (const auto& row : r->rows) cities.emplace(row[0].term);
   EXPECT_EQ(cities,
             (std::set<std::string>{"Springfield", "Ogdenville"}));
 }
@@ -102,7 +102,7 @@ TEST_F(UnionOptionalFixture, ThreeWayUnionWithFilters) {
   )");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   std::set<std::string> cities;
-  for (const auto& row : r->rows) cities.insert(row[0].term);
+  for (const auto& row : r->rows) cities.emplace(row[0].term);
   EXPECT_EQ(cities,
             (std::set<std::string>{"Springfield", "Ogdenville"}));
 }
