@@ -3,10 +3,12 @@
 // Execute(), so concurrency comes only from the clients. Wall-clock
 // queries/s scales only as far as the host has free cores;
 // queries_per_cpu_s (queries per second of process CPU time) stays
-// comparable on hosts with fewer effective cores than clients. Every
-// client's results are checked against the single-client answer, and
-// any failed or differing query exits nonzero. Writes
-// BENCH_parallel.json.
+// comparable on hosts with fewer effective cores than clients. Each
+// client count repeats a round of queries until the rounds have spent
+// kMinCpuSeconds of process CPU time and reports the median round, so
+// one short round's noise does not set the figure. Every client's
+// results are checked against the single-client answer, and any failed
+// or differing query exits nonzero. Writes BENCH_parallel.json.
 #include <time.h>
 
 #include <algorithm>
@@ -26,8 +28,10 @@ namespace {
 using namespace rdftx;
 using namespace rdftx::bench;
 
-// Total executions per throughput measurement, split across clients.
-constexpr int kQueriesPerRun = 240;
+// Executions per timed round, split across clients, and the process
+// CPU time the rounds of one client count spend at least.
+constexpr int kQueriesPerRound = 240;
+constexpr double kMinCpuSeconds = 0.5;
 
 double ProcessCpuSeconds() {
   timespec ts{};
@@ -39,16 +43,24 @@ double ProcessCpuSeconds() {
 struct Throughput {
   double wall_qps = 0;
   double cpu_qps = 0;
+  double cpu_secs = 0;
+  int rounds = 1;
 };
 
-/// Runs kQueriesPerRun queries split over `clients` threads, then checks
-/// every result against `expected` (exits nonzero on any failure or
-/// difference).
-Throughput Measure(const engine::QueryEngine& engine,
-                   const std::vector<std::string>& queries,
-                   const std::vector<std::vector<std::string>>& expected,
-                   int clients) {
-  const int per_client = kQueriesPerRun / clients;
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// Runs kQueriesPerRound queries split over `clients` threads, then
+/// checks every result against `expected` (exits nonzero on any failure
+/// or difference).
+Throughput MeasureRound(const engine::QueryEngine& engine,
+                        const std::vector<std::string>& queries,
+                        const std::vector<std::vector<std::string>>& expected,
+                        int clients) {
+  const int per_client = kQueriesPerRound / clients;
   std::atomic<int> errors{0};
   // Results are kept and checked after the timed run, so the check's
   // cost stays out of the throughput figures.
@@ -93,7 +105,24 @@ Throughput Measure(const engine::QueryEngine& engine,
     }
   }
   const double total = static_cast<double>(per_client * clients);
-  return {total / secs, total / cpu_secs};
+  return {total / secs, total / cpu_secs, cpu_secs};
+}
+
+/// Repeats MeasureRound until the rounds have spent kMinCpuSeconds of
+/// process CPU time; returns the median round's rates.
+Throughput Measure(const engine::QueryEngine& engine,
+                   const std::vector<std::string>& queries,
+                   const std::vector<std::vector<std::string>>& expected,
+                   int clients) {
+  std::vector<double> wall, cpu;
+  double spent = 0;
+  while (spent < kMinCpuSeconds) {
+    const Throughput round = MeasureRound(engine, queries, expected, clients);
+    wall.push_back(round.wall_qps);
+    cpu.push_back(round.cpu_qps);
+    spent += round.cpu_secs;
+  }
+  return {Median(wall), Median(cpu), spent, static_cast<int>(wall.size())};
 }
 
 }  // namespace
@@ -112,7 +141,8 @@ int main() {
   JsonReport report("parallel");
   report.Add("dataset_triples", static_cast<uint64_t>(f.data.triples.size()));
   report.Add("hardware_concurrency", static_cast<uint64_t>(hw));
-  report.Add("queries_per_run", static_cast<uint64_t>(kQueriesPerRun));
+  report.Add("queries_per_round", static_cast<uint64_t>(kQueriesPerRound));
+  report.Add("min_cpu_s_per_client_count", kMinCpuSeconds);
 
   engine::QueryEngine shared(store.get(), f.dict.get());
   shared.set_join_order_provider(bundle->optimizer->AsProvider());
@@ -130,15 +160,17 @@ int main() {
   }
 
   PrintSeriesHeader("Concurrent serving (one shared engine)",
-                    {"client_threads", "wall_queries_per_s",
+                    {"client_threads", "rounds", "wall_queries_per_s",
                      "queries_per_cpu_s", "wall_speedup"});
   double base_qps = 0.0;
   for (int clients : {1, 2, 4, 8}) {
     const Throughput t = Measure(shared, queries, expected, clients);
     if (clients == 1) base_qps = t.wall_qps;
-    PrintSeriesRow({std::to_string(clients), Fmt(t.wall_qps), Fmt(t.cpu_qps),
+    PrintSeriesRow({std::to_string(clients), std::to_string(t.rounds),
+                    Fmt(t.wall_qps), Fmt(t.cpu_qps),
                     Fmt(t.wall_qps / base_qps)});
     const std::string prefix = "clients_" + std::to_string(clients);
+    report.Add(prefix + "_rounds", static_cast<uint64_t>(t.rounds));
     report.Add(prefix + "_wall_queries_per_s", t.wall_qps);
     report.Add(prefix + "_queries_per_cpu_s", t.cpu_qps);
   }
