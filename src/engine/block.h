@@ -15,6 +15,7 @@
 #define RDFTX_ENGINE_BLOCK_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dict/dictionary.h"
@@ -22,6 +23,10 @@
 #include "util/date.h"
 
 namespace rdftx::engine {
+
+/// Selection vector: indices of chosen rows of a BlockRun. The tail
+/// keeps its selections ascending, so they preserve run order.
+using RowSelection = std::vector<uint32_t>;
 
 /// A sequence of rows flowing between vectorized operators. Move-only,
 /// so an accidental deep copy fails to compile.
@@ -98,18 +103,21 @@ class BlockRun {
     return extra_[At(i, v).term - 1];
   }
 
+  /// The element of time slot `v` at row `i`, read in place: a spilled
+  /// element by reference, the inline run rebuilt in `*one` (a one-run
+  /// TemporalSet never allocates).
+  const TemporalSet& TimeRef(size_t i, int v, TemporalSet* one) const {
+    const Cell& c = At(i, v);
+    if (c.term != 0) return extra_[c.term - 1];
+    *one = InlineTime(c);
+    return *one;
+  }
+
   /// Materializes the element of time slot `v` at row `i`.
   TemporalSet TimeAt(size_t i, int v) const {
     const Cell& c = At(i, v);
     if (c.term != 0) return extra_[c.term - 1];
-    const Chronon s = c.start;
-    const Chronon e = c.end;
-    // >= (not ==): an inverted pair could only come from a bug in an
-    // operator writing the cells, but it must degrade to the empty set
-    // rather than construct an inverted Interval — and the widened guard
-    // lets rdftx-analyzer prove s < e for the construction below.
-    if (s >= e) return TemporalSet();
-    return TemporalSet(Interval(s, e));
+    return InlineTime(c);
   }
 
  private:
@@ -120,6 +128,18 @@ class BlockRun {
     Chronon start = 0;
     Chronon end = 0;
   };
+
+  /// The inline run of a cell that holds no spilled element.
+  static TemporalSet InlineTime(const Cell& c) {
+    const Chronon s = c.start;
+    const Chronon e = c.end;
+    // >= (not ==): an inverted pair could only come from a bug in an
+    // operator writing the cells, but it must degrade to the empty set
+    // rather than construct an inverted Interval — and the widened guard
+    // lets rdftx-analyzer prove s < e for the construction below.
+    if (s >= e) return TemporalSet();
+    return TemporalSet(Interval(s, e));
+  }
 
   Cell& At(size_t i, int v) {
     return cells_[i * num_vars_ + static_cast<size_t>(v)];

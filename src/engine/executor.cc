@@ -22,22 +22,6 @@ int ConstantCount(const CompiledPattern& cp) {
   return n;
 }
 
-/// Narrows `sel` (rows of `run`) to the rows satisfying every predicate
-/// in `filters`, evaluated through one scratch Row.
-void ApplyFilters(const std::vector<const sparqlt::Expr*>& filters,
-                  const BlockRun& run, const EvalContext& ctx,
-                  RowSelection* sel) {
-  if (filters.empty()) return;
-  Row row(ctx.vars->size());
-  std::erase_if(*sel, [&](uint32_t i) {
-    LoadRow(run, i, *ctx.vars, &row);
-    for (const sparqlt::Expr* f : filters) {
-      if (!EvalPredicate(*f, row, ctx)) return true;
-    }
-    return false;
-  });
-}
-
 /// Accumulates one query part's counters into the query total.
 void MergeStats(const ExecStats& in, ExecStats* out) {
   out->patterns_scanned += in.patterns_scanned;
@@ -288,7 +272,7 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
   // conditions).
   RowSelection sel(run.size());
   std::iota(sel.begin(), sel.end(), 0u);
-  ApplyFilters(cq.filters, run, ctx, &sel);
+  FilterRows(cq.filters, run, ctx, &sel);
 
   // FILTER [NOT] EXISTS groups narrow the selection in declaration
   // order, each evaluated for the surviving rows' keys. Once no row
@@ -378,14 +362,7 @@ Result<ResultSet> QueryEngine::Run(const sparqlt::Query& query,
       const uint32_t i = sel[k];
       const std::span<Cell> cells = result.rows.AppendRow();
       for (size_t c = 0; c < cells.size(); ++c) {
-        const int slot = cq.projection[c];
-        if (cq.vars[static_cast<size_t>(slot)].is_time) {
-          cells[c].is_time = true;
-          cells[c].time = run.TimeAt(i, slot);
-        } else if (const TermId id = run.term(i, slot);
-                   id != kInvalidTerm) {
-          cells[c].term = dict_->Decode(id);
-        }
+        LoadCell(run, i, cq.projection[c], cq.vars, *dict_, &cells[c]);
       }
     }
   }
@@ -515,7 +492,7 @@ BlockRun QueryEngine::EvalGroup(const CompiledOptional& group,
   if (!group.filters.empty()) {
     RowSelection sel(run.size());
     std::iota(sel.begin(), sel.end(), 0u);
-    ApplyFilters(group.filters, run, ctx, &sel);
+    FilterRows(group.filters, run, ctx, &sel);
     if (sel.size() < run.size()) {
       run = GatherRun(run, sel, cq.vars);
     }

@@ -175,31 +175,24 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
     std::vector<AggState> aggs;
   };
 
-  auto cell_of = [&](const Row& row, int slot) {
-    const VarInfo& info = cq.vars[static_cast<size_t>(slot)];
-    Cell cell;
-    if (info.is_time) {
-      cell.is_time = true;
-      cell.time = row.times[static_cast<size_t>(slot)];
-    } else {
-      const TermId id = row.terms[static_cast<size_t>(slot)];
-      if (id != kInvalidTerm) cell.term = dict.Decode(id);
-    }
-    return cell;
-  };
+  TemporalSet one;  // scratch for BlockRun::TimeRef
 
   // Canonical, store-independent group keys (decoded content, not term
   // ids) keep the emission order deterministic across stores.
   std::map<std::string, Group> groups;
-  Row r(cq.vars.size());  // scratch, reused for every solution
   for (const uint32_t i : rows) {
-    LoadRow(run, i, cq.vars, &r);
     std::string key;
-    for (int slot : cq.group_by) cell_of(r, slot).AppendFingerprint(&key);
+    for (int slot : cq.group_by) {
+      Cell cell;
+      LoadCell(run, i, slot, cq.vars, dict, &cell);
+      cell.AppendFingerprint(&key);
+    }
     auto [it, inserted] = groups.try_emplace(std::move(key));
     Group& g = it->second;
     if (inserted) {
-      for (int slot : cq.projection) g.key_cells.push_back(cell_of(r, slot));
+      for (int slot : cq.projection) {
+        LoadCell(run, i, slot, cq.vars, dict, &g.key_cells.emplace_back());
+      }
       g.aggs.resize(cq.aggregates.size());
     }
     for (size_t a = 0; a < cq.aggregates.size(); ++a) {
@@ -207,15 +200,14 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
       AggState& st = g.aggs[a];
       const bool arg_is_time =
           agg.var >= 0 && cq.vars[static_cast<size_t>(agg.var)].is_time;
-      const TermId term = agg.var >= 0 && !arg_is_time
-                              ? r.terms[static_cast<size_t>(agg.var)]
-                              : kInvalidTerm;
+      const TermId term =
+          agg.var >= 0 && !arg_is_time ? run.term(i, agg.var) : kInvalidTerm;
       switch (agg.fn) {
         case sparqlt::AggregateFn::kCount: {
           if (agg.star) {
             ++st.count;
           } else if (arg_is_time) {
-            if (!r.times[static_cast<size_t>(agg.var)].empty()) ++st.count;
+            if (!run.TimeEmpty(i, agg.var)) ++st.count;
           } else if (term != kInvalidTerm) {
             ++st.count;
           }
@@ -231,9 +223,10 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
         case sparqlt::AggregateFn::kMax: {
           const bool is_min = agg.fn == sparqlt::AggregateFn::kMin;
           if (arg_is_time) {
-            const TemporalSet& set = r.times[static_cast<size_t>(agg.var)];
-            if (set.empty()) break;
-            const Chronon c = is_min ? set.Start() : set.End();
+            // The inline cell holds a spilled element's hull.
+            if (run.TimeEmpty(i, agg.var)) break;
+            const Chronon c =
+                is_min ? run.TimeStart(i, agg.var) : run.TimeEnd(i, agg.var);
             if (!st.has_value || (is_min ? c < st.best_chronon
                                          : c > st.best_chronon)) {
               st.best_chronon = c;
@@ -253,8 +246,7 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
           break;
         }
         case sparqlt::AggregateFn::kDurCount: {
-          st.duration +=
-              r.times[static_cast<size_t>(agg.var)].TotalLength(now);
+          st.duration += run.TimeRef(i, agg.var, &one).TotalLength(now);
           break;
         }
         case sparqlt::AggregateFn::kDurSum: {
@@ -262,7 +254,7 @@ ResultSet AggregateRows(const CompiledQuery& cq, const BlockRun& run,
           double v = 0;
           if (!ParseNumeric(dict.Decode(term), &v)) break;
           st.sum += v * static_cast<double>(
-              r.times[static_cast<size_t>(agg.time_var)].TotalLength(now));
+              run.TimeRef(i, agg.time_var, &one).TotalLength(now));
           break;
         }
       }

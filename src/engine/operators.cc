@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <unordered_map>
+
+#include "engine/vectorized.h"
 
 namespace rdftx::engine {
 namespace {
@@ -11,25 +12,8 @@ namespace {
 using sparqlt::CompareOp;
 using sparqlt::Expr;
 
-bool CompareScalar(int64_t a, CompareOp op, int64_t b) {
-  switch (op) {
-    case CompareOp::kEq:
-      return a == b;
-    case CompareOp::kNe:
-      return a != b;
-    case CompareOp::kLt:
-      return a < b;
-    case CompareOp::kLe:
-      return a <= b;
-    case CompareOp::kGt:
-      return a > b;
-    case CompareOp::kGe:
-      return a >= b;
-  }
-  return false;
-}
-
-bool CompareDouble(double a, CompareOp op, double b) {
+template <typename T>
+bool CompareScalar(T a, CompareOp op, T b) {
   switch (op) {
     case CompareOp::kEq:
       return a == b;
@@ -152,10 +136,18 @@ bool ExistsYear(const TemporalSet& set, CompareOp op, int64_t c,
   return false;
 }
 
+// Evaluates FILTER expressions over the rows of one run, read in place.
 class Evaluator {
  public:
-  Evaluator(const Row& row, const EvalContext& ctx) : row_(row), ctx_(ctx) {}
+  Evaluator(const BlockRun& run, const EvalContext& ctx)
+      : run_(run), ctx_(ctx), ones_(ctx.vars->size()) {}
 
+  bool Holds(const Expr& e, size_t i) {
+    i_ = i;
+    return Truthy(e);
+  }
+
+ private:
   bool Truthy(const Expr& e) {
     Value v = Eval(e);
     switch (v.kind) {
@@ -175,7 +167,6 @@ class Evaluator {
     return false;
   }
 
- private:
   Value Eval(const Expr& e) {
     Value v;
     switch (e.kind) {
@@ -200,13 +191,11 @@ class Evaluator {
         if (slot < 0) return v;  // unbound name -> null
         const VarInfo& info = (*ctx_.vars)[static_cast<size_t>(slot)];
         if (info.is_time) {
-          const TemporalSet& set = row_.times[static_cast<size_t>(slot)];
-          if (set.empty()) return v;
-          v.kind = Value::Kind::kTime;
-          v.time = &set;
+          v.time = TimeOf(slot);
+          if (v.time != nullptr) v.kind = Value::Kind::kTime;
           return v;
         }
-        TermId id = row_.terms[static_cast<size_t>(slot)];
+        TermId id = run_.term(i_, slot);
         if (id == kInvalidTerm) return v;
         v.kind = Value::Kind::kString;
         v.str = ctx_.dict->Decode(id);
@@ -298,11 +287,9 @@ class Evaluator {
     if (slot < 0 || !(*ctx_.vars)[static_cast<size_t>(slot)].is_time) {
       return false;
     }
-    const TemporalSet& s = row_.times[static_cast<size_t>(slot)];
-    if (s.empty()) return false;
-    *set = &s;
+    *set = TimeOf(slot);
     *classifier = kind;
-    return true;
+    return *set != nullptr;
   }
 
   bool EvalCompare(const Expr& e) {
@@ -352,7 +339,7 @@ class Evaluator {
     const std::string_view rs = as_string(r, &rbuf);
     double ln, rn;
     if (ParseNumeric(ls, &ln) && ParseNumeric(rs, &rn)) {
-      return CompareDouble(ln, op, rn);
+      return CompareScalar(ln, op, rn);
     }
     int cmp = ls.compare(rs);
     return CompareScalar(cmp, op, 0);
@@ -433,8 +420,18 @@ class Evaluator {
     return -1;
   }
 
-  const Row& row_;
+  // Time slot `slot` of the current row: a spilled element by
+  // reference, a one-run element rebuilt in the slot's scratch set;
+  // null when unbound.
+  const TemporalSet* TimeOf(int slot) {
+    if (run_.TimeEmpty(i_, slot)) return nullptr;
+    return &run_.TimeRef(i_, slot, &ones_[static_cast<size_t>(slot)]);
+  }
+
+  const BlockRun& run_;
   const EvalContext& ctx_;
+  size_t i_ = 0;
+  std::vector<TemporalSet> ones_;  // one scratch set per variable slot
 };
 
 }  // namespace
@@ -460,10 +457,14 @@ bool ParseNumeric(std::string_view s, double* out) {
   return true;
 }
 
-bool EvalPredicate(const Expr& expr, const Row& row,
-                   const EvalContext& ctx) {
-  Evaluator ev(row, ctx);
-  return ev.Truthy(expr);
+void FilterRows(const std::vector<const Expr*>& filters, const BlockRun& run,
+                const EvalContext& ctx, RowSelection* sel) {
+  if (filters.empty()) return;
+  Evaluator ev(run, ctx);
+  std::erase_if(*sel, [&](uint32_t i) {
+    return !std::ranges::all_of(
+        filters, [&](const Expr* f) { return ev.Holds(*f, i); });
+  });
 }
 
 bool RepeatedSlotsAgree(const CompiledPattern& cp, const Triple& t) {
@@ -486,11 +487,11 @@ bool MeetsWindow(const CompiledPattern& cp, Chronon start, Chronon end) {
          std::min(end, cp.spec.time.end);
 }
 
-void ScanToRows(const TemporalStore& store, const CompiledPattern& cp,
-                size_t num_vars, const std::vector<VarInfo>& vars,
-                std::vector<Row>* out, ExecStats* stats) {
+void ScanToRun(const TemporalStore& store, const CompiledPattern& cp,
+               size_t num_vars, const std::vector<VarInfo>& vars,
+               int sort_slot, BlockRun* out, ExecStats* stats) {
+  *out = BlockRun(num_vars);
   if (stats != nullptr) ++stats->patterns_scanned;
-  const size_t before = out->size();
   if (cp.never_matches || cp.spec.time.empty()) return;
   const PatternSpec spec = ScanSpec(cp, vars);
   std::unordered_map<Triple, std::vector<Interval>, TripleHash> groups;
@@ -501,7 +502,7 @@ void ScanToRows(const TemporalStore& store, const CompiledPattern& cp,
         groups[t].push_back(iv.Intersect(spec.time));
       },
       &scan);
-  out->reserve(out->size() + groups.size());
+  out->Reserve(groups.size());
   for (auto& [triple, runs] : groups) {
     if (!RepeatedSlotsAgree(cp, triple) ||
         std::none_of(runs.begin(), runs.end(), [&](const Interval& iv) {
@@ -509,18 +510,20 @@ void ScanToRows(const TemporalStore& store, const CompiledPattern& cp,
         })) {
       continue;
     }
-    Row row(num_vars);
-    if (cp.var_s >= 0) row.terms[static_cast<size_t>(cp.var_s)] = triple.s;
-    if (cp.var_p >= 0) row.terms[static_cast<size_t>(cp.var_p)] = triple.p;
-    if (cp.var_o >= 0) row.terms[static_cast<size_t>(cp.var_o)] = triple.o;
+    const size_t r = out->AppendRow();
+    if (cp.var_s >= 0) out->set_term(r, cp.var_s, triple.s);
+    if (cp.var_p >= 0) out->set_term(r, cp.var_p, triple.p);
+    if (cp.var_o >= 0) out->set_term(r, cp.var_o, triple.o);
     if (cp.var_t >= 0) {
-      row.times[static_cast<size_t>(cp.var_t)] =
-          TemporalSet::FromIntervals(std::move(runs));
+      out->SetTime(r, cp.var_t, TemporalSet::FromIntervals(std::move(runs)));
     }
-    out->push_back(std::move(row));
+  }
+  if (sort_slot >= 0 && (cp.var_s == sort_slot || cp.var_p == sort_slot ||
+                         cp.var_o == sort_slot)) {
+    *out = SortRun(*out, sort_slot, vars);
   }
   if (stats != nullptr) {
-    stats->rows_scanned += out->size() - before;
+    stats->rows_scanned += out->size();
     stats->scan.MergeFrom(scan);
   }
 }

@@ -1,6 +1,8 @@
-// Physical operators of the SPARQLt engine (paper §5.2): index-scan to
-// binding rows, hash join with temporal-set intersection, and FILTER
-// predicate evaluation under the point-based semantics.
+// Physical operators of the SPARQLt engine (paper §5.2): the pattern
+// scan of stores without MVBT indices into a BlockRun, FILTER predicate
+// evaluation over run rows under the point-based semantics, and the
+// tuple-at-a-time hash joins with temporal-set intersection that tests
+// keep as references.
 #ifndef RDFTX_ENGINE_OPERATORS_H_
 #define RDFTX_ENGINE_OPERATORS_H_
 
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "engine/binding.h"
+#include "engine/block.h"
 #include "engine/translate.h"
 #include "rdf/store_interface.h"
 
@@ -22,13 +25,15 @@ struct EvalContext {
   Chronon now = kChrononMax;
 };
 
-/// Evaluates a FILTER expression as a predicate over one row.
-/// Comparisons involving a temporal element follow the point-based
-/// semantics: range conditions (?t <= d, YEAR(?t) = c, ...) hold if some
-/// point of the element satisfies them; TSTART/TEND/LENGTH/TOTAL_LENGTH
-/// are scalar functions of the whole element.
-bool EvalPredicate(const sparqlt::Expr& expr, const Row& row,
-                   const EvalContext& ctx);
+/// Narrows `sel` (rows of `run`) to the rows that satisfy every FILTER
+/// predicate in `filters`, reading each row in place. Comparisons
+/// involving a temporal element follow the point-based semantics: range
+/// conditions (?t <= d, YEAR(?t) = c, ...) hold if some point of the
+/// element satisfies them; TSTART/TEND/LENGTH/TOTAL_LENGTH are scalar
+/// functions of the whole element.
+void FilterRows(const std::vector<const sparqlt::Expr*>& filters,
+                const BlockRun& run, const EvalContext& ctx,
+                RowSelection* sel);
 
 /// True when `s` parses in full as a number (strtod), which is then
 /// stored in `out`; FILTER comparisons, ORDER BY and the numeric
@@ -49,17 +54,18 @@ PatternSpec ScanSpec(const CompiledPattern& cp,
 /// True when the run [start, end) shares a chronon with cp.spec.time.
 bool MeetsWindow(const CompiledPattern& cp, Chronon start, Chronon end);
 
-/// Scans one compiled pattern into binding rows, one per matching
-/// triple, its temporal variable (if any) bound to the triple's
-/// coalesced runs. A full-validity pattern scans all of history and
-/// keeps a triple when one of its runs meets the window (ScanSpec).
-/// When `stats` is given, the scan accounts itself there (one
-/// patterns_scanned, rows_scanned += rows produced); stats objects are
-/// per-query values, never engine state, so concurrent scans with
-/// distinct stats never race.
-void ScanToRows(const TemporalStore& store, const CompiledPattern& cp,
-                size_t num_vars, const std::vector<VarInfo>& vars,
-                std::vector<Row>* out, ExecStats* stats = nullptr);
+/// The scan of stores without MVBT indices: fills `out` with one row per
+/// matching triple, its temporal variable (if any) bound to the triple's
+/// coalesced runs, grouping fragments per triple in a hash table (no
+/// code shared with VectorizedScan). A full-validity pattern scans all
+/// of history and keeps a triple when one of its runs meets the window
+/// (ScanSpec). Rows are sorted by `sort_slot` when the pattern binds it
+/// (SortRun), else unordered. `stats`, when given, counts one
+/// patterns_scanned and the rows produced; it is a per-query value, so
+/// concurrent scans with distinct stats never race.
+void ScanToRun(const TemporalStore& store, const CompiledPattern& cp,
+               size_t num_vars, const std::vector<VarInfo>& vars,
+               int sort_slot, BlockRun* out, ExecStats* stats);
 
 /// Hash join of two row sets on `shared_key_slots` (term equality).
 /// Temporal slots bound on both sides intersect (the temporal join);

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "engine/operators.h"
 #include "mvbt/mvbt.h"
 #include "rdf/epoch.h"
 #include "rdf/temporal_graph.h"
@@ -267,24 +266,9 @@ void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
       graph == nullptr ? dynamic_cast<const Epoch*>(&store) : nullptr;
   if (epoch != nullptr) graph = epoch->base().get();
   if (graph == nullptr) {
-    // Stores without MVBT indices (the conformance oracle and the
-    // paper's baselines) scan through the tuple operator; blocking and
-    // ordering the rows here makes the downstream operators
-    // store-agnostic.
-    std::vector<Row> rows;
-    ScanToRows(store, cp, num_vars, vars, &rows, stats);
-    const bool sort = sort_slot >= 0 && (cp.var_s == sort_slot ||
-                                         cp.var_p == sort_slot ||
-                                         cp.var_o == sort_slot);
-    if (sort) {
-      const size_t ss = static_cast<size_t>(sort_slot);
-      std::stable_sort(rows.begin(), rows.end(),
-                       [ss](const Row& x, const Row& y) {
-                         return x.terms[ss] < y.terms[ss];
-                       });
-    }
-    *out = RowsToRun(rows, vars);
-    if (sort) out->sorted_by = sort_slot;
+    // Stores without MVBT indices: the conformance oracle and the
+    // paper's baselines.
+    ScanToRun(store, cp, num_vars, vars, sort_slot, out, stats);
     return;
   }
   *out = BlockRun(num_vars);
@@ -660,32 +644,23 @@ void DistinctRows(const BlockRun& run, const std::vector<int>& slots,
   sel->resize(kept);
 }
 
-void LoadRow(const BlockRun& run, size_t i, const std::vector<VarInfo>& vars,
-             Row* row) {
-  for (size_t v = 0; v < vars.size(); ++v) {
-    const int vi = static_cast<int>(v);
-    if (vars[v].is_time) {
-      row->terms[v] = kInvalidTerm;
-      row->times[v] = run.TimeAt(i, vi);
-    } else {
-      row->terms[v] = run.term(i, vi);
-    }
-  }
-}
-
 std::vector<Row> RunToRows(const BlockRun& run,
                            const std::vector<VarInfo>& vars) {
-  std::vector<Row> rows;
-  rows.reserve(run.size());
-  for (size_t i = 0, n = run.size(); i < n; ++i) {
-    Row row(vars.size());
-    LoadRow(run, i, vars, &row);
-    rows.push_back(std::move(row));
+  std::vector<Row> rows(run.size(), Row(vars.size()));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t v = 0; v < vars.size(); ++v) {
+      const int vi = static_cast<int>(v);
+      if (vars[v].is_time) {
+        rows[i].times[v] = run.TimeAt(i, vi);
+      } else {
+        rows[i].terms[v] = run.term(i, vi);
+      }
+    }
   }
   return rows;
 }
 
-BlockRun RowsToRun(const std::vector<Row>& rows,
+BlockRun RowsToRun(std::span<const Row> rows,
                    const std::vector<VarInfo>& vars) {
   BlockRun out(vars.size());
   out.Reserve(rows.size());

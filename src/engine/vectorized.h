@@ -11,18 +11,16 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "engine/binding.h"
 #include "engine/block.h"
+#include "engine/operators.h"
 #include "engine/translate.h"
 #include "rdf/store_interface.h"
 
 namespace rdftx::engine {
-
-/// Selection vector: indices of chosen rows of a BlockRun. The tail
-/// keeps its selections ascending, so they preserve run order.
-using RowSelection = std::vector<uint32_t>;
 
 /// Sideways key filter: a fixed-size bitmap over the term ids that the
 /// already bound solutions hold in one key slot. A scan given the filter
@@ -51,8 +49,8 @@ class KeyFilter {
   std::vector<uint64_t> bits_;
 };
 
-/// Vectorized counterpart of ScanToRows. Collects the MVBT leaves of the
-/// pattern's query region, filters each leaf's columnar image with SIMD
+/// The engine's pattern scan. Collects the MVBT leaves of the pattern's
+/// query region, filters each leaf's columnar image with SIMD
 /// masks (interval overlap, per-component key equality, repeated-var
 /// equality) and, when given and the pattern binds its slot, the key
 /// filter; gathers the survivors' variable components and runs through a
@@ -68,14 +66,14 @@ class KeyFilter {
 /// order) leads, and the remaining variable components break ties.
 /// `out->sorted_by` records the leading slot (-1 when the pattern binds
 /// no key variable), so a requested merge order is free. Counters
-/// accumulate into `stats` with the same semantics as ScanToRows;
+/// accumulate into `stats` with the same semantics as ScanToRun;
 /// fragments the key filter drops count in `key_filtered_fragments`,
 /// fragments gathered in `scan.fragments_gathered`. A live Epoch scans
 /// its base graph and patches the gathered fragments with Epoch::Patch.
 /// Stores without MVBT indices (the oracle and the paper's baselines)
-/// fall back to ScanToRows plus a sort on a requested bound `sort_slot`
-/// and ignore the key filter, so results never depend on the store type
-/// and the oracle always checks the filtered path.
+/// are scanned by ScanToRun, which orders a requested bound `sort_slot`
+/// and ignores the key filter, so results never depend on the store
+/// type and the oracle always checks the filtered path.
 void VectorizedScan(const TemporalStore& store, const CompiledPattern& cp,
                     size_t num_vars, const std::vector<VarInfo>& vars,
                     int sort_slot, BlockRun* out, ExecStats* stats,
@@ -134,30 +132,55 @@ void SemiJoinRuns(const BlockRun& left, const BlockRun& right,
                   const std::vector<int>& shared_time_slots, bool negated,
                   RowSelection* sel);
 
+/// Writes slot `v` of row `i` into `cell`, which must be unbound: a time
+/// cell holds the element, a term cell views `dict`'s text (and stays
+/// empty when the slot is unbound).
+inline void LoadCell(const BlockRun& run, size_t i, int v,
+                     const std::vector<VarInfo>& vars, const Dictionary& dict,
+                     Cell* cell) {
+  if (vars[static_cast<size_t>(v)].is_time) {
+    cell->is_time = true;
+    cell->time = run.TimeAt(i, v);
+  } else if (const TermId id = run.term(i, v); id != kInvalidTerm) {
+    cell->term = dict.Decode(id);
+  }
+}
+
 /// Keeps the first of the rows `sel` of `run` that agree on every one of
 /// `slots` (terms by id, temporal elements by runs, unbound equal to
 /// unbound), preserving order.
 void DistinctRows(const BlockRun& run, const std::vector<int>& slots,
                   const std::vector<VarInfo>& vars, RowSelection* sel);
 
-/// Copies row `i` of `run` into `row`, which must have one cell per
-/// variable; its vectors are reused, so a scratch row serves a whole
-/// run.
-void LoadRow(const BlockRun& run, size_t i, const std::vector<VarInfo>& vars,
-             Row* row);
+// --- Kept only for the frozen end-to-end benchmark (perfbench/) ---
+// perfbench still scans, filters and joins Rows, and passes an empty
+// block pool to four run operators; tests use the Row code as a
+// reference. The engine calls none of it. It goes at the next change to
+// the benchmark.
 
-/// Boundary converters between runs and Rows, for callers of the row
-/// operators (the engine itself stays on runs).
+/// Boundary converters between runs and Rows.
 std::vector<Row> RunToRows(const BlockRun& run,
                            const std::vector<VarInfo>& vars);
-BlockRun RowsToRun(const std::vector<Row>& rows,
+BlockRun RowsToRun(std::span<const Row> rows,
                    const std::vector<VarInfo>& vars);
 
-// --- Kept only for the frozen end-to-end benchmark (perfbench/) ---
-// perfbench still passes a block pool to these four operators. The pool
-// holds nothing and the overloads ignore it. Nothing in the library, its
-// tests or its benches calls them; they go at the next change to the
-// benchmark.
+/// ScanToRun in no particular order, appended to `out` as Rows.
+inline void ScanToRows(const TemporalStore& store, const CompiledPattern& cp,
+                       size_t num_vars, const std::vector<VarInfo>& vars,
+                       std::vector<Row>* out, ExecStats* stats = nullptr) {
+  BlockRun run;
+  ScanToRun(store, cp, num_vars, vars, /*sort_slot=*/-1, &run, stats);
+  for (Row& row : RunToRows(run, vars)) out->push_back(std::move(row));
+}
+
+/// FilterRows over one Row.
+inline bool EvalPredicate(const sparqlt::Expr& expr, const Row& row,
+                          const EvalContext& ctx) {
+  RowSelection sel = {0};
+  FilterRows({&expr}, RowsToRun({&row, 1}, *ctx.vars), ctx, &sel);
+  return !sel.empty();
+}
+
 struct BlockPool {};
 
 inline void VectorizedScan(const TemporalStore& store,

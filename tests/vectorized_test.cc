@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "baselines/naive_store.h"
+#include "baselines/rdbms_store.h"
 #include "engine/block.h"
 #include "engine/executor.h"
 #include "engine/operators.h"
@@ -617,6 +618,7 @@ class EpochScanTest : public ::testing::Test {
         TemporalGraphOptions{.block_capacity = 64, .compress_leaves = true});
     ASSERT_TRUE(base->Load(IntervalsFrom(split)).ok());
     ASSERT_TRUE(naive_.Load(IntervalsFrom(events_.size())).ok());
+    ASSERT_TRUE(rdbms_.Load(IntervalsFrom(events_.size())).ok());
     epoch_ = std::make_unique<Epoch>(std::move(base),
                                      Overlay(split, &rng), horizon_);
     overlay_only_ = std::make_unique<Epoch>(
@@ -669,6 +671,7 @@ class EpochScanTest : public ::testing::Test {
   std::unique_ptr<Epoch> epoch_;
   std::unique_ptr<Epoch> overlay_only_;
   NaiveStore naive_;
+  RdbmsStore rdbms_;
 };
 
 TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
@@ -703,10 +706,11 @@ TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
       }
       vars.push_back({"t", true, false});
 
+      std::vector<Row> oracle;
+      ScanToRows(naive_, cp, num_vars, vars, &oracle);
       for (const Epoch* epoch : {epoch_.get(), overlay_only_.get()}) {
-        std::vector<Row> want, oracle;
+        std::vector<Row> want;
         ScanToRows(*epoch, cp, num_vars, vars, &want);
-        ScanToRows(naive_, cp, num_vars, vars, &oracle);
         EXPECT_EQ(SortedKeys(want, vars), SortedKeys(oracle, vars));
 
         ExecStats stats;
@@ -717,19 +721,27 @@ TEST_F(EpochScanTest, MatchesScanToRowsAndTheOracleOnAllPatternShapes) {
                   SortedKeys(want, vars))
             << "mask " << mask;
         EXPECT_EQ(stats.rows_scanned, want.size());
+      }
 
-        // A requested ordering on a bound key slot is honored.
-        if (cp.var_o >= 0) {
+      // A requested ordering on a bound key slot is honored, by the MVBT
+      // scan of both epochs and by ScanToRun on the oracle and on a paper
+      // baseline.
+      if (cp.var_o >= 0) {
+        const TemporalStore* stores[] = {epoch_.get(), overlay_only_.get(),
+                                         &naive_, &rdbms_};
+        for (const TemporalStore* store : stores) {
           BlockRun sorted_run;
-          VectorizedScan(*epoch, cp, num_vars, vars, cp.var_o, &sorted_run,
+          VectorizedScan(*store, cp, num_vars, vars, cp.var_o, &sorted_run,
                          nullptr);
-          EXPECT_EQ(sorted_run.sorted_by, cp.var_o);
+          EXPECT_EQ(sorted_run.sorted_by, cp.var_o) << store->name();
           for (size_t i = 1; i < sorted_run.size(); ++i) {
             EXPECT_LE(sorted_run.term(i - 1, cp.var_o),
-                      sorted_run.term(i, cp.var_o));
+                      sorted_run.term(i, cp.var_o))
+                << store->name();
           }
           EXPECT_EQ(SortedKeys(RunToRows(sorted_run, vars), vars),
-                    SortedKeys(want, vars));
+                    SortedKeys(oracle, vars))
+              << store->name();
         }
       }
     }

@@ -1,7 +1,7 @@
 // Shared infrastructure of rdftx-analyzer (DESIGN.md §12): options,
 // findings, the per-TU context every check runs against, and the small
 // AST taxonomy helpers (which records are util::Mutex, rdftx::Result,
-// engine::BlockHandle, ...) the checks share.
+// ...) the checks share.
 //
 // The analyzer is split into one translation unit per check
 // (checks/check_*.cc), each implementing the Check interface below.
@@ -157,9 +157,6 @@ bool IsMutexGuard(clang::QualType t);
 /// legitimate non-owning handle).
 bool IsEpochClass(const clang::CXXRecordDecl* rec, bool fieldRule);
 
-bool IsBlockHandleRecord(const clang::CXXRecordDecl* rec);
-bool IsBindingBlockRecord(const clang::CXXRecordDecl* rec);
-
 bool IsStatusOrResult(clang::QualType t);
 bool IsResultType(clang::QualType t);
 
@@ -198,7 +195,6 @@ std::unique_ptr<Check> MakeLockOrderCheck();
 std::unique_ptr<Check> MakeEpochLifetimeCheck();
 std::unique_ptr<Check> MakeDurabilityCheck();
 std::unique_ptr<Check> MakeStatusCheck();
-std::unique_ptr<Check> MakeBlockHandleCheck();
 std::unique_ptr<Check> MakeResultUnwrapCheck();
 std::unique_ptr<Check> MakeIntervalSoundnessCheck();
 std::unique_ptr<Check> MakeDecodeOverflowCheck();

@@ -197,16 +197,6 @@ bool IsEpochClass(const CXXRecordDecl* rec, bool fieldRule) {
   return !fieldRule && n == "TemporalGraph";
 }
 
-bool IsBlockHandleRecord(const CXXRecordDecl* rec) {
-  return rec != nullptr && rec->getName() == "BlockHandle" &&
-         InNamespace(rec, "engine");
-}
-
-bool IsBindingBlockRecord(const CXXRecordDecl* rec) {
-  return rec != nullptr && rec->getName() == "BindingBlock" &&
-         InNamespace(rec, "engine");
-}
-
 bool IsStatusOrResult(QualType t) {
   const CXXRecordDecl* rec = RecordOf(t);
   if (rec == nullptr) return false;
@@ -279,7 +269,6 @@ std::vector<std::unique_ptr<Check>> MakeAllChecks() {
   checks.push_back(MakeEpochLifetimeCheck());
   checks.push_back(MakeDurabilityCheck());
   checks.push_back(MakeStatusCheck());
-  checks.push_back(MakeBlockHandleCheck());
   checks.push_back(MakeResultUnwrapCheck());
   checks.push_back(MakeIntervalSoundnessCheck());
   checks.push_back(MakeDecodeOverflowCheck());

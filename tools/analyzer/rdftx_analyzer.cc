@@ -28,7 +28,7 @@
 // requested checks.
 //
 // Checks: lock-order, epoch-lifetime, durability, status,
-// block-handle, result-unwrap, interval-soundness, decode-overflow.
+// result-unwrap, interval-soundness, decode-overflow.
 // Suppression: `// rdftx-analyzer: allow(<check>)` on the finding's
 // line or the line above (status also honours `// status-ignored:`).
 

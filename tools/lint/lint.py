@@ -49,8 +49,8 @@ With --analyzer BIN (or --analyzer auto), the rdftx-analyzer LibTooling
 binary (tools/analyzer/, built by the `analyzer` preset when Clang dev
 libraries are present) additionally runs over the compile database and
 its findings — lock-order, epoch-lifetime, durability, status,
-block-handle, result-unwrap, interval-soundness and decode-overflow
-diagnostics — are merged into the lint report. --check=<name>
+result-unwrap, interval-soundness and decode-overflow diagnostics —
+are merged into the lint report. --check=<name>
 (repeatable or comma-separated) narrows the analyzer to the named
 checks; the textual rules still run. The analyzer keeps a persisted
 summary cache next to the compile database so repeat runs reparse only
@@ -410,8 +410,7 @@ def clang_query_findings(root, clang_query, compile_commands):
 # faster with a friendlier message.
 KNOWN_ANALYZER_CHECKS = {
     "lock-order", "epoch-lifetime", "durability", "status",
-    "block-handle", "result-unwrap", "interval-soundness",
-    "decode-overflow",
+    "result-unwrap", "interval-soundness", "decode-overflow",
 }
 
 ANALYZER_BUILD_PATHS = (
